@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 
 from spg.boards import build_path, grid_from_cells
-from spg.engine import analyze, basic_positions, illegal_ideal, legal_complex, legal_ideal
+from spg.engine import analyze
 from spg.gametree import build_tree, canonical_value, outcome, value_str
 from spg.rulesets import col, domineering, nogo, snort
 
@@ -20,12 +20,12 @@ def gens(ideal) -> str:
 
 def show_game(name, game, board):
     print(f"== {name} ==")
-    idx = basic_positions(game, board)
-    for var, pl in idx.entries:
+    a = analyze(game, board)
+    for var, pl in a.index.entries:
         print(f"  {var}: {pl.player} piece on {sorted(pl.occupied)}")
-    print(f"  legal ideal:   <{gens(legal_ideal(game, board))}>")
-    print(f"  illegal ideal: <{gens(illegal_ideal(game, board))}>")
-    delta = legal_complex(game, board)
+    print(f"  legal ideal:   <{gens(a.legal_ideal())}>")
+    print(f"  illegal ideal: <{gens(a.illegal_ideal())}>")
+    delta = a.legal_complex()
     print(f"  tree nodes: {build_tree(delta).node_count}")
     print(f"  value: {value_str(canonical_value(delta))}   outcome: {outcome(delta)}")
     print()
@@ -49,7 +49,7 @@ def example_nogo():
 def example_snort_col():
     board = build_path(4)
     for name, game in (("snort", snort()), ("col", col())):
-        delta = legal_complex(game, board)
+        delta = analyze(game, board).legal_complex()
         print(f"== {name} on a 4-path ==")
         print(f"  value: {value_str(canonical_value(delta))}   outcome: {outcome(delta)}")
     print()

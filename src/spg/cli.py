@@ -93,7 +93,6 @@ from .rulesets import (
     table_game_illegal,
     table_game_legal,
 )
-from .complexes import from_facets
 
 
 class CliError(Exception):
@@ -439,13 +438,10 @@ def _cmd_game_complex(cfg: RunConfig) -> int:
         )
         return 0
     a = analyze(game, brd, cap=cfg.vertex_cap)
-    part = a.index.part_map()
     if cfg.side == "legal":
-        gens = [s for s in a.legal if not any(s < t for t in a.legal)]
+        delta, idl = a.legal_complex(), a.legal_ideal()
     else:
-        gens = list(a.minimal_illegal)
-    delta = from_facets(gens, part)
-    idl = ideal(a.index.names, part, gens)
+        delta, idl = a.illegal_complex(), a.illegal_ideal()
     print(f"{cfg.side} complex: facets " + _facet_list(delta))
     print(f"{cfg.side} ideal: {_ideal_str(idl)}")
     if cfg.out:
@@ -467,9 +463,7 @@ def _complex_for_game(cfg: RunConfig) -> LabeledComplex:
         raise CliError("need --complex, or both --ruleset and --board")
     game = parse_ruleset_spec(cfg.ruleset_spec)
     brd = parse_board_spec(cfg.board_spec)
-    a = analyze(game, brd, cap=cfg.vertex_cap)
-    maximal = [s for s in a.legal if not any(s < t for t in a.legal)]
-    return from_facets(maximal, a.index.part_map())
+    return analyze(game, brd, cap=cfg.vertex_cap).legal_complex()
 
 
 _TREE_PRINT_LIMIT = 500
@@ -568,6 +562,22 @@ def _write_realization(out_dir: str, r: Realization, ruleset_file: str = "rulese
         _write_json(os.path.join(out_dir, "labeling.json"), labeling_to_obj(r.edge_labeling))
 
 
+def _verify(
+    cfg: RunConfig,
+    kind: str,
+    cx: LabeledComplex,
+    labeling: Optional[dict[frozenset[str], int]] = None,
+) -> VerifyReport:
+    return verify_roundtrip(
+        kind,
+        cx,
+        edge_labeling=labeling,
+        max_construction_vertices=cfg.max_construction_vertices,
+        time_cap_s=cfg.time_cap_s,
+        cap=cfg.vertex_cap,
+    )
+
+
 def _skip_report(out_dir: str, kind: str) -> int:
     _write_json(
         os.path.join(out_dir, "report.json"),
@@ -593,13 +603,7 @@ def _cmd_construct_prop210(cfg: RunConfig) -> int:
         _write_json(os.path.join(out_dir, "regions.json"), regions)
     if cfg.skip_verify:
         return _skip_report(out_dir, "both")
-    rep = verify_roundtrip(
-        "both",
-        delta,
-        max_construction_vertices=cfg.max_construction_vertices,
-        time_cap_s=cfg.time_cap_s,
-        cap=cfg.vertex_cap,
-    )
+    rep = _verify(cfg, "both", delta)
     _write_json(os.path.join(out_dir, "report.json"), _report_obj(rep))
     return _finish_status(rep.status, rep.detail)
 
@@ -621,14 +625,7 @@ def _construct_one_sided(cfg: RunConfig, kind: str) -> int:
     _write_realization(out_dir, r)
     if cfg.skip_verify:
         return _skip_report(out_dir, kind)
-    rep = verify_roundtrip(
-        kind,
-        cx,
-        edge_labeling=labeling,
-        max_construction_vertices=cfg.max_construction_vertices,
-        time_cap_s=cfg.time_cap_s,
-        cap=cfg.vertex_cap,
-    )
+    rep = _verify(cfg, kind, cx, labeling)
     _write_json(os.path.join(out_dir, "report.json"), _report_obj(rep))
     return _finish_status(rep.status, rep.detail)
 
@@ -658,13 +655,7 @@ def _cmd_construct_invariant(cfg: RunConfig) -> int:
     _write_realization(out_dir, r)
     if cfg.skip_verify:
         return _skip_report(out_dir, "legal")
-    rep = verify_roundtrip(
-        "legal",
-        delta,
-        max_construction_vertices=cfg.max_construction_vertices,
-        time_cap_s=cfg.time_cap_s,
-        cap=cfg.vertex_cap,
-    )
+    rep = _verify(cfg, "legal", delta)
     obj = _report_obj(rep)
     if rep.passed:
         original, rebuilt = build_tree(delta), build_tree(rep.computed)
@@ -698,13 +689,7 @@ def _cmd_construct_independence(cfg: RunConfig) -> int:
     _write_realization(out_dir, r)
     if cfg.skip_verify:
         return _skip_report(out_dir, "legal")
-    rep = verify_roundtrip(
-        "legal",
-        delta,
-        max_construction_vertices=cfg.max_construction_vertices,
-        time_cap_s=cfg.time_cap_s,
-        cap=cfg.vertex_cap,
-    )
+    rep = _verify(cfg, "legal", delta)
     _write_json(os.path.join(out_dir, "report.json"), _report_obj(rep))
     return _finish_status(rep.status, rep.detail)
 
@@ -721,14 +706,7 @@ def _cmd_verify_roundtrip(cfg: RunConfig) -> int:
     if cfg.dry_run:
         print(f"dry run: would round-trip {cfg.complex_path} as a {cfg.kind} complex")
         return 0
-    rep = verify_roundtrip(
-        cfg.kind,
-        cx,
-        edge_labeling=labeling,
-        max_construction_vertices=cfg.max_construction_vertices,
-        time_cap_s=cfg.time_cap_s,
-        cap=cfg.vertex_cap,
-    )
+    rep = _verify(cfg, cfg.kind, cx, labeling)
     if cfg.out:
         _write_json(cfg.out, _report_obj(rep))
     return _finish_status(rep.status, rep.detail)
@@ -787,6 +765,13 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
                    metavar="N", help="largest distance-game vertex count to verify")
     p.add_argument("--time-cap", dest="time_cap_s", type=float, default=600.0,
                    metavar="SECONDS", help="verification time budget")
+
+
+def _add_construct_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out-dir", dest="out_dir", required=True, metavar="DIR")
+    p.add_argument("--skip-verify", dest="skip_verify", action="store_true")
+    _add_budget(p)
+    _add_cap(p)
 
 
 def _add_out(p: argparse.ArgumentParser) -> None:
@@ -858,33 +843,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = leaf(ct, "construct", "prop210", "table games realizing a complex both ways")
     _add_complex(p)
-    p.add_argument("--out-dir", dest="out_dir", required=True, metavar="DIR")
-    p.add_argument("--skip-verify", dest="skip_verify", action="store_true")
-    _add_budget(p)
-    _add_cap(p)
+    _add_construct_options(p)
     p = leaf(ct, "construct", "illegal", "distance game with the complex illegal")
     _add_complex(p)
     _add_labeling(p)
-    p.add_argument("--out-dir", dest="out_dir", required=True, metavar="DIR")
-    p.add_argument("--skip-verify", dest="skip_verify", action="store_true")
-    _add_budget(p)
-    _add_cap(p)
+    _add_construct_options(p)
     p = leaf(ct, "construct", "legal", "invariant game with the complex legal")
     _add_complex(p)
-    p.add_argument("--out-dir", dest="out_dir", required=True, metavar="DIR")
-    p.add_argument("--skip-verify", dest="skip_verify", action="store_true")
-    _add_budget(p)
-    _add_cap(p)
+    _add_construct_options(p)
     for name, help_ in (
         ("invariant", "re-realize a game invariantly, preserving its tree"),
         ("independence", "re-realize a game whose minimal illegal positions are pairs"),
     ):
         p = leaf(ct, "construct", name, help_)
         _add_ruleset_board(p)
-        p.add_argument("--out-dir", dest="out_dir", required=True, metavar="DIR")
-        p.add_argument("--skip-verify", dest="skip_verify", action="store_true")
-        _add_budget(p)
-        _add_cap(p)
+        _add_construct_options(p)
 
     vf = top.add_parser("verify", help="round-trip and ruleset checks").add_subparsers(
         dest="cmd", required=True, metavar="CMD"

@@ -33,7 +33,13 @@ def _norm_faces(faces: Iterable[Iterable[str]]) -> set[frozenset[str]]:
 
 
 def _maximal(sets: set[frozenset[str]]) -> frozenset[frozenset[str]]:
-    return frozenset(s for s in sets if not any(s < t for t in sets))
+    """Largest first, so each set is compared only with the maximal sets kept
+    so far, not with the whole family."""
+    kept: list[frozenset[str]] = []
+    for s in sorted(sets, key=len, reverse=True):
+        if not any(s <= t for t in kept):
+            kept.append(s)
+    return frozenset(kept)
 
 
 def _minimal(sets: set[frozenset[str]]) -> frozenset[frozenset[str]]:
@@ -265,7 +271,7 @@ def sr_complex(ideal_: SquareFreeIdeal) -> LabeledComplex:
             else:
                 nxt.add(cand)
         candidates = nxt
-    return from_facets(_maximal(candidates), ideal_.part)
+    return from_facets(candidates, ideal_.part)
 
 
 def is_flag(delta: LabeledComplex) -> bool:

@@ -37,7 +37,6 @@ from .boards import (
 from .complexes import (
     LabeledComplex,
     facet_complex,
-    from_facets,
     is_simplex,
     relabel,
     sr_ideal,
@@ -48,7 +47,6 @@ from .engine import (
     analyze,
     basic_positions,
     check_condition_iv,
-    illegal_complex,
     legal_complex,
 )
 from .rulesets import (
@@ -199,7 +197,8 @@ def to_independence(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> Real
     two-piece patterns, and the legal complex is the independence complex of
     the illegal one.
     """
-    gamma = illegal_complex(game, board, cap=cap)
+    a = analyze(game, board, cap=cap)
+    gamma = a.illegal_complex()
     big = sorted((f for f in gamma.facets if len(f) > 2), key=lambda f: sorted(f))
     if big:
         name = "".join(sorted(big[0]))
@@ -212,8 +211,7 @@ def to_independence(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> Real
             "the illegal complex has no two-piece minimal position: nothing "
             "for an independence game to forbid"
         )
-    delta = legal_complex(game, board, cap=cap)
-    out = realize_legal(delta)
+    out = realize_legal(a.legal_complex())
     out.provenance = f"independence/{out.provenance}"
     return out
 
@@ -267,11 +265,7 @@ def _recovered_complex(
     if missing:
         return None, f"no placement covers region(s) {', '.join(missing)}"
     a = analyze(realization.game, realization.board, cap=cap, index=idx)
-    if which == "legal":
-        maximal = [s for s in a.legal if not any(s < t for t in a.legal)]
-        raw = from_facets(maximal, a.index.part_map())
-    else:
-        raw = from_facets(a.minimal_illegal, a.index.part_map())
+    raw = a.legal_complex() if which == "legal" else a.illegal_complex()
     return relabel(raw, mapping), ""
 
 

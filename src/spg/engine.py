@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import boards
@@ -59,8 +60,12 @@ class BasicPositionIndex:
     def right_names(self) -> tuple[str, ...]:
         return tuple(n for n, p in self.entries if p.player == "R")
 
+    @cached_property
+    def by_name(self) -> dict[str, Placement]:
+        return dict(self.entries)
+
     def placement(self, name: str) -> Placement:
-        return dict(self.entries)[name]
+        return self.by_name[name]
 
     def part_map(self) -> dict[str, str]:
         return {name: p.player for name, p in self.entries}
@@ -87,9 +92,37 @@ def basic_positions(game: Ruleset, board: Board, deadline: float | None = None) 
 
 @dataclass
 class GameAnalysis:
+    """The legal sets of a game on a board, its minimal illegal sets, and the
+    complexes and ideals they generate."""
+
     index: BasicPositionIndex
     legal: frozenset[frozenset[str]]
     minimal_illegal: frozenset[frozenset[str]]
+
+    @cached_property
+    def maximal_legal(self) -> frozenset[frozenset[str]]:
+        """Legal sets that no one more placement keeps legal.  Checking the
+        one-element extensions suffices because ``legal`` is downward closed."""
+        names = self.index.names
+        return frozenset(
+            s for s in self.legal if not any(s | {b} in self.legal for b in names if b not in s)
+        )
+
+    def legal_complex(self) -> LabeledComplex:
+        """Faces are the legal positions.  Always contains the empty position."""
+        return from_facets(self.maximal_legal, self.index.part_map())
+
+    def legal_ideal(self) -> SquareFreeIdeal:
+        """Generated by the maximal legal positions, over all basic positions."""
+        return ideal(self.index.names, self.index.part_map(), self.maximal_legal)
+
+    def illegal_complex(self) -> LabeledComplex:
+        """Facets are the minimal illegal positions; void when nothing is illegal."""
+        return from_facets(self.minimal_illegal, self.index.part_map())
+
+    def illegal_ideal(self) -> SquareFreeIdeal:
+        """Generated by the minimal illegal positions, over all basic positions."""
+        return ideal(self.index.names, self.index.part_map(), self.minimal_illegal)
 
 
 def _check_cap(index: BasicPositionIndex, cap: int) -> None:
@@ -116,7 +149,7 @@ def analyze(
         index = basic_positions(game, board, deadline=deadline)
     _check_cap(index, cap)
     support = {name: pl.occupied for name, pl in index.entries}
-    by_name = dict(index.entries)
+    by_name = index.by_name
     names = index.names
 
     def disjoint_extension(s: frozenset[str], b: str) -> bool:
@@ -155,29 +188,23 @@ def analyze(
 
 
 def legal_complex(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> LabeledComplex:
-    """Faces are the legal positions.  Always contains the empty position."""
-    a = analyze(game, board, cap=cap)
-    maximal = [s for s in a.legal if not any(s < t for t in a.legal)]
-    return from_facets(maximal, a.index.part_map())
+    """Shorthand for ``analyze(game, board, cap=cap).legal_complex()``."""
+    return analyze(game, board, cap=cap).legal_complex()
 
 
 def legal_ideal(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> SquareFreeIdeal:
-    """Generated by the maximal legal positions, over all basic positions."""
-    a = analyze(game, board, cap=cap)
-    maximal = [s for s in a.legal if not any(s < t for t in a.legal)]
-    return ideal(a.index.names, a.index.part_map(), maximal)
+    """Shorthand for ``analyze(game, board, cap=cap).legal_ideal()``."""
+    return analyze(game, board, cap=cap).legal_ideal()
 
 
 def illegal_complex(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> LabeledComplex:
-    """Facets are the minimal illegal positions; void when nothing is illegal."""
-    a = analyze(game, board, cap=cap)
-    return from_facets(a.minimal_illegal, a.index.part_map())
+    """Shorthand for ``analyze(game, board, cap=cap).illegal_complex()``."""
+    return analyze(game, board, cap=cap).illegal_complex()
 
 
 def illegal_ideal(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> SquareFreeIdeal:
-    """Generated by the minimal illegal positions, over all basic positions."""
-    a = analyze(game, board, cap=cap)
-    return ideal(a.index.names, a.index.part_map(), a.minimal_illegal)
+    """Shorthand for ``analyze(game, board, cap=cap).illegal_ideal()``."""
+    return analyze(game, board, cap=cap).illegal_ideal()
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +229,7 @@ def check_condition_iv(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> C
     index = basic_positions(game, board)
     _check_cap(index, cap)
     support = {name: pl.occupied for name, pl in index.entries}
-    by_name = dict(index.entries)
+    by_name = index.by_name
     names = index.names
 
     def predicate(s: tuple[str, ...]) -> bool:
@@ -260,7 +287,7 @@ def check_invariance(
     """
     index = basic_positions(game, board)
     _check_cap(index, cap)
-    by_name = dict(index.entries)
+    by_name = index.by_name
     for name, pl in index.entries:
         if not game.legal(board, position(pl)):
             return InvarianceReport(

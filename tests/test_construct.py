@@ -212,3 +212,17 @@ def test_to_independence_on_a_point():
 def test_minimal_nonfaces_drive_the_legal_construction():
     rep = realize_legal(AB_BC)
     assert set(rep.edge_labeling) == minimal_nonfaces(AB_BC)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the distance-game round trip recovers a minimal illegal pair ac "
+    "that the input complex lacks (facet mismatch on ac)",
+)
+def test_distance_roundtrip_without_spurious_pair():
+    gamma = from_facets(
+        [["a", "b", "d"], ["b", "c"], ["c", "d"]],
+        {"a": "R", "b": "L", "c": "R", "d": "R"},
+    )
+    rep = verify_roundtrip("illegal", gamma, max_construction_vertices=4)
+    assert rep.status == "PASS", rep.detail

@@ -17,7 +17,7 @@ from spg.engine import (
     legal_ideal,
 )
 from spg.rulesets import Ruleset, col, domineering, free_placement, nogo, snort
-from conftest import degree_one_game
+from conftest import connected_boards, degree_one_game
 
 
 def _single_vertex_rules(name, predicate, invariant=False) -> Ruleset:
@@ -69,6 +69,25 @@ def test_legal_complex_is_sr_complex_of_illegal_ideal():
     ]
     for game, board in cases:
         assert legal_complex(game, board) == sr_complex(illegal_ideal(game, board))
+
+
+def test_maximal_legal_matches_pairwise_scan(lshape_board):
+    cases = [
+        (game, board)
+        for n in range(1, 5)
+        for board in connected_boards(n)
+        for game in (snort(), col(), nogo(), free_placement())
+    ]
+    cases += [(domineering(), lshape_board), (domineering(), build_grid(2, 3))]
+    for game, board in cases:
+        a = analyze(game, board)
+        # reference: every legal set compared with every other
+        maximal = [s for s in a.legal if not any(s < t for t in a.legal)]
+        assert a.maximal_legal == frozenset(maximal), (game.name, board)
+        assert a.legal_complex() == legal_complex(game, board)
+        assert a.legal_ideal() == legal_ideal(game, board)
+        assert a.illegal_complex() == illegal_complex(game, board)
+        assert a.illegal_ideal() == illegal_ideal(game, board)
 
 
 def test_legal_ideal_generators_are_maximal_legal():
