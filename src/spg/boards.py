@@ -1,19 +1,30 @@
 """Game boards (finite simple graphs), pieces, placements, and embeddings.
 
 Boards carry integer vertex ids, optional grid coordinates, and optional
-role labels produced by the cycle constructions.  Pieces are connected graphs
-owned by one player; a placement is the vertex image of an embedding of a
-piece into a board.  Embeddings are not-necessarily-induced subgraph
-embeddings found by anchored backtracking, deduplicated by occupied set.
+role labels produced by the cycle constructions.  Each board also keeps the
+memos computed from it (neighbour sets, components, set distances), so they
+are freed with the board.  Pieces are connected graphs owned by one player; a
+placement is the vertex image of an embedding of a piece into a board.
+
+Embeddings are not-necessarily-induced (or, on request, induced) subgraph
+embeddings found by one iterative backtracking search: a static vertex order,
+an explicit stack of candidate lists drawn from the board's sorted neighbour
+tuples, and no recursion, so pattern size is not bounded by Python's
+recursion limit.  For placements the search is symmetry-broken: the piece's
+automorphisms (found by embedding the piece into itself) give Grochow-Kellis
+conditions ``image[a] < image[b]`` that keep one embedding per automorphism
+class, and the occupied sets are then deduplicated.
 """
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .complexes import LabeledComplex, canonical_vertex_order, dimension, has_isolated_vertex
+from .complexes import LabeledComplex, has_isolated_vertex
 
 
 class BudgetExceeded(RuntimeError):
@@ -36,6 +47,8 @@ class Board:
     coords: Optional[Mapping[int, tuple[int, int]]] = None
     cycle_labels: Optional[Mapping[int, tuple]] = None
     _adj: dict = field(init=False, repr=False)
+    _nbrs: dict = field(init=False, repr=False)
+    _dist: dict = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -57,7 +70,14 @@ class Board:
                 if abs(ra - rb) + abs(ca - cb) != 1:
                     raise ValueError(f"edge ({a},{b}) is not orthogonally adjacent in coords")
         object.__setattr__(self, "_adj", {v: tuple(sorted(n)) for v, n in adj.items()})
+        object.__setattr__(self, "_nbrs", adj)
+        object.__setattr__(self, "_dist", {})
         object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
+
+    @cached_property
+    def _components(self) -> tuple[frozenset[int], ...]:
+        comps = _components_of(self.vertices, self.edges)
+        return tuple(sorted((frozenset(c) for c in comps), key=min))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -154,11 +174,14 @@ def disjoint_union(*boards: Board) -> Board:
 
 @dataclass(frozen=True, eq=False)
 class Piece:
-    """A connected graph shape owned by one player."""
+    """A connected graph shape owned by one player.  It memoises the
+    symmetry-breaking conditions of its placement search."""
 
     player: str
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
+    _adj: dict = field(init=False, repr=False)
+    _conditions: Optional[list] = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         if self.player not in ("L", "R"):
@@ -175,6 +198,7 @@ class Piece:
                     stack.append(w)
         if len(seen) != len(self.vertices):
             raise ValueError("piece graph is not connected")
+        object.__setattr__(self, "_adj", adj)
 
     def __repr__(self) -> str:
         return f"Piece({self.player}, n={len(self.vertices)}, m={len(self.edges)})"
@@ -250,18 +274,24 @@ def placement(player: str, occupied: Iterable[int]) -> Placement:
 
 def _search_order(vertices: Sequence[int], adj: Mapping[int, tuple[int, ...]]) -> list[int]:
     """Static vertex order: start at a maximum-degree vertex, then repeatedly
-    take the vertex with the most already-ordered neighbours."""
-    remaining = set(vertices)
+    take the vertex with the most already-ordered neighbours, ties going to
+    the higher degree and then the smaller id.  A lazy heap keyed on
+    (ordered neighbours, degree, id) makes this O((V + E) log V)."""
+    count = dict.fromkeys(vertices, 0)
+    heap = [(0, -len(adj[v]), v) for v in vertices]
+    heapq.heapify(heap)
     order: list[int] = []
     placed: set[int] = set()
-    while remaining:
-        if not order:
-            v = max(remaining, key=lambda u: (len(adj[u]), -u))
-        else:
-            v = max(remaining, key=lambda u: (sum(1 for w in adj[u] if w in placed), len(adj[u]), -u))
+    while heap:
+        c, _, v = heapq.heappop(heap)
+        if v in placed or -c != count[v]:
+            continue  # stale entry: v was placed or gained a neighbour since
         order.append(v)
         placed.add(v)
-        remaining.remove(v)
+        for w in adj[v]:
+            if w not in placed:
+                count[w] += 1
+                heapq.heappush(heap, (-count[w], -len(adj[w]), w))
     return order
 
 
@@ -271,67 +301,117 @@ def _embeddings(
     target: Board,
     induced: bool = False,
     deadline: float | None = None,
+    conditions: Iterable[tuple[int, int]] = (),
 ) -> Iterator[dict[int, int]]:
     """Yield every embedding of the pattern into the target board.
 
     Pattern edges must map to target edges; with ``induced`` pattern non-edges
-    must map to target non-edges as well.  Connected patterns only.
+    must map to target non-edges as well.  Each ``(a, b)`` in ``conditions``
+    keeps only the embeddings with ``image[a] < image[b]``; it is checked when
+    the later of ``a`` and ``b`` in the search order is mapped.  Connected
+    patterns only.  Embeddings come in lexicographic order of their images
+    along the search order.
     """
     if not p_vertices:
         yield {}
         return
     order = _search_order(p_vertices, p_adj)
+    k = len(order)
     pos = {v: i for i, v in enumerate(order)}
-    # for each vertex, the neighbours that come earlier in the order
-    earlier = {v: [w for w in p_adj[v] if pos[w] < pos[v]] for v in order}
-    non_nbrs = {}
-    if induced:
-        for v in order:
-            non_nbrs[v] = [w for w in order if pos[w] < pos[v] and w not in p_adj[v]]
-    t_adj = {v: set(target.neighbors(v)) for v in target.vertices}
-    image: dict[int, int] = {}
+    # for each position, the positions of the neighbours that come earlier
+    earlier = [[pos[w] for w in p_adj[v] if pos[w] < i] for i, v in enumerate(order)]
+    need = [len(p_adj[v]) for v in order]
+    above: list[list[int]] = [[] for _ in order]  # image must exceed theirs
+    below: list[list[int]] = [[] for _ in order]  # image must stay under theirs
+    for a, b in conditions:
+        ia, ib = pos[a], pos[b]
+        if ia < ib:
+            above[ib].append(ia)
+        else:
+            below[ia].append(ib)
+    t_adj, t_nbrs = target._adj, target._nbrs
+    t_deg = {v: len(nbrs) for v, nbrs in t_adj.items()}
+    image: list[int] = [0] * k
     used: set[int] = set()
+
+    def candidates(i: int) -> list[int]:
+        prior = earlier[i]
+        if len(prior) == 1:
+            base: Iterable[int] = t_adj[image[prior[0]]]
+        elif prior:
+            # walk the smallest neighbour tuple, test membership in the others
+            anchors = sorted((image[j] for j in prior), key=t_deg.__getitem__)
+            base = t_adj[anchors[0]]
+            for x in anchors[1:]:
+                base = [w for w in base if w in t_nbrs[x]]
+        else:
+            base = target.vertices
+        d = need[i]
+        out = [w for w in base if w not in used and t_deg[w] >= d]
+        if above[i]:
+            lo = max(image[j] for j in above[i])
+            out = [w for w in out if w > lo]
+        if below[i]:
+            hi = min(image[j] for j in below[i])
+            out = [w for w in out if w < hi]
+        if induced:
+            # the images of earlier neighbours are neighbours of every
+            # candidate, so any further used neighbour is the image of an
+            # earlier non-neighbour
+            out = [w for w in out if sum(1 for x in t_adj[w] if x in used) == len(prior)]
+        return out
+
+    # stack[i] iterates the candidates for position i; ``used`` holds the
+    # images of the positions below the top of the stack
+    stack = [iter(candidates(0))]
     ticks = 0
-
-    def candidates(v: int) -> Iterable[int]:
-        prior = earlier[v]
-        if not prior:
-            return [w for w in target.vertices if len(t_adj[w]) >= len(p_adj[v])]
-        sets = sorted((t_adj[image[u]] for u in prior), key=len)
-        base = set(sets[0])
-        for s in sets[1:]:
-            base &= s
-        return sorted(
-            w for w in base if w not in used and len(t_adj[w]) >= len(p_adj[v])
-        )
-
-    def extend(i: int) -> Iterator[dict[int, int]]:
-        nonlocal ticks
+    while stack:
+        i = len(stack) - 1
+        w = next(stack[i], None)
+        if w is None:
+            stack.pop()
+            if i:
+                used.remove(image[i - 1])
+            continue
         ticks += 1
         if deadline is not None and ticks % 2048 == 0 and time.monotonic() > deadline:
             raise BudgetExceeded("embedding search ran past its deadline")
-        if i == len(order):
-            yield dict(image)
-            return
-        v = order[i]
-        for w in candidates(v):
-            if induced and any(image[u] in t_adj[w] for u in non_nbrs[v]):
-                continue
-            image[v] = w
+        image[i] = w
+        if i + 1 == k:
+            yield dict(zip(order, image))
+        else:
             used.add(w)
-            yield from extend(i + 1)
-            del image[v]
-            used.remove(w)
+            stack.append(iter(candidates(i + 1)))
 
-    yield from extend(0)
+
+def _symmetry_conditions(piece: Piece, deadline: float | None = None) -> list[tuple[int, int]]:
+    """Conditions ``image[a] < image[b]`` under which exactly one embedding
+    of each class of embeddings equal up to an automorphism of the pattern
+    survives (Grochow & Kellis, RECOMB 2007).
+
+    The automorphisms are the embeddings of the pattern into itself.  Along a
+    stabiliser chain whose base follows the search order, each base vertex
+    must take the smallest image of its orbit under the current stabiliser.
+    """
+    own = board(piece.vertices, piece.edges)
+    autos = list(_embeddings(piece.vertices, piece._adj, own, deadline=deadline))
+    conditions: list[tuple[int, int]] = []
+    for v in _search_order(piece.vertices, piece._adj):
+        if len(autos) == 1:
+            break
+        orbit = sorted({a[v] for a in autos} - {v})
+        conditions.extend((v, u) for u in orbit)
+        autos = [a for a in autos if a[v] == v]
+    return conditions
 
 
 def piece_placements(target: Board, piece: Piece, deadline: float | None = None) -> tuple[Placement, ...]:
     """All distinct occupied sets realising the piece on the board, in
     canonical (sorted occupied tuple) order."""
-    p_adj = _adjacency(piece.vertices, piece.edges)
+    if piece._conditions is None:
+        object.__setattr__(piece, "_conditions", _symmetry_conditions(piece, deadline))
     images: set[frozenset[int]] = set()
-    for emb in _embeddings(piece.vertices, p_adj, target, induced=False, deadline=deadline):
+    for emb in _embeddings(piece.vertices, piece._adj, target, deadline=deadline, conditions=piece._conditions):
         images.add(frozenset(emb.values()))
     return tuple(placement(piece.player, img) for img in sorted(images, key=sorted))
 
@@ -348,7 +428,7 @@ def induced_embeddings(
     handled component by component with a cross-component non-adjacency check."""
     comps = _components_of(sub_vertices, sub_edges)
     sub_adj = _adjacency(sub_vertices, sub_edges)
-    t_adj = {v: set(target.neighbors(v)) for v in target.vertices}
+    t_adj = target._nbrs
     results: list[dict[int, int]] = []
 
     def place(ci: int, acc: dict[int, int]) -> None:
@@ -396,33 +476,31 @@ def _components_of(vertices: Sequence[int], edges: Iterable[Edge]) -> list[set[i
 
 def components(b: Board) -> list[frozenset[int]]:
     """Connected components, sorted by smallest contained id."""
-    comps = _components_of(b.vertices, b.edges)
-    return sorted((frozenset(c) for c in comps), key=min)
+    return list(b._components)
 
 
 # ---------------------------------------------------------------------------
 # Distance
 
-_DIST_CACHE: dict[tuple, object] = {}
-
-
 def distance(b: Board, s1: Iterable[int], s2: Iterable[int]) -> int | float:
     """Length of a shortest path between two nonempty vertex sets on the bare
-    board graph, ignoring occupancy.  ``inf`` when no path exists."""
+    board graph, ignoring occupancy.  ``inf`` when no path exists.  Results
+    are memoised on the board."""
     a, c = frozenset(s1), frozenset(s2)
     if not a or not c:
         raise ValueError("distance needs nonempty vertex sets")
-    key = (b, frozenset((a, c)))
-    hit = _DIST_CACHE.get(key)
-    if hit is not None:
-        return hit  # type: ignore[return-value]
+    key = frozenset((a, c))
+    if key not in b._dist:
+        b._dist[key] = _set_distance(b, a, c)
+    return b._dist[key]
+
+
+def _set_distance(b: Board, a: frozenset[int], c: frozenset[int]) -> int | float:
     if a & c:
-        _DIST_CACHE[key] = 0
         return 0
     frontier = set(a)
     seen = set(a)
     dist = 0
-    result: int | float = float("inf")
     while frontier:
         dist += 1
         nxt: set[int] = set()
@@ -431,13 +509,11 @@ def distance(b: Board, s1: Iterable[int], s2: Iterable[int]) -> int | float:
                 if w in seen:
                     continue
                 if w in c:
-                    _DIST_CACHE[key] = dist
                     return dist
                 seen.add(w)
                 nxt.add(w)
         frontier = nxt
-    _DIST_CACHE[key] = result
-    return result
+    return float("inf")
 
 
 # ---------------------------------------------------------------------------

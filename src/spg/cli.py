@@ -120,14 +120,23 @@ def load_complex(path: str) -> LabeledComplex:
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _is_name_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_ideal(path: str) -> SquareFreeIdeal:
+    """Read an ideal file; a variable with no entry in ``parts`` gets part L."""
     obj = _load_json(path)
     try:
-        variables = list(obj["variables"])
-        generators = [list(g) for g in obj["generators"]]
+        variables, generators = obj["variables"], obj["generators"]
     except (KeyError, TypeError) as exc:
         raise CliError(f"{path}: ideal files need 'variables' and 'generators'") from exc
+    if not (_is_name_list(variables) and isinstance(generators, list)
+            and all(_is_name_list(g) for g in generators)):
+        raise CliError(f"{path}: 'variables' and each generator must be lists of names")
     parts = obj.get("parts", {})
+    if not isinstance(parts, dict):
+        raise CliError(f"{path}: 'parts' must map variable names to L or R")
     part = {v: parts.get(v, "L") for v in variables}
     try:
         return ideal(variables, part, generators)
@@ -551,10 +560,10 @@ def _ensure_out_dir(cfg: RunConfig) -> str:
     return cfg.out_dir
 
 
-def _write_realization(out_dir: str, r: Realization, ruleset_file: str = "ruleset.json") -> None:
+def _write_realization(out_dir: str, r: Realization) -> None:
     _write_json(os.path.join(out_dir, "board.json"), board_to_obj(r.board))
     _write_text(os.path.join(out_dir, "board.dot"), board_to_dot(r.board))
-    _write_json(os.path.join(out_dir, ruleset_file), ruleset_descriptor(r.game))
+    _write_json(os.path.join(out_dir, "ruleset.json"), ruleset_descriptor(r.game))
     if r.regions:
         regions = {v: sorted(ids) for v, ids in sorted(r.regions.items())}
         _write_json(os.path.join(out_dir, "regions.json"), regions)

@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from . import boards
 from .boards import (
     Board,
     BudgetExceeded,

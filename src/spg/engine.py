@@ -19,7 +19,7 @@ from typing import Optional
 from . import boards
 from .boards import Board, Placement, piece_placements
 from .complexes import LabeledComplex, SquareFreeIdeal, from_facets, ideal
-from .rulesets import Position, Ruleset, position
+from .rulesets import Ruleset, position
 
 
 class BoardTooLarge(ValueError):

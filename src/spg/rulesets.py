@@ -11,7 +11,6 @@ consulting the predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
@@ -76,8 +75,15 @@ class Ruleset:
         return f"Ruleset({self.name!r})"
 
 
+# The built-in rulesets share one piece per shape and player: pieces are
+# immutable, and each finds its automorphisms on its first placement search.
+_VERTEX_PIECES = {"L": (boards.vertex_piece("L"),), "R": (boards.vertex_piece("R"),)}
+_DOMINO_PIECES = {"L": (boards.domino_piece("L"),), "R": (boards.domino_piece("R"),)}
+_TABLE_PIECES = {"L": (boards.cycle_piece(3, "L"),), "R": (boards.cycle_piece(4, "R"),)}
+
+
 def _single_vertex_pieces() -> dict[str, tuple[Piece, ...]]:
-    return {"L": (boards.vertex_piece("L"),), "R": (boards.vertex_piece("R"),)}
+    return dict(_VERTEX_PIECES)
 
 
 def free_placement() -> Ruleset:
@@ -143,17 +149,11 @@ def domineering() -> Ruleset:
     def legal(b: Board, pos: Position) -> bool:
         return all(oriented(b, p.occupied, p.player) for p in pos)
 
-    pieces = {"L": (boards.domino_piece("L"),), "R": (boards.domino_piece("R"),)}
-    return Ruleset("domineering", pieces, legal, claims_invariant=False)
+    return Ruleset("domineering", dict(_DOMINO_PIECES), legal, claims_invariant=False)
 
 
 # ---------------------------------------------------------------------------
 # Table games: legality looked up in a fixed complex on a board of small cycles
-
-
-@lru_cache(maxsize=None)
-def _component_list(b: Board) -> tuple[frozenset[int], ...]:
-    return tuple(boards.components(b))
 
 
 def _cycle_vertex_map(b: Board, delta: LabeledComplex) -> dict[frozenset[int], str]:
@@ -161,7 +161,7 @@ def _cycle_vertex_map(b: Board, delta: LabeledComplex) -> dict[frozenset[int], s
     in canonical order.  Components beyond the needed counts stay unlabelled."""
     triangles = []
     squares = []
-    for comp in _component_list(b):
+    for comp in boards.components(b):
         is_cycle = all(
             sum(1 for w in b.neighbors(v) if w in comp) == 2 for v in comp
         )
@@ -191,7 +191,7 @@ def _covered_names(b: Board, pos: Position, delta: LabeledComplex) -> set[str] |
 
 
 def _table_pieces() -> dict[str, tuple[Piece, ...]]:
-    return {"L": (boards.cycle_piece(3, "L"),), "R": (boards.cycle_piece(4, "R"),)}
+    return dict(_TABLE_PIECES)
 
 
 def table_game_legal(delta: LabeledComplex) -> Ruleset:

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import random
 import time
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,6 +10,8 @@ from spg.boards import (
     OUTER_EXTRA,
     BudgetExceeded,
     Piece,
+    _embeddings,
+    _symmetry_conditions,
     assembly_board,
     assembly_regions,
     board,
@@ -41,16 +44,20 @@ from conftest import all_labeled_complexes
 P3_GAMMA = from_facets([["a", "b"], ["b", "c"]], {"a": "L", "b": "R", "c": "L"})
 
 
-def placements_oracle(b, piece) -> set[frozenset[int]]:
+def embeddings_oracle(b, piece) -> list[dict[int, int]]:
     """Brute force: every injective vertex map sending piece edges to board
-    edges, collapsed to occupied sets."""
-    out = set()
+    edges."""
     pv = list(piece.vertices)
-    for image in permutations(b.vertices, len(pv)):
-        m = dict(zip(pv, image))
-        if all(tuple(sorted((m[a], m[c]))) in b.edges for a, c in piece.edges):
-            out.add(frozenset(image))
-    return out
+    maps = (dict(zip(pv, image)) for image in permutations(b.vertices, len(pv)))
+    return [
+        m for m in maps
+        if all(tuple(sorted((m[a], m[c]))) in b.edges for a, c in piece.edges)
+    ]
+
+
+def placements_oracle(b, piece) -> set[frozenset[int]]:
+    """The brute-force embeddings collapsed to occupied sets."""
+    return {frozenset(m.values()) for m in embeddings_oracle(b, piece)}
 
 
 def test_builders_shapes():
@@ -142,6 +149,64 @@ def test_placements_add_over_disjoint_union():
     piece = domino_piece("L")
     total = len(piece_placements(left, piece)) + len(piece_placements(right, piece))
     assert len(piece_placements(u, piece)) == total
+
+
+STAR = Piece("L", (0, 1, 2, 3), frozenset({(0, 1), (0, 2), (0, 3)}))
+PATH3 = Piece("R", (0, 1, 2), frozenset({(0, 1), (1, 2)}))
+
+
+def random_board(rng: random.Random, n: int, p: float = 0.5):
+    """A random graph on n vertices whose ids are a random sample of 0..3n."""
+    ids = rng.sample(range(3 * n), n)
+    return board(ids, [(ids[a], ids[c]) for a in range(n) for c in range(a + 1, n) if rng.random() < p])
+
+
+@pytest.mark.parametrize("piece", [STAR, cycle_piece(5, "L"), PATH3], ids=["star", "cycle5", "path3"])
+def test_search_matches_brute_force_on_random_boards(piece):
+    p_adj = piece._adj
+    conditions = _symmetry_conditions(piece)
+    automorphisms = len(embeddings_oracle(board(piece.vertices, piece.edges), piece))
+    rng = random.Random(7)
+    for _ in range(30):
+        b = random_board(rng, rng.randint(3, 7))
+        maps = embeddings_oracle(b, piece)
+        got = [tuple(sorted(m.items())) for m in _embeddings(piece.vertices, p_adj, b)]
+        assert len(got) == len(set(got)) == len(maps)
+        assert set(got) == {tuple(sorted(m.items())) for m in maps}
+        broken = list(_embeddings(piece.vertices, p_adj, b, conditions=conditions))
+        assert len(broken) * automorphisms == len(maps)
+        assert {p.occupied for p in piece_placements(b, piece)} == placements_oracle(b, piece)
+        induced = [
+            m for m in maps
+            if all(
+                (tuple(sorted((m[a], m[c]))) in b.edges) == ((a, c) in piece.edges)
+                for a, c in combinations(piece.vertices, 2)
+            )
+        ]
+        got_induced = [tuple(sorted(m.items())) for m in _embeddings(piece.vertices, p_adj, b, induced=True)]
+        assert sorted(got_induced) == sorted(tuple(sorted(m.items())) for m in induced)
+
+
+@pytest.mark.parametrize("player", ["L", "R"])
+def test_symmetry_breaking_on_gamma_piece(player):
+    piece = gamma_piece(2, player)
+    p_adj = piece._adj
+    conditions = _symmetry_conditions(piece)
+    # flipping the inner ring times reflecting the outer cycle through the
+    # connection vertex
+    automorphisms = 4
+    assert len(list(_embeddings(piece.vertices, p_adj, board(piece.vertices, piece.edges)))) == automorphisms
+    edge = from_facets([["a", "b"]], {"a": "L", "b": "R"})
+    rng = random.Random(11)
+    for base in (gamma_board(edge), disjoint_union(assembly_board("z", player, 2), gamma_board(edge))):
+        ids = rng.sample(range(2 * len(base.vertices)), len(base.vertices))
+        b = board(ids, [(ids[u], ids[v]) for u, v in base.edges])
+        plain = list(_embeddings(piece.vertices, p_adj, b))
+        broken = list(_embeddings(piece.vertices, p_adj, b, conditions=conditions))
+        assert plain and len(broken) * automorphisms == len(plain)
+        occupied = {frozenset(m.values()) for m in plain}
+        assert {frozenset(m.values()) for m in broken} == occupied
+        assert {p.occupied for p in piece_placements(b, piece)} == occupied
 
 
 def test_embedding_deadline_raises():

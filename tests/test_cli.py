@@ -113,6 +113,31 @@ def test_verify_roundtrip_exit_codes(run, tmp_path):
     assert "max_construction_vertices" in out
 
 
+def test_verify_illegal_on_five_vertices(run, tmp_path):
+    path5 = from_facets(
+        [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"]],
+        {"a": "L", "b": "R", "c": "L", "d": "R", "e": "L"},
+    )
+    p = write_complex(tmp_path / "p5.json", path5)
+    code, out, err = run("verify", "illegal", "--complex", p, "--max-n", "5")
+    assert code == 0 and out.startswith("PASS") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "ideal_obj",
+    [
+        {"variables": ["a", "b"], "generators": [["a", "b"]], "parts": ["L", "R"]},
+        {"variables": "ab", "generators": [["a", "b"]]},
+    ],
+    ids=["parts-list", "variables-string"],
+)
+def test_complex_dual_rejects_malformed_ideal(run, tmp_path, ideal_obj):
+    p = tmp_path / "ideal.json"
+    p.write_text(json.dumps(ideal_obj))
+    code, _, err = run("complex", "dual", "--ideal", str(p), "--to", "sr-complex")
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_invariance_fail_exit(run):
     code, out, _ = run(
         "verify", "invariance", "--ruleset", "domineering", "--board", LSHAPE_BOARD

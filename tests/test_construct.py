@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
 
+from spg import construct
 from spg.boards import build_path, distance, gamma_board
 from spg.complexes import (
     empty_face_complex,
@@ -140,6 +143,36 @@ def test_verify_illegal_path_gamma():
     assert report.passed
     assert "415" in report.detail
     assert report.computed == gamma
+
+
+PATH5 = from_facets(
+    [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"]],
+    {"a": "L", "b": "R", "c": "L", "d": "R", "e": "L"},
+)
+
+
+def test_verify_illegal_path_on_five_vertices():
+    # the pieces have 1,125 vertices, more than Python's default recursion limit
+    rep = verify_roundtrip("illegal", PATH5, max_construction_vertices=5)
+    assert rep.status == "PASS", rep.detail
+    assert rep.computed == PATH5
+
+
+@pytest.mark.parametrize("kind, builder", [("illegal", "realize_illegal"), ("both", "realize_both")])
+def test_roundtrip_board_is_freed(monkeypatch, kind, builder):
+    # distance and component memos live on the board, so nothing keeps it alive
+    refs = []
+    build = getattr(construct, builder)
+
+    def spy(*args, **kwargs):
+        out = build(*args, **kwargs)
+        refs.extend(weakref.ref(r.board) for r in (out if isinstance(out, tuple) else (out,)))
+        return out
+
+    monkeypatch.setattr(construct, builder, spy)
+    assert verify_roundtrip(kind, AB_BC).passed
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)
 
 
 def test_verify_budget_inconclusive():
