@@ -693,11 +693,11 @@ def board_from_obj(obj: Mapping) -> Board:
     try:
         vertices = [int(v) for v in obj["vertices"]]
         edges = [(int(a), int(b)) for a, b in obj["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        coords = obj.get("coords")
+        if coords is not None:
+            coords = {int(k): (int(r), int(c)) for k, (r, c) in coords.items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed board object: {exc}") from exc
-    coords = None
-    if "coords" in obj and obj["coords"] is not None:
-        coords = {int(k): (int(r), int(c)) for k, (r, c) in obj["coords"].items()}
     return board(vertices, edges, coords=coords)
 
 

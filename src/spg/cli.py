@@ -7,92 +7,50 @@ Two-level subcommands over the library:
 * ``construct``: build realizations and write their artifacts
 * ``verify``: round-trip, downward-closure and invariance checks
 
-Exit codes: 0 success or PASS, 1 failure or FAIL, 2 usage error, 3 budget
-INCONCLUSIVE.  Every subcommand takes ``--dry-run`` to validate inputs
-without computing anything.
+Every subcommand is one row of ``COMMANDS``: its group, name and help; the
+flags it takes, each declared once in ``_OPTIONS``; fixed argument values
+(the ``verify legal|illegal|both`` shorthands fix ``kind``); the loaders of
+its inputs; and the action that runs on the loaded inputs.  ``main`` is the
+one place that loads and validates the inputs, stops there under
+``--dry-run`` with one ``dry run:`` line, runs the action and maps
+exceptions to exit codes.
+
+Exit codes: 0 success or PASS, 1 failure or FAIL, 2 usage error (bad
+arguments, unreadable input, unwritable output), 3 budget INCONCLUSIVE.
 """
 from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .boards import (
-    Board,
-    BudgetExceeded,
-    board_from_obj,
-    board_to_dot,
-    board_to_obj,
-    build_cycle,
-    build_grid,
-    build_path,
-    disjoint_union,
-    empty_board,
-    gamma_board,
-    grid_from_cells,
+    Board, BudgetExceeded, board_from_obj, board_to_dot, board_to_obj, build_cycle, build_grid,
+    build_path, disjoint_union, empty_board, gamma_board, grid_from_cells,
 )
 from .complexes import (
-    LabeledComplex,
-    SquareFreeIdeal,
-    complex_from_obj,
-    complex_to_obj,
-    dimension,
-    dumps,
-    facet_complex,
-    facet_ideal,
-    faces,
-    ideal,
-    ideal_to_obj,
-    is_flag,
-    is_pure,
-    is_simplex,
-    minimal_nonfaces,
-    sr_complex,
-    sr_ideal,
+    LabeledComplex, SquareFreeIdeal, complex_from_obj, complex_to_obj, dimension, dumps,
+    facet_complex, facet_ideal, faces, ideal, ideal_to_obj, is_flag, is_name_list, is_pure,
+    is_simplex, minimal_nonfaces, sr_complex, sr_ideal,
 )
 from .construct import (
-    Realization,
-    VerifyReport,
-    realize_both,
-    realize_illegal,
-    realize_legal,
-    to_independence,
-    to_invariant,
-    verify_roundtrip,
+    Realization, VerifyReport, realize_both, realize_illegal, realize_legal, to_independence,
+    to_invariant, verify_roundtrip,
 )
-from .engine import (
-    DEFAULT_CAP,
-    BoardTooLarge,
-    analyze,
-    check_condition_iv,
-    check_invariance,
-)
+from .engine import DEFAULT_CAP, BoardTooLarge, analyze, check_condition_iv, check_invariance
 from .gametree import (
-    GameTree,
-    build_tree,
-    canonical_value,
-    outcome_of_value,
-    tree_to_dot,
-    trees_isomorphic,
+    GameTree, build_tree, canonical_value, outcome_of_value, tree_to_dot, trees_isomorphic,
     value_str,
 )
 from .rulesets import (
-    Ruleset,
-    col,
-    domineering,
-    free_placement,
-    gamma_game,
-    nogo,
-    ruleset_descriptor,
-    snort,
-    table_game_illegal,
-    table_game_legal,
+    Ruleset, col, domineering, free_placement, gamma_game, nogo, ruleset_descriptor, snort,
+    table_game_illegal, table_game_legal,
 )
+
+Labeling = dict[frozenset[str], int]
 
 
 class CliError(Exception):
@@ -120,10 +78,6 @@ def load_complex(path: str) -> LabeledComplex:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _is_name_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 def load_ideal(path: str) -> SquareFreeIdeal:
     """Read an ideal file; a variable with no entry in ``parts`` gets part L."""
     obj = _load_json(path)
@@ -131,8 +85,8 @@ def load_ideal(path: str) -> SquareFreeIdeal:
         variables, generators = obj["variables"], obj["generators"]
     except (KeyError, TypeError) as exc:
         raise CliError(f"{path}: ideal files need 'variables' and 'generators'") from exc
-    if not (_is_name_list(variables) and isinstance(generators, list)
-            and all(_is_name_list(g) for g in generators)):
+    if not (is_name_list(variables) and isinstance(generators, list)
+            and all(is_name_list(g) for g in generators)):
         raise CliError(f"{path}: 'variables' and each generator must be lists of names")
     parts = obj.get("parts", {})
     if not isinstance(parts, dict):
@@ -144,22 +98,23 @@ def load_ideal(path: str) -> SquareFreeIdeal:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def load_labeling(path: str) -> dict[frozenset[str], int]:
+def load_labeling(path: str) -> Labeling:
     obj = _load_json(path)
-    out: dict[frozenset[str], int] = {}
+    out: Labeling = {}
     try:
         for entry in obj:
             u, v = entry["edge"]
             out[frozenset((u, v))] = int(entry["label"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(
-            f"{path}: labelings are lists of {{'edge': [u, v], 'label': n}}"
-        ) from exc
+        raise CliError(f"{path}: labelings are lists of {{'edge': [u, v], 'label': n}}") from exc
     return out
 
 
-def labeling_to_obj(labeling: dict[frozenset[str], int]) -> list[dict]:
-    return [{"edge": sorted(e), "label": lab} for e, lab in sorted(labeling.items(), key=lambda kv: kv[1])]
+def labeling_to_obj(labeling: Labeling) -> list[dict]:
+    return [
+        {"edge": sorted(e), "label": lab}
+        for e, lab in sorted(labeling.items(), key=lambda kv: kv[1])
+    ]
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -175,6 +130,13 @@ def _split_top_level(text: str) -> list[str]:
             start = i + 1
     parts.append(text[start:])
     return [p.strip() for p in parts if p.strip()]
+
+
+def _gamma_spec(rest: str) -> tuple[LabeledComplex, Optional[Labeling]]:
+    """The complex and the optional edge labeling of a ``complex.json[:labeling.json]``
+    spec, shared by the ``gamma:`` board and ruleset forms."""
+    path, _, labeling_path = rest.partition(":")
+    return load_complex(path), (load_labeling(labeling_path) if labeling_path else None)
 
 
 _BOARD_FORMS = (
@@ -214,11 +176,8 @@ def parse_board_spec(spec: str) -> Board:
             except ValueError as exc:
                 raise CliError(f"{rest}: {exc}") from exc
         if head == "gamma":
-            path, _, labeling_path = rest.partition(":")
-            gamma = load_complex(path)
-            labeling = load_labeling(labeling_path) if labeling_path else None
-            return gamma_board(gamma, labeling) if labeling else gamma_board(gamma)
-    except (ValueError, SyntaxError) as exc:
+            return gamma_board(*_gamma_spec(rest))
+    except (ValueError, TypeError, SyntaxError) as exc:
         raise CliError(f"bad board spec {spec!r}: {exc}") from exc
     raise CliError(f"unknown board spec {spec!r} (expected {_BOARD_FORMS})")
 
@@ -248,60 +207,67 @@ def parse_ruleset_spec(spec: str) -> Ruleset:
         if head == "table-illegal":
             return table_game_illegal(load_complex(rest))
         if head == "gamma":
-            path, _, labeling_path = rest.partition(":")
-            gamma = load_complex(path)
-            labeling = load_labeling(labeling_path) if labeling_path else None
             try:
-                return gamma_game(gamma, labeling)
+                return gamma_game(*_gamma_spec(rest))
             except ValueError as exc:
                 raise CliError(f"bad ruleset spec {spec!r}: {exc}") from exc
     raise CliError(f"unknown ruleset {spec!r} (expected {_RULESET_FORMS})")
 
 
 # ---------------------------------------------------------------------------
-# Run configuration
+# Input loaders: each reads the arguments of one kind of input and fails
+# with CliError before any computation starts.
+
+Args = argparse.Namespace
 
 
-@dataclass
-class RunConfig:
-    """Everything a subcommand run depends on; fixed config, fixed output."""
-
-    subcommand: str
-    complex_path: Optional[str] = None
-    ideal_path: Optional[str] = None
-    board_spec: Optional[str] = None
-    ruleset_spec: Optional[str] = None
-    labeling_path: Optional[str] = None
-    out: Optional[str] = None
-    out_dir: Optional[str] = None
-    fmt: str = "text"
-    seed: int = 0
-    samples: int = 100
-    time_cap_s: float = 600.0
-    vertex_cap: int = DEFAULT_CAP
-    max_construction_vertices: int = 3
-    max_pieces: int = 3
-    kind: Optional[str] = None
-    to: Optional[str] = None
-    side: str = "legal"
-    dry_run: bool = False
-    skip_verify: bool = False
+def _complex_input(args: Args) -> LabeledComplex:
+    return load_complex(args.complex)
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    for f in dataclasses.fields(RunConfig):
-        if f.name != "subcommand" and hasattr(args, f.name):
-            setattr(cfg, f.name, getattr(args, f.name))
-    return cfg
+def _game_input(args: Args) -> tuple[Ruleset, Board]:
+    if args.ruleset is None or args.board is None:
+        raise CliError("need --complex, or both --ruleset and --board")
+    return parse_ruleset_spec(args.ruleset), parse_board_spec(args.board)
+
+
+def _complex_or_game_input(args: Args) -> LabeledComplex | tuple[Ruleset, Board]:
+    """A complex file, or a ruleset and board whose legal complex the action extracts."""
+    if args.complex is None:
+        return _game_input(args)
+    if args.ruleset is not None or args.board is not None:
+        raise CliError("give either --complex or --ruleset/--board, not both")
+    return load_complex(args.complex)
+
+
+# --to target: (flag naming the source, its loader, the correspondence)
+_DUALS = {
+    "facet-ideal": ("complex", load_complex, facet_ideal),
+    "sr-ideal": ("complex", load_complex, sr_ideal),
+    "facet-complex": ("ideal", load_ideal, facet_complex),
+    "sr-complex": ("ideal", load_ideal, sr_complex),
+}
+
+
+def _dual_input(args: Args) -> LabeledComplex | SquareFreeIdeal:
+    flag, load, _ = _DUALS[args.to]
+    path = getattr(args, flag)
+    if not path:
+        raise CliError(f"--to {args.to} needs --{flag}")
+    return load(path)
+
+
+def _labeling_input(args: Args) -> Optional[Labeling]:
+    if not args.labeling:
+        return None
+    labeling = load_labeling(args.labeling)
+    if args.kind != "illegal":
+        raise CliError("--labeling only applies to the illegal round trip")
+    return labeling
 
 
 # ---------------------------------------------------------------------------
 # Output helpers
-
-
-def _face_str(f) -> str:
-    return "{" + ",".join(sorted(f)) + "}"
 
 
 def _ideal_str(idl: SquareFreeIdeal) -> str:
@@ -332,15 +298,6 @@ def _write_json(path: str, obj) -> None:
     _write_text(path, dumps(obj))
 
 
-def _report_obj(rep: VerifyReport) -> dict:
-    obj: dict = {"status": rep.status, "kind": rep.kind, "detail": rep.detail}
-    if rep.expected is not None:
-        obj["expected"] = complex_to_obj(rep.expected)
-    if rep.computed is not None:
-        obj["computed"] = complex_to_obj(rep.computed)
-    return obj
-
-
 _STATUS_EXIT = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 3}
 
 
@@ -350,14 +307,10 @@ def _finish_status(status: str, detail: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# complex subcommands
+# complex actions
 
 
-def _cmd_complex_info(cfg: RunConfig) -> int:
-    delta = load_complex(cfg.complex_path)
-    if cfg.dry_run:
-        print(f"dry run: {cfg.complex_path} parses as a labeled complex")
-        return 0
+def _complex_info(args: Args, delta: LabeledComplex) -> int:
     if delta.is_void:
         print("void complex: no faces at all")
         return 0
@@ -368,111 +321,64 @@ def _cmd_complex_info(cfg: RunConfig) -> int:
     else:
         print(f"dimension: {dimension(delta)}")
         print(f"faces: {len(faces(delta))}")
-        print(f"pure: {'yes' if is_pure(delta) else 'no'}")
-        print(f"flag: {'yes' if is_flag(delta) else 'no'}")
-        print(f"simplex: {'yes' if is_simplex(delta) else 'no'}")
+        for name, test in (("pure", is_pure), ("flag", is_flag), ("simplex", is_simplex)):
+            print(f"{name}: {'yes' if test(delta) else 'no'}")
     return 0
 
 
-def _cmd_complex_nonfaces(cfg: RunConfig) -> int:
-    delta = load_complex(cfg.complex_path)
-    if cfg.dry_run:
-        print(f"dry run: would list minimal nonfaces of {cfg.complex_path}")
-        return 0
+def _complex_nonfaces(args: Args, delta: LabeledComplex) -> int:
     nf = minimal_nonfaces(delta)
     ordered = sorted(sorted(f) for f in nf)
     if not nf:
         print("no minimal nonfaces: the complex is a simplex")
     for f in ordered:
-        print(_face_str(f))
-    if cfg.out:
-        _write_json(cfg.out, {"nonfaces": ordered})
+        print("{" + ",".join(f) + "}")
+    if args.out:
+        _write_json(args.out, {"nonfaces": ordered})
     return 0
 
 
-_DUALS = {
-    "facet-ideal": ("complex", facet_ideal),
-    "sr-ideal": ("complex", sr_ideal),
-    "facet-complex": ("ideal", facet_complex),
-    "sr-complex": ("ideal", sr_complex),
-}
-
-
-def _cmd_complex_dual(cfg: RunConfig) -> int:
-    source_kind, op = _DUALS[cfg.to]
-    if source_kind == "complex":
-        if not cfg.complex_path:
-            raise CliError(f"--to {cfg.to} needs --complex")
-        source = load_complex(cfg.complex_path)
-    else:
-        if not cfg.ideal_path:
-            raise CliError(f"--to {cfg.to} needs --ideal")
-        source = load_ideal(cfg.ideal_path)
-    if cfg.dry_run:
-        print(f"dry run: would compute the {cfg.to} of the input {source_kind}")
-        return 0
-    result = op(source)
+def _complex_dual(args: Args, source: LabeledComplex | SquareFreeIdeal) -> int:
+    result = _DUALS[args.to][2](source)
     if isinstance(result, SquareFreeIdeal):
-        print(f"{cfg.to}: {_ideal_str(result)}")
+        print(f"{args.to}: {_ideal_str(result)}")
         obj = ideal_to_obj(result)
         obj["parts"] = {v: result.part[v] for v in result.variables}
     else:
-        print(f"{cfg.to}: facets " + _facet_list(result))
+        print(f"{args.to}: facets " + _facet_list(result))
         obj = complex_to_obj(result)
-    if cfg.out:
-        _write_json(cfg.out, obj)
+    if args.out:
+        _write_json(args.out, obj)
     return 0
 
 
-def _cmd_complex_flag(cfg: RunConfig) -> int:
-    delta = load_complex(cfg.complex_path)
-    if cfg.dry_run:
-        print(f"dry run: would test {cfg.complex_path} for flagness")
-        return 0
+def _complex_flag(args: Args, delta: LabeledComplex) -> int:
     print(f"flag: {'true' if is_flag(delta) else 'false'}")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# game subcommands
+# game actions
 
 
-def _cmd_game_complex(cfg: RunConfig) -> int:
-    game = parse_ruleset_spec(cfg.ruleset_spec)
-    brd = parse_board_spec(cfg.board_spec)
-    if cfg.dry_run:
-        print(
-            f"dry run: would extract the {cfg.side} complex of {game.name} "
-            f"on a {len(brd.vertices)}-vertex board"
-        )
-        return 0
-    a = analyze(game, brd, cap=cfg.vertex_cap)
-    if cfg.side == "legal":
+def _game_complex(args: Args, source: tuple[Ruleset, Board]) -> int:
+    a = analyze(*source, cap=args.cap)
+    if args.side == "legal":
         delta, idl = a.legal_complex(), a.legal_ideal()
     else:
         delta, idl = a.illegal_complex(), a.illegal_ideal()
-    print(f"{cfg.side} complex: facets " + _facet_list(delta))
-    print(f"{cfg.side} ideal: {_ideal_str(idl)}")
-    if cfg.out:
-        _write_json(
-            cfg.out,
-            {"kind": cfg.side, "complex": complex_to_obj(delta), "ideal": ideal_to_obj(idl)},
-        )
+    print(f"{args.side} complex: facets " + _facet_list(delta))
+    print(f"{args.side} ideal: {_ideal_str(idl)}")
+    if args.out:
+        obj = {"kind": args.side, "complex": complex_to_obj(delta), "ideal": ideal_to_obj(idl)}
+        _write_json(args.out, obj)
     return 0
 
 
-def _complex_for_game(cfg: RunConfig) -> LabeledComplex:
-    has_file = cfg.complex_path is not None
-    has_game = cfg.ruleset_spec is not None or cfg.board_spec is not None
-    if has_file and has_game:
-        raise CliError("give either --complex or --ruleset/--board, not both")
-    if has_file:
-        return load_complex(cfg.complex_path)
-    if cfg.ruleset_spec is None or cfg.board_spec is None:
-        raise CliError("need --complex, or both --ruleset and --board")
-    game = parse_ruleset_spec(cfg.ruleset_spec)
-    brd = parse_board_spec(cfg.board_spec)
-    return analyze(game, brd, cap=cfg.vertex_cap).legal_complex()
+def _legal_complex(args: Args, source: LabeledComplex | tuple[Ruleset, Board]) -> LabeledComplex:
+    if isinstance(source, LabeledComplex):
+        return source
+    return analyze(*source, cap=args.cap).legal_complex()
 
 
 _TREE_PRINT_LIMIT = 500
@@ -484,20 +390,17 @@ def _render_tree(t: GameTree, lines: list[str], depth: int) -> None:
         _render_tree(child, lines, depth + 1)
 
 
-def _cmd_game_tree(cfg: RunConfig) -> int:
-    if cfg.dry_run:
-        _dry_run_game_inputs(cfg, "build the game tree")
-        return 0
-    delta = _complex_for_game(cfg)
+def _game_tree(args: Args, source) -> int:
+    delta = _legal_complex(args, source)
     tree = build_tree(delta)
-    depth = max((len(f) for f in faces(delta)), default=0)
-    if cfg.fmt == "dot":
+    if args.format == "dot":
         text = tree_to_dot(tree)
-        if cfg.out:
-            _write_text(cfg.out, text)
+        if args.out:
+            _write_text(args.out, text)
         else:
             print(text, end="")
         return 0
+    depth = max((len(f) for f in faces(delta)), default=0)
     print(f"game tree: {tree.node_count} nodes, depth {depth}")
     if tree.node_count <= _TREE_PRINT_LIMIT:
         lines: list[str] = ["(root)"]
@@ -505,21 +408,9 @@ def _cmd_game_tree(cfg: RunConfig) -> int:
         print("\n".join(lines))
     else:
         print("tree too large to print; use --format dot with --out")
-    if cfg.out and cfg.fmt != "dot":
-        _write_json(cfg.out, {"nodes": tree.node_count, "depth": depth})
+    if args.out:
+        _write_json(args.out, {"nodes": tree.node_count, "depth": depth})
     return 0
-
-
-def _dry_run_game_inputs(cfg: RunConfig, action: str) -> None:
-    if cfg.complex_path is not None:
-        load_complex(cfg.complex_path)
-        print(f"dry run: would {action} from {cfg.complex_path}")
-        return
-    if cfg.ruleset_spec is None or cfg.board_spec is None:
-        raise CliError("need --complex, or both --ruleset and --board")
-    parse_ruleset_spec(cfg.ruleset_spec)
-    parse_board_spec(cfg.board_spec)
-    print(f"dry run: would {action} from the engine-extracted legal complex")
 
 
 _OUTCOME_GLOSS = {
@@ -530,404 +421,290 @@ _OUTCOME_GLOSS = {
 }
 
 
-def _cmd_game_outcome(cfg: RunConfig) -> int:
-    if cfg.dry_run:
-        _dry_run_game_inputs(cfg, "compute the outcome")
-        return 0
-    delta = _complex_for_game(cfg)
-    o = outcome_of_value(canonical_value(delta))
+def _game_outcome(args: Args, source) -> int:
+    o = outcome_of_value(canonical_value(_legal_complex(args, source)))
     print(f"outcome: {o} ({_OUTCOME_GLOSS[o]})")
     return 0
 
 
-def _cmd_game_value(cfg: RunConfig) -> int:
-    if cfg.dry_run:
-        _dry_run_game_inputs(cfg, "compute the canonical value")
-        return 0
-    delta = _complex_for_game(cfg)
-    print(f"value: {value_str(canonical_value(delta))}")
+def _game_value(args: Args, source) -> int:
+    print(f"value: {value_str(canonical_value(_legal_complex(args, source)))}")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# construct subcommands
+# construct and verify actions
 
 
-def _ensure_out_dir(cfg: RunConfig) -> str:
-    if not cfg.out_dir:
-        raise CliError("--out-dir is required")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
+def _verified(args: Args, delta: LabeledComplex, labeling: Optional[Labeling],
+              report_path: Optional[str], check: Optional[Callable] = None) -> int:
+    """Round-trip ``delta`` as ``args.kind``, write the report if a path is
+    given, and print the status.  ``check`` runs on a passing report and may
+    overrule it."""
+    rep = verify_roundtrip(args.kind, delta, edge_labeling=labeling, cap=args.cap,
+                           max_construction_vertices=args.max_n, time_cap_s=args.time_cap)
+    obj: dict = {"status": rep.status, "kind": rep.kind, "detail": rep.detail}
+    if rep.expected is not None:
+        obj["expected"] = complex_to_obj(rep.expected)
+    if rep.computed is not None:
+        obj["computed"] = complex_to_obj(rep.computed)
+    status, detail = rep.status, rep.detail
+    if check is not None and rep.passed:
+        status, detail = check(delta, rep, obj)
+    if report_path:
+        _write_json(report_path, obj)
+    return _finish_status(status, detail)
 
 
-def _write_realization(out_dir: str, r: Realization) -> None:
-    _write_json(os.path.join(out_dir, "board.json"), board_to_obj(r.board))
-    _write_text(os.path.join(out_dir, "board.dot"), board_to_dot(r.board))
-    _write_json(os.path.join(out_dir, "ruleset.json"), ruleset_descriptor(r.game))
+Files = list[tuple[str, object]]
+
+
+def _realization_files(r: Realization, rulesets: Optional[dict[str, Ruleset]] = None) -> Files:
+    """The artifacts of a realization as (file name, text or JSON object)."""
+    files: Files = [("board.json", board_to_obj(r.board)), ("board.dot", board_to_dot(r.board))]
+    for name, game in (rulesets or {"ruleset.json": r.game}).items():
+        files.append((name, ruleset_descriptor(game)))
     if r.regions:
-        regions = {v: sorted(ids) for v, ids in sorted(r.regions.items())}
-        _write_json(os.path.join(out_dir, "regions.json"), regions)
+        files.append(("regions.json", {v: sorted(ids) for v, ids in sorted(r.regions.items())}))
     if r.edge_labeling:
-        _write_json(os.path.join(out_dir, "labeling.json"), labeling_to_obj(r.edge_labeling))
+        files.append(("labeling.json", labeling_to_obj(r.edge_labeling)))
+    return files
 
 
-def _verify(
-    cfg: RunConfig,
-    kind: str,
-    cx: LabeledComplex,
-    labeling: Optional[dict[frozenset[str], int]] = None,
-) -> VerifyReport:
-    return verify_roundtrip(
-        kind,
-        cx,
-        edge_labeling=labeling,
-        max_construction_vertices=cfg.max_construction_vertices,
-        time_cap_s=cfg.time_cap_s,
-        cap=cfg.vertex_cap,
-    )
+def _announced(r: Realization) -> Files:
+    print(f"construction: {r.provenance}; board has {len(r.board.vertices)} vertices")
+    return _realization_files(r)
 
 
-def _skip_report(out_dir: str, kind: str) -> int:
-    _write_json(
-        os.path.join(out_dir, "report.json"),
-        {"status": "SKIPPED", "kind": kind, "detail": "verification skipped by request"},
-    )
+def _construct(args: Args, delta: LabeledComplex, files: Files,
+               labeling: Optional[Labeling] = None, check: Optional[Callable] = None) -> int:
+    """Write the artifacts into --out-dir, then verify the construction of
+    ``delta`` by replay unless --skip-verify.  The directory is made here,
+    after the construction succeeded, so a failing one leaves nothing."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, content in files:
+        text = content if isinstance(content, str) else dumps(content)
+        _write_text(os.path.join(args.out_dir, name), text)
+    report_path = os.path.join(args.out_dir, "report.json")
+    if not args.skip_verify:
+        return _verified(args, delta, labeling, report_path, check)
+    skipped = {"status": "SKIPPED", "kind": args.kind, "detail": "verification skipped by request"}
+    _write_json(report_path, skipped)
     print("verification skipped")
     return 0
 
 
-def _cmd_construct_prop210(cfg: RunConfig) -> int:
-    delta = load_complex(cfg.complex_path)
-    if cfg.dry_run:
-        print(f"dry run: would build both table games for {cfg.complex_path}")
-        return 0
-    out_dir = _ensure_out_dir(cfg)
+def _same_tree_and_value(delta: LabeledComplex, rep: VerifyReport, obj: dict) -> tuple[str, str]:
+    """The rebuilt game must have the original's game tree and value."""
+    obj["trees_isomorphic"] = trees_isomorphic(build_tree(delta), build_tree(rep.computed))
+    obj["value"] = value_str(canonical_value(delta))
+    obj["values_equal"] = canonical_value(rep.computed) is canonical_value(delta)
+    print(
+        f"trees isomorphic: {obj['trees_isomorphic']}; "
+        f"value {obj['value']} preserved: {obj['values_equal']}"
+    )
+    if obj["trees_isomorphic"] and obj["values_equal"]:
+        return rep.status, rep.detail
+    return "FAIL", "recovered complex matches but tree or value differs"
+
+
+def _construct_prop210(args: Args, delta: LabeledComplex) -> int:
     legal_r, illegal_r = realize_both(delta)
-    _write_json(os.path.join(out_dir, "board.json"), board_to_obj(legal_r.board))
-    _write_text(os.path.join(out_dir, "board.dot"), board_to_dot(legal_r.board))
-    _write_json(os.path.join(out_dir, "ruleset-legal.json"), ruleset_descriptor(legal_r.game))
-    _write_json(os.path.join(out_dir, "ruleset-illegal.json"), ruleset_descriptor(illegal_r.game))
-    if legal_r.regions:
-        regions = {v: sorted(ids) for v, ids in sorted(legal_r.regions.items())}
-        _write_json(os.path.join(out_dir, "regions.json"), regions)
-    if cfg.skip_verify:
-        return _skip_report(out_dir, "both")
-    rep = _verify(cfg, "both", delta)
-    _write_json(os.path.join(out_dir, "report.json"), _report_obj(rep))
-    return _finish_status(rep.status, rep.detail)
+    rulesets = {"ruleset-legal.json": legal_r.game, "ruleset-illegal.json": illegal_r.game}
+    return _construct(args, delta, _realization_files(legal_r, rulesets))
 
 
-def _construct_one_sided(cfg: RunConfig, kind: str) -> int:
-    cx = load_complex(cfg.complex_path)
-    labeling = load_labeling(cfg.labeling_path) if cfg.labeling_path else None
-    if cfg.dry_run:
-        print(f"dry run: would build the {kind}-complex realization for {cfg.complex_path}")
-        return 0
-    out_dir = _ensure_out_dir(cfg)
-    if kind == "illegal":
-        r = realize_illegal(cx, labeling)
-    else:
-        if labeling is not None:
-            raise CliError("--labeling only applies to construct illegal")
-        r = realize_legal(cx)
-    print(f"construction: {r.provenance}; board has {len(r.board.vertices)} vertices")
-    _write_realization(out_dir, r)
-    if cfg.skip_verify:
-        return _skip_report(out_dir, kind)
-    rep = _verify(cfg, kind, cx, labeling)
-    _write_json(os.path.join(out_dir, "report.json"), _report_obj(rep))
-    return _finish_status(rep.status, rep.detail)
+def _construct_illegal(args: Args, gamma: LabeledComplex, labeling) -> int:
+    return _construct(args, gamma, _announced(realize_illegal(gamma, labeling)), labeling)
 
 
-def _cmd_construct_illegal(cfg: RunConfig) -> int:
-    return _construct_one_sided(cfg, "illegal")
+def _construct_legal(args: Args, delta: LabeledComplex) -> int:
+    return _construct(args, delta, _announced(realize_legal(delta)))
 
 
-def _cmd_construct_legal(cfg: RunConfig) -> int:
-    return _construct_one_sided(cfg, "legal")
+def _rerealized(args: Args, r: Realization, check: Optional[Callable] = None) -> int:
+    files = [("complex.json", complex_to_obj(r.source)), *_announced(r)]
+    return _construct(args, r.source, files, check=check)
 
 
-def _cmd_construct_invariant(cfg: RunConfig) -> int:
-    game = parse_ruleset_spec(cfg.ruleset_spec)
-    brd = parse_board_spec(cfg.board_spec)
-    if cfg.dry_run:
-        print(
-            f"dry run: would re-realize {game.name} on a {len(brd.vertices)}-vertex "
-            "board as an invariant game"
-        )
-        return 0
-    out_dir = _ensure_out_dir(cfg)
-    r = to_invariant(game, brd, cap=cfg.vertex_cap)
-    delta = r.source
-    print(f"construction: {r.provenance}; board has {len(r.board.vertices)} vertices")
-    _write_json(os.path.join(out_dir, "complex.json"), complex_to_obj(delta))
-    _write_realization(out_dir, r)
-    if cfg.skip_verify:
-        return _skip_report(out_dir, "legal")
-    rep = _verify(cfg, "legal", delta)
-    obj = _report_obj(rep)
-    if rep.passed:
-        original, rebuilt = build_tree(delta), build_tree(rep.computed)
-        obj["trees_isomorphic"] = trees_isomorphic(original, rebuilt)
-        obj["value"] = value_str(canonical_value(delta))
-        obj["values_equal"] = canonical_value(rep.computed) is canonical_value(delta)
-        print(
-            f"trees isomorphic: {obj['trees_isomorphic']}; "
-            f"value {obj['value']} preserved: {obj['values_equal']}"
-        )
-    _write_json(os.path.join(out_dir, "report.json"), obj)
-    if rep.passed and not (obj["trees_isomorphic"] and obj["values_equal"]):
-        return _finish_status("FAIL", "recovered complex matches but tree or value differs")
-    return _finish_status(rep.status, rep.detail)
+def _construct_invariant(args: Args, source: tuple[Ruleset, Board]) -> int:
+    return _rerealized(args, to_invariant(*source, cap=args.cap), _same_tree_and_value)
 
 
-def _cmd_construct_independence(cfg: RunConfig) -> int:
-    game = parse_ruleset_spec(cfg.ruleset_spec)
-    brd = parse_board_spec(cfg.board_spec)
-    if cfg.dry_run:
-        print(
-            f"dry run: would re-realize {game.name} on a {len(brd.vertices)}-vertex "
-            "board as an independence game"
-        )
-        return 0
-    out_dir = _ensure_out_dir(cfg)
-    r = to_independence(game, brd, cap=cfg.vertex_cap)
-    delta = r.source
-    print(f"construction: {r.provenance}; board has {len(r.board.vertices)} vertices")
-    _write_json(os.path.join(out_dir, "complex.json"), complex_to_obj(delta))
-    _write_realization(out_dir, r)
-    if cfg.skip_verify:
-        return _skip_report(out_dir, "legal")
-    rep = _verify(cfg, "legal", delta)
-    _write_json(os.path.join(out_dir, "report.json"), _report_obj(rep))
-    return _finish_status(rep.status, rep.detail)
+def _construct_independence(args: Args, source: tuple[Ruleset, Board]) -> int:
+    return _rerealized(args, to_independence(*source, cap=args.cap))
 
 
-# ---------------------------------------------------------------------------
-# verify subcommands
+def _verify_roundtrip(args: Args, delta: LabeledComplex, labeling=None) -> int:
+    return _verified(args, delta, labeling, args.out)
 
 
-def _cmd_verify_roundtrip(cfg: RunConfig) -> int:
-    cx = load_complex(cfg.complex_path)
-    labeling = load_labeling(cfg.labeling_path) if cfg.labeling_path else None
-    if labeling is not None and cfg.kind != "illegal":
-        raise CliError("--labeling only applies to the illegal round trip")
-    if cfg.dry_run:
-        print(f"dry run: would round-trip {cfg.complex_path} as a {cfg.kind} complex")
-        return 0
-    rep = _verify(cfg, cfg.kind, cx, labeling)
-    if cfg.out:
-        _write_json(cfg.out, _report_obj(rep))
-    return _finish_status(rep.status, rep.detail)
-
-
-def _cmd_verify_condition_iv(cfg: RunConfig) -> int:
-    game = parse_ruleset_spec(cfg.ruleset_spec)
-    brd = parse_board_spec(cfg.board_spec)
-    if cfg.dry_run:
-        print(f"dry run: would check downward closure of {game.name}")
-        return 0
-    rep = check_condition_iv(game, brd, cap=cfg.vertex_cap)
+def _verify_condition_iv(args: Args, source: tuple[Ruleset, Board]) -> int:
+    rep = check_condition_iv(*source, cap=args.cap)
     return _finish_status("PASS" if rep.passed else "FAIL", rep.detail)
 
 
-def _cmd_verify_invariance(cfg: RunConfig) -> int:
-    game = parse_ruleset_spec(cfg.ruleset_spec)
-    brd = parse_board_spec(cfg.board_spec)
-    if cfg.dry_run:
-        print(f"dry run: would sample {cfg.samples} invariance checks of {game.name}")
-        return 0
+def _verify_invariance(args: Args, source: tuple[Ruleset, Board]) -> int:
     rep = check_invariance(
-        game,
-        brd,
-        samples=cfg.samples,
-        seed=cfg.seed,
-        cap=cfg.vertex_cap,
-        max_pieces=cfg.max_pieces,
+        *source, samples=args.samples, seed=args.seed, cap=args.cap, max_pieces=args.max_pieces
     )
     return _finish_status(rep.status, rep.detail)
 
 
 # ---------------------------------------------------------------------------
-# argument parser
+# The subcommand table
 
 
-def _add_complex(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--complex", dest="complex_path", required=required, metavar="FILE",
-                   help="labeled complex JSON file")
+def positive_int(text: str) -> int:
+    """argparse type of counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
-def _add_ruleset_board(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--ruleset", dest="ruleset_spec", required=required, metavar="SPEC",
-                   help=_RULESET_FORMS)
-    p.add_argument("--board", dest="board_spec", required=required, metavar="SPEC",
-                   help=_BOARD_FORMS)
-
-
-def _add_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap", dest="vertex_cap", type=int, default=DEFAULT_CAP, metavar="N",
-                   help="refuse boards with more than N basic positions")
-
-
-def _add_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-n", dest="max_construction_vertices", type=int, default=3,
-                   metavar="N", help="largest distance-game vertex count to verify")
-    p.add_argument("--time-cap", dest="time_cap_s", type=float, default=600.0,
-                   metavar="SECONDS", help="verification time budget")
-
-
-def _add_construct_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out-dir", dest="out_dir", required=True, metavar="DIR")
-    p.add_argument("--skip-verify", dest="skip_verify", action="store_true")
-    _add_budget(p)
-    _add_cap(p)
-
-
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", metavar="FILE", help="also write the result as a file")
-
-
-def _add_labeling(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--labeling", dest="labeling_path", metavar="FILE",
-                   help="edge labeling JSON (defaults to the canonical labeling)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spg", description="strong placement games on graph boards"
-    )
-    top = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
-
-    def leaf(sub, group: str, name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_, description=help_)
-        p.set_defaults(subcommand=f"{group} {name}")
-        p.add_argument("--dry-run", dest="dry_run", action="store_true",
-                       help="validate inputs without computing")
-        return p
-
-    cx = top.add_parser("complex", help="inspect complex files").add_subparsers(
-        dest="cmd", required=True, metavar="CMD"
-    )
-    p = leaf(cx, "complex", "info", "summarize a complex: vertices, facets, properties")
-    _add_complex(p)
-    p = leaf(cx, "complex", "nonfaces", "list the minimal nonfaces")
-    _add_complex(p)
-    _add_out(p)
-    p = leaf(cx, "complex", "dual", "apply a facet or Stanley-Reisner correspondence")
-    p.add_argument("--to", required=True, choices=sorted(_DUALS))
-    _add_complex(p, required=False)
-    p.add_argument("--ideal", dest="ideal_path", metavar="FILE",
-                   help="square-free ideal JSON file")
-    _add_out(p)
-    p = leaf(cx, "complex", "flag", "report whether the complex is flag")
-    _add_complex(p)
-
-    gm = top.add_parser("game", help="run the engine on a ruleset and board").add_subparsers(
-        dest="cmd", required=True, metavar="CMD"
-    )
-    p = leaf(gm, "game", "complex", "extract the legal or illegal complex and ideal")
-    _add_ruleset_board(p)
-    side = p.add_mutually_exclusive_group()
-    side.add_argument("--legal", dest="side", action="store_const", const="legal",
-                      default="legal", help="legal complex (default)")
-    side.add_argument("--illegal", dest="side", action="store_const", const="illegal",
-                      help="illegal complex")
-    _add_cap(p)
-    _add_out(p)
-    for name, help_ in (
-        ("tree", "build the game tree"),
-        ("outcome", "compute the outcome class"),
-        ("value", "compute the canonical value"),
-    ):
-        p = leaf(gm, "game", name, help_)
-        _add_complex(p, required=False)
-        _add_ruleset_board(p, required=False)
-        _add_cap(p)
-        if name == "tree":
-            p.add_argument("--format", dest="fmt", choices=["text", "dot"], default="text")
-            _add_out(p)
-
-    ct = top.add_parser("construct", help="build realizations and artifacts").add_subparsers(
-        dest="cmd", required=True, metavar="CMD"
-    )
-    p = leaf(ct, "construct", "prop210", "table games realizing a complex both ways")
-    _add_complex(p)
-    _add_construct_options(p)
-    p = leaf(ct, "construct", "illegal", "distance game with the complex illegal")
-    _add_complex(p)
-    _add_labeling(p)
-    _add_construct_options(p)
-    p = leaf(ct, "construct", "legal", "invariant game with the complex legal")
-    _add_complex(p)
-    _add_construct_options(p)
-    for name, help_ in (
-        ("invariant", "re-realize a game invariantly, preserving its tree"),
-        ("independence", "re-realize a game whose minimal illegal positions are pairs"),
-    ):
-        p = leaf(ct, "construct", name, help_)
-        _add_ruleset_board(p)
-        _add_construct_options(p)
-
-    vf = top.add_parser("verify", help="round-trip and ruleset checks").add_subparsers(
-        dest="cmd", required=True, metavar="CMD"
-    )
-    p = leaf(vf, "verify", "roundtrip", "construct from a complex and replay the engine")
-    p.add_argument("--kind", required=True, choices=["legal", "illegal", "both"])
-    _add_complex(p)
-    _add_labeling(p)
-    _add_budget(p)
-    _add_cap(p)
-    _add_out(p)
-    for kind in ("legal", "illegal", "both"):
-        p = leaf(vf, "verify", kind, f"shorthand for roundtrip --kind {kind}")
-        p.set_defaults(kind=kind, subcommand="verify roundtrip")
-        _add_complex(p)
-        if kind == "illegal":
-            _add_labeling(p)
-        _add_budget(p)
-        _add_cap(p)
-        _add_out(p)
-    p = leaf(vf, "verify", "condition-iv", "check the predicate is downward closed")
-    _add_ruleset_board(p)
-    _add_cap(p)
-    p = leaf(vf, "verify", "invariance", "sampled placement-invariance check")
-    _add_ruleset_board(p)
-    p.add_argument("--samples", type=int, default=100, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
-    p.add_argument("--max-pieces", dest="max_pieces", type=int, default=3, metavar="N")
-    _add_cap(p)
-
-    return parser
-
-
-_HANDLERS = {
-    "complex info": _cmd_complex_info,
-    "complex nonfaces": _cmd_complex_nonfaces,
-    "complex dual": _cmd_complex_dual,
-    "complex flag": _cmd_complex_flag,
-    "game complex": _cmd_game_complex,
-    "game tree": _cmd_game_tree,
-    "game outcome": _cmd_game_outcome,
-    "game value": _cmd_game_value,
-    "construct prop210": _cmd_construct_prop210,
-    "construct illegal": _cmd_construct_illegal,
-    "construct legal": _cmd_construct_legal,
-    "construct invariant": _cmd_construct_invariant,
-    "construct independence": _cmd_construct_independence,
-    "verify roundtrip": _cmd_verify_roundtrip,
-    "verify condition-iv": _cmd_verify_condition_iv,
-    "verify invariance": _cmd_verify_invariance,
+# Every flag's argparse keyword arguments; the destination is the flag's name.
+_OPTIONS: dict[str, dict] = {
+    "--complex": dict(required=True, metavar="FILE", help="labeled complex JSON file"),
+    "--ruleset": dict(required=True, metavar="SPEC", help=_RULESET_FORMS),
+    "--board": dict(required=True, metavar="SPEC", help=_BOARD_FORMS),
+    "--to": dict(required=True, choices=sorted(_DUALS)),
+    "--ideal": dict(metavar="FILE", help="square-free ideal JSON file"),
+    "--legal": dict(dest="side", action="store_const", const="legal", default="legal",
+                    help="legal complex (default)"),
+    "--illegal": dict(dest="side", action="store_const", const="illegal", help="illegal complex"),
+    "--kind": dict(required=True, choices=["legal", "illegal", "both"]),
+    "--labeling": dict(metavar="FILE",
+                       help="edge labeling JSON (defaults to the canonical labeling)"),
+    "--format": dict(choices=["text", "dot"], default="text"),
+    "--out": dict(metavar="FILE", help="also write the result as a file"),
+    "--out-dir": dict(required=True, metavar="DIR"),
+    "--skip-verify": dict(action="store_true"),
+    "--max-n": dict(type=int, default=3, metavar="N",
+                    help="largest distance-game vertex count to verify"),
+    "--time-cap": dict(type=float, default=600.0, metavar="SECONDS",
+                       help="verification time budget"),
+    "--cap": dict(type=int, default=DEFAULT_CAP, metavar="N",
+                  help="refuse boards with more than N basic positions"),
+    "--samples": dict(type=int, default=100, metavar="N"),
+    "--seed": dict(type=int, default=0, metavar="N"),
+    "--max-pieces": dict(type=positive_int, default=3, metavar="N"),
 }
 
 
+class Command(NamedTuple):
+    """One subcommand.  ``options`` lists flags of ``_OPTIONS`` in help order:
+    ``FLAG?`` drops a required flag's ``required``, and ``A|B`` makes A and B
+    mutually exclusive.  ``fixed`` holds argument values the subcommand
+    sets; ``action(args, *inputs)`` runs on what the ``inputs`` loaders return."""
+
+    group: str
+    name: str
+    help: str
+    options: str
+    fixed: dict
+    inputs: tuple[Callable[[Args], object], ...]
+    action: Callable[..., int]
+
+
+_GROUPS = {
+    "complex": "inspect complex files",
+    "game": "run the engine on a ruleset and board",
+    "construct": "build realizations and artifacts",
+    "verify": "round-trip and ruleset checks",
+}
+
+_BUILD = "--out-dir --skip-verify --max-n --time-cap --cap"
+_ROUNDTRIP = "--max-n --time-cap --cap --out"
+_SOURCE = "--complex? --ruleset? --board? --cap"
+_COMPLEX = (_complex_input,)
+_GAME = (_game_input,)
+_EITHER = (_complex_or_game_input,)
+_LABELED = (_complex_input, _labeling_input)
+
+COMMANDS = (
+    Command("complex", "info", "summarize a complex: vertices, facets, properties",
+            "--complex", {}, _COMPLEX, _complex_info),
+    Command("complex", "nonfaces", "list the minimal nonfaces",
+            "--complex --out", {}, _COMPLEX, _complex_nonfaces),
+    Command("complex", "dual", "apply a facet or Stanley-Reisner correspondence",
+            "--to --complex? --ideal --out", {}, (_dual_input,), _complex_dual),
+    Command("complex", "flag", "report whether the complex is flag",
+            "--complex", {}, _COMPLEX, _complex_flag),
+    Command("game", "complex", "extract the legal or illegal complex and ideal",
+            "--ruleset --board --legal|--illegal --cap --out", {}, _GAME, _game_complex),
+    Command("game", "tree", "build the game tree",
+            f"{_SOURCE} --format --out", {}, _EITHER, _game_tree),
+    Command("game", "outcome", "compute the outcome class", _SOURCE, {}, _EITHER, _game_outcome),
+    Command("game", "value", "compute the canonical value", _SOURCE, {}, _EITHER, _game_value),
+    Command("construct", "prop210", "table games realizing a complex both ways",
+            f"--complex {_BUILD}", {"kind": "both"}, _COMPLEX, _construct_prop210),
+    Command("construct", "illegal", "distance game with the complex illegal",
+            f"--complex --labeling {_BUILD}", {"kind": "illegal"}, _LABELED, _construct_illegal),
+    Command("construct", "legal", "invariant game with the complex legal",
+            f"--complex {_BUILD}", {"kind": "legal"}, _COMPLEX, _construct_legal),
+    Command("construct", "invariant", "re-realize a game invariantly, preserving its tree",
+            f"--ruleset --board {_BUILD}", {"kind": "legal"}, _GAME, _construct_invariant),
+    Command("construct", "independence",
+            "re-realize a game whose minimal illegal positions are pairs",
+            f"--ruleset --board {_BUILD}", {"kind": "legal"}, _GAME, _construct_independence),
+    Command("verify", "roundtrip", "construct from a complex and replay the engine",
+            f"--kind --complex --labeling {_ROUNDTRIP}", {}, _LABELED, _verify_roundtrip),
+    Command("verify", "legal", "shorthand for roundtrip --kind legal",
+            f"--complex {_ROUNDTRIP}", {"kind": "legal"}, _COMPLEX, _verify_roundtrip),
+    Command("verify", "illegal", "shorthand for roundtrip --kind illegal",
+            f"--complex --labeling {_ROUNDTRIP}", {"kind": "illegal"}, _LABELED,
+            _verify_roundtrip),
+    Command("verify", "both", "shorthand for roundtrip --kind both",
+            f"--complex {_ROUNDTRIP}", {"kind": "both"}, _COMPLEX, _verify_roundtrip),
+    Command("verify", "condition-iv", "check the predicate is downward closed",
+            "--ruleset --board --cap", {}, _GAME, _verify_condition_iv),
+    Command("verify", "invariance", "sampled placement-invariance check",
+            "--ruleset --board --samples --seed --max-pieces --cap", {}, _GAME,
+            _verify_invariance),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="spg",
+                                     description="strong placement games on graph boards")
+    top = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
+    groups = {
+        name: top.add_parser(name, help=help_).add_subparsers(
+            dest="cmd", required=True, metavar="CMD"
+        )
+        for name, help_ in _GROUPS.items()
+    }
+    for command in COMMANDS:
+        p = groups[command.group].add_parser(command.name, help=command.help,
+                                             description=command.help)
+        p.set_defaults(command=command, **command.fixed)
+        p.add_argument("--dry-run", action="store_true", help="validate inputs without computing")
+        for word in command.options.split():
+            flags = word.split("|")
+            target = p.add_mutually_exclusive_group() if len(flags) > 1 else p
+            for flag in flags:
+                kwargs = dict(_OPTIONS[flag.rstrip("?")])
+                if flag.endswith("?"):
+                    kwargs.pop("required")
+                target.add_argument(flag.rstrip("?"), **kwargs)
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from(args)
+    args = build_parser().parse_args(argv)
+    command: Command = args.command
     try:
-        return _HANDLERS[cfg.subcommand](cfg)
+        inputs = [load(args) for load in command.inputs]
+        if args.dry_run:
+            print(f"dry run: spg {command.group} {command.name}: inputs valid; nothing computed")
+            return 0
+        return command.action(args, *inputs)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except (BoardTooLarge, BudgetExceeded) as exc:
         print(f"INCONCLUSIVE: {exc}", file=sys.stderr)

@@ -419,20 +419,25 @@ def complex_to_obj(delta: LabeledComplex) -> dict:
     }
 
 
+def is_name_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def complex_from_obj(obj: Mapping) -> LabeledComplex:
     try:
-        raw_vertices = obj["vertices"]
-        raw_facets = obj["facets"]
+        entries = [(entry["id"], entry["part"]) for entry in obj["vertices"]]
+        facets = obj["facets"]
         void = bool(obj.get("void", False))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed complex object: {exc}") from exc
+    if not (is_name_list([vid for vid, _ in entries]) and isinstance(facets, list)
+            and all(is_name_list(f) for f in facets)):
+        raise ValueError("malformed complex object: vertex ids and facet entries must be names")
     part: dict[str, str] = {}
-    for entry in raw_vertices:
-        vid, p = entry["id"], entry["part"]
+    for vid, p in entries:
         if vid in part:
             raise ValueError(f"duplicate vertex {vid!r}")
         part[vid] = p
-    facets = [list(f) for f in raw_facets]
     if void:
         if facets or part:
             raise ValueError("a void complex must have no vertices and no facets")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from spg.boards import board_to_obj, build_path
-from spg.cli import main
+from spg.cli import COMMANDS, main
 from spg.complexes import complex_to_obj, from_facets
 
 
@@ -240,3 +240,105 @@ def test_construct_independence_error_names_facet(run):
         "--out-dir", "/tmp/should-not-exist",
     )
     assert code == 1 and "x1x2x3" in err
+
+
+def test_failing_construct_leaves_no_out_dir(run, tmp_path):
+    out_dir = tmp_path / "D"
+    code, _, err = run(
+        "construct", "independence", "--ruleset", "nogo", "--board", "path:3",
+        "--out-dir", str(out_dir),
+    )
+    assert code == 1 and err.startswith("error:")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("case", ["missing-parent", "directory", "out-dir-is-file"])
+def test_unwritable_output_exits_2(run, tmp_path, case):
+    p = write_complex(tmp_path / "c.json", AB_BC)
+    if case == "out-dir-is-file":
+        argv = ["construct", "prop210", "--complex", p, "--out-dir", p]
+    else:
+        out = tmp_path / "nonexistent" / "dir" / "x.json" if case == "missing-parent" else tmp_path
+        argv = ["complex", "nonfaces", "--complex", p, "--out", str(out)]
+    code, _, err = run(*argv)
+    assert code == 2 and err.startswith("error: cannot write") and "Traceback" not in err
+
+
+def _vertex(vid, part="L"):
+    return {"id": vid, "part": part}
+
+
+MALFORMED_COMPLEXES = {
+    "vertex-without-part": {"vertices": [{"id": "a"}], "facets": [["a"]]},
+    "vertex-int": {"vertices": [1], "facets": []},
+    "vertices-string": {"vertices": "ab", "facets": []},
+    "facet-int": {"vertices": [_vertex("a")], "facets": [1]},
+    "id-list": {"vertices": [_vertex(["a"])], "facets": [["a"]]},
+    "id-int": {"vertices": [_vertex(1), _vertex(2, "R")], "facets": [[1, 2]]},
+    "facet-entry-list": {"vertices": [_vertex("a")], "facets": [[["a"]]]},
+    "facets-string": {"vertices": [_vertex("a")], "facets": "a"},
+}
+
+
+@pytest.mark.parametrize("obj", MALFORMED_COMPLEXES.values(), ids=MALFORMED_COMPLEXES.keys())
+def test_malformed_complex_exits_2(run, tmp_path, obj):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(obj))
+    code, _, err = run("complex", "info", "--complex", str(p))
+    assert code == 2 and "malformed complex object" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "board", ["file:BOARD", "grid-cells:[1,2]", "grid-cells:5"],
+    ids=["coords-list", "cells-ints", "cells-int"],
+)
+def test_malformed_board_exits_2(run, tmp_path, board):
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps({"vertices": [0, 1], "edges": [[0, 1]], "coords": []}))
+    code, _, err = run(
+        "game", "value", "--ruleset", "snort", "--board", board.replace("BOARD", str(board_path))
+    )
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_max_pieces_below_one_is_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "invariance", "--ruleset", "nogo", "--board", "path:3",
+              "--max-pieces", value])
+    assert exc.value.code == 2
+    assert "--max-pieces: must be at least 1" in capsys.readouterr().err
+
+
+def _dry_run_argv(command, complex_path: str, board_path: str, out: str) -> list[str]:
+    """Every flag a row needs, with a value; ``--complex?`` rows get --complex."""
+    values = {
+        "--complex": complex_path, "--ruleset": "snort", "--board": f"file:{board_path}",
+        "--to": "sr-ideal", "--kind": "legal", "--out": f"{out}.json", "--out-dir": out,
+    }
+    argv = [command.group, command.name, "--dry-run"]
+    for word in command.options.split():
+        if word in values or word == "--complex?":
+            argv += [word.rstrip("?"), values[word.rstrip("?")]]
+    return argv
+
+
+def _tree(root):
+    return sorted(str(p) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: f"{c.group}-{c.name}")
+def test_dry_run_on_every_subcommand(run, tmp_path, command):
+    complex_path = write_complex(tmp_path / "p3.json", P3)
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps(board_to_obj(build_path(2))))
+    before = _tree(tmp_path)
+    argv = _dry_run_argv(command, complex_path, str(board_path), str(tmp_path / "out"))
+    code, out, _ = run(*argv)
+    assert code == 0
+    assert len(out.splitlines()) == 1 and out.startswith("dry run")
+    assert _tree(tmp_path) == before
+
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(*_dry_run_argv(command, missing, missing, str(tmp_path / "out")))
+    assert code == 2 and "cannot read" in err and out == ""

@@ -300,3 +300,22 @@ def test_random_complex_helper_is_wellformed():
         delta = random_complex(rng)
         assert not delta.is_void
         assert set().union(*delta.facets) == set(delta.vertices)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"vertices": [{"id": "a"}], "facets": [["a"]]},
+        {"vertices": [1], "facets": []},
+        {"vertices": "ab", "facets": []},
+        {"vertices": [{"id": "a", "part": "L"}], "facets": [1]},
+        {"vertices": [{"id": ["a"], "part": "L"}], "facets": [["a"]]},
+        {"vertices": [{"id": 1, "part": "L"}], "facets": [[1]]},
+        {"vertices": [{"id": "a", "part": "L"}], "facets": "a"},
+    ],
+    ids=["no-part", "vertex-int", "vertices-string", "facet-int", "id-list", "id-int",
+         "facets-string"],
+)
+def test_complex_from_obj_rejects_malformed_objects(obj):
+    with pytest.raises(ValueError, match="malformed complex object"):
+        complex_from_obj(obj)
