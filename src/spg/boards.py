@@ -79,6 +79,15 @@ class Board:
         comps = _components_of(self.vertices, self.edges)
         return tuple(sorted((frozenset(c) for c in comps), key=min))
 
+    @cached_property
+    def _cycle_components(self) -> dict[int, tuple[frozenset[int], ...]]:
+        """The components that are simple cycles, by length, in component order."""
+        out: dict[int, list[frozenset[int]]] = {}
+        for comp in self._components:
+            if all(len(self._adj[v]) == 2 for v in comp):
+                out.setdefault(len(comp), []).append(comp)
+        return {n: tuple(comps) for n, comps in out.items()}
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
@@ -647,32 +656,6 @@ def gamma_piece(n: int, player: str) -> Piece:
     if n < 2:
         raise ValueError("distance-game pieces need n >= 2")
     return ringed_cycle_piece(n**4 + OUTER_EXTRA[player], n**3, n - 1, player)
-
-
-def simple_cycle_lengths(b: Board, restrict: Iterable[int] | None = None) -> set[int]:
-    """Lengths of all simple cycles, optionally within an induced vertex subset.
-
-    Exhaustive DFS enumeration; intended for the small connection/centre
-    subgraphs checked by the construction invariants.
-    """
-    allowed = set(b.vertices) if restrict is None else set(restrict)
-    adj = {v: [w for w in b.neighbors(v) if w in allowed] for v in allowed}
-    lengths: set[int] = set()
-
-    def walk(start: int, v: int, path: list[int], on_path: set[int]) -> None:
-        for w in adj[v]:
-            if w == start and len(path) >= 3:
-                lengths.add(len(path))
-            elif w > start and w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                walk(start, w, path, on_path)
-                on_path.remove(w)
-                path.pop()
-
-    for s in sorted(allowed):
-        walk(s, s, [s], {s})
-    return lengths
 
 
 # ---------------------------------------------------------------------------

@@ -580,13 +580,13 @@ _OPTIONS: dict[str, dict] = {
     "--out": dict(metavar="FILE", help="also write the result as a file"),
     "--out-dir": dict(required=True, metavar="DIR"),
     "--skip-verify": dict(action="store_true"),
-    "--max-n": dict(type=int, default=3, metavar="N",
+    "--max-n": dict(type=positive_int, default=3, metavar="N",
                     help="largest distance-game vertex count to verify"),
     "--time-cap": dict(type=float, default=600.0, metavar="SECONDS",
                        help="verification time budget"),
-    "--cap": dict(type=int, default=DEFAULT_CAP, metavar="N",
+    "--cap": dict(type=positive_int, default=DEFAULT_CAP, metavar="N",
                   help="refuse boards with more than N basic positions"),
-    "--samples": dict(type=int, default=100, metavar="N"),
+    "--samples": dict(type=positive_int, default=100, metavar="N"),
     "--seed": dict(type=int, default=0, metavar="N"),
     "--max-pieces": dict(type=positive_int, default=3, metavar="N"),
 }

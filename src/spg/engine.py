@@ -8,18 +8,28 @@ is the ruleset predicate plus reachability, i.e. every one-smaller subset
 must be legal as well.  The legal sets form a downward-closed family computed
 by breadth-first closure from the empty position; the minimal illegal sets
 are found among one-placement extensions of legal sets.
+
+The closure works on ints: basic position i is bit i, a set of basic
+positions is the int of its bits, and names are produced only when an
+analysis is read.  A ruleset that declares ``pairwise`` promises that a
+position is legal exactly when each of its placements and each pair of them
+is legal.  Its legal complex is then a flag complex (the independence complex
+of its conflict graph), so :func:`analyze` consults the predicate once per
+basic position and once per disjoint pair, and enumerates the legal sets as
+the independent sets of the conflict graph without consulting it again.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from . import boards
 from .boards import Board, Placement, piece_placements
 from .complexes import LabeledComplex, SquareFreeIdeal, from_facets, ideal
-from .rulesets import Ruleset, position
+from .rulesets import Position, Ruleset, position
 
 
 class BoardTooLarge(ValueError):
@@ -42,21 +52,45 @@ class DownwardClosureError(ValueError):
 DEFAULT_CAP = 24
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _independent_sets(conflict: Sequence[int], allowed: int) -> Iterator[int]:
+    """Every nonempty set of bits of ``allowed`` holding no bit of another's
+    ``conflict`` mask, each once: a set is extended only above its highest bit.
+    The children of a set are yielded in increasing bit order, then the last
+    child is extended first."""
+    stack = [(0, allowed)]
+    while stack:
+        s, cand = stack.pop()
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            t = s | low
+            yield t
+            stack.append((t, cand & ~conflict[low.bit_length() - 1]))
+
+
 @dataclass(frozen=True)
 class BasicPositionIndex:
     """Ordered basic positions: the x-block (Left) then the y-block (Right)."""
 
     entries: tuple[tuple[str, Placement], ...]
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.entries)
 
-    @property
+    @cached_property
     def left_names(self) -> tuple[str, ...]:
         return tuple(n for n, p in self.entries if p.player == "L")
 
-    @property
+    @cached_property
     def right_names(self) -> tuple[str, ...]:
         return tuple(n for n, p in self.entries if p.player == "R")
 
@@ -64,11 +98,43 @@ class BasicPositionIndex:
     def by_name(self) -> dict[str, Placement]:
         return dict(self.entries)
 
+    @cached_property
+    def _parts(self) -> Mapping[str, str]:
+        return MappingProxyType({name: p.player for name, p in self.entries})
+
+    @cached_property
+    def placements(self) -> tuple[Placement, ...]:
+        return tuple(p for _, p in self.entries)
+
+    @cached_property
+    def overlaps(self) -> tuple[int, ...]:
+        """Per basic position, the set of basic positions whose supports meet
+        its own (itself included).  Supports are masks over a dense index of
+        the occupied vertices, so large vertex ids cost nothing."""
+        dense: dict[int, int] = {}
+        for p in self.placements:
+            for v in p.occupied:
+                dense.setdefault(v, len(dense))
+        supports = [sum(1 << dense[v] for v in p.occupied) for p in self.placements]
+        return tuple(
+            sum(1 << j for j, other in enumerate(supports) if sup & other) for sup in supports
+        )
+
     def placement(self, name: str) -> Placement:
         return self.by_name[name]
 
-    def part_map(self) -> dict[str, str]:
-        return {name: p.player for name, p in self.entries}
+    def part_map(self) -> Mapping[str, str]:
+        return self._parts
+
+    def position(self, mask: int) -> Position:
+        """The position made of the basic positions in ``mask``."""
+        pls = self.placements
+        return position(*(pls[i] for i in _bits(mask)))
+
+    def names_of(self, mask: int) -> tuple[str, ...]:
+        """The names of the basic positions in ``mask``, in index order."""
+        names = self.names
+        return tuple(names[i] for i in _bits(mask))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -93,20 +159,39 @@ def basic_positions(game: Ruleset, board: Board, deadline: float | None = None) 
 @dataclass
 class GameAnalysis:
     """The legal sets of a game on a board, its minimal illegal sets, and the
-    complexes and ideals they generate."""
+    complexes and ideals they generate.
+
+    Sets of basic positions are kept as ints (bit i is basic position i);
+    ``legal``, ``minimal_illegal`` and ``maximal_legal`` name them when read.
+    """
 
     index: BasicPositionIndex
-    legal: frozenset[frozenset[str]]
-    minimal_illegal: frozenset[frozenset[str]]
+    legal_masks: frozenset[int]
+    minimal_masks: frozenset[int]
+
+    def _named(self, masks: frozenset[int]) -> frozenset[frozenset[str]]:
+        return frozenset(frozenset(self.index.names_of(s)) for s in masks)
+
+    @cached_property
+    def legal(self) -> frozenset[frozenset[str]]:
+        return self._named(self.legal_masks)
+
+    @cached_property
+    def minimal_illegal(self) -> frozenset[frozenset[str]]:
+        return self._named(self.minimal_masks)
+
+    @cached_property
+    def maximal_masks(self) -> frozenset[int]:
+        """Legal sets that no one more placement keeps legal.  Checking the
+        one-element extensions suffices because the legal sets are downward
+        closed."""
+        legal = self.legal_masks
+        full = (1 << len(self.index)) - 1
+        return frozenset(s for s in legal if not _extends(s, full ^ s, legal))
 
     @cached_property
     def maximal_legal(self) -> frozenset[frozenset[str]]:
-        """Legal sets that no one more placement keeps legal.  Checking the
-        one-element extensions suffices because ``legal`` is downward closed."""
-        names = self.index.names
-        return frozenset(
-            s for s in self.legal if not any(s | {b} in self.legal for b in names if b not in s)
-        )
+        return self._named(self.maximal_masks)
 
     def legal_complex(self) -> LabeledComplex:
         """Faces are the legal positions.  Always contains the empty position."""
@@ -123,6 +208,16 @@ class GameAnalysis:
     def illegal_ideal(self) -> SquareFreeIdeal:
         """Generated by the minimal illegal positions, over all basic positions."""
         return ideal(self.index.names, self.index.part_map(), self.minimal_illegal)
+
+
+def _extends(s: int, free: int, family: frozenset[int]) -> bool:
+    """Whether adding one bit of ``free`` to ``s`` gives a set of ``family``."""
+    while free:
+        low = free & -free
+        if s | low in family:
+            return True
+        free ^= low
+    return False
 
 
 def _check_cap(index: BasicPositionIndex, cap: int) -> None:
@@ -143,48 +238,114 @@ def analyze(
     """Closure of legal positions plus the minimal illegal sets.
 
     Raises :class:`DownwardClosureError` when a position satisfies the
-    predicate while one of its one-smaller subpositions is illegal.
+    predicate while one of its one-smaller subpositions is illegal.  A
+    ``pairwise`` ruleset is taken at its word and never raises it.
     """
     if index is None:
         index = basic_positions(game, board, deadline=deadline)
     _check_cap(index, cap)
-    support = {name: pl.occupied for name, pl in index.entries}
-    by_name = index.by_name
-    names = index.names
+    closure = _pairwise_closure if game.pairwise else _closure
+    legal, minimal = closure(index, _predicate(game, board, index))
+    return GameAnalysis(index, frozenset(legal), frozenset(minimal))
 
-    def disjoint_extension(s: frozenset[str], b: str) -> bool:
-        return not any(support[b] & support[c] for c in s)
 
-    def predicate(s: frozenset[str]) -> bool:
-        return game.legal(board, position(*(by_name[c] for c in s)))
+def _predicate(game: Ruleset, board: Board, index: BasicPositionIndex) -> Callable[[int], bool]:
+    def predicate(mask: int) -> bool:
+        return game.legal(board, index.position(mask))
 
-    legal: set[frozenset[str]] = {frozenset()}
-    frontier: list[frozenset[str]] = [frozenset()]
-    candidates: set[frozenset[str]] = set()
-    while frontier:
-        nxt: set[frozenset[str]] = set()
-        for s in frontier:
-            for b in names:
-                if b in s:
+    return predicate
+
+
+def _closure(
+    index: BasicPositionIndex, predicate: Callable[[int], bool]
+) -> tuple[set[int], list[int]]:
+    """Breadth-first closure, one level of equal-size sets at a time.
+
+    Each disjoint one-element extension of a legal set gets one predicate
+    call, then a lookup of its other one-smaller subsets.  A level's sets are
+    walked in the order of their sorted name lists, and the extensions of a
+    set in index order; the violation of downward closure reported is the
+    first in that walk.
+    """
+    m, names, over = len(index), index.names, index.overlaps
+    full = (1 << m) - 1
+    # a set's walk key has the bit m-1-r for each member of name rank r, so
+    # descending keys order a level like its sorted name lists
+    key_bit = [0] * m
+    for rank, i in enumerate(sorted(range(m), key=names.__getitem__)):
+        key_bit[i] = 1 << (m - 1 - rank)
+    legal: set[int] = {0}
+    minimal: list[int] = []
+    level = [(0, 0, 0)]  # (walk key, legal set, basic positions it blocks)
+    while level:
+        nxt: dict[int, tuple[int, int, int]] = {}
+        tried: set[int] = set()
+        for key, s, blocked in level:
+            free = full & ~blocked
+            while free:
+                low = free & -free
+                free ^= low
+                t = s | low
+                if t in tried:
                     continue
-                t = s | {b}
-                if t in legal or t in nxt or t in candidates:
-                    continue
-                if not disjoint_extension(s, b) or not predicate(t):
-                    candidates.add(t)
-                    continue
-                subs_legal = [t - {c} in legal for c in sorted(t)]
-                if all(subs_legal):
-                    nxt.add(t)
+                tried.add(t)
+                accepted = predicate(t)
+                rest = s  # members whose removal from t is still to be looked up
+                while rest:
+                    c = rest & -rest
+                    if t ^ c not in legal:
+                        break
+                    rest ^= c
+                if rest:
+                    if accepted:
+                        raise _closure_error(t, legal, names)
+                elif accepted:
+                    b = low.bit_length() - 1
+                    nxt[t] = (key | key_bit[b], t, blocked | over[b])
                 else:
-                    missing = [c for c, ok in zip(sorted(t), subs_legal) if not ok][0]
-                    raise DownwardClosureError(tuple(sorted(t)), tuple(sorted(t - {missing})))
-        legal |= nxt
-        frontier = sorted(nxt, key=sorted)
-    minimal = frozenset(
-        t for t in candidates if all(t - {c} in legal for c in t)
+                    minimal.append(t)
+        legal.update(nxt)
+        level = sorted(nxt.values(), reverse=True)
+    singles = sum(1 << i for i in range(m) if 1 << i in legal)
+    return legal, minimal + _conflicting_pairs(over, singles)
+
+
+def _closure_error(t: int, legal: set[int], names: tuple[str, ...]) -> DownwardClosureError:
+    members = sorted(_bits(t), key=names.__getitem__)
+    missing = next(i for i in members if t ^ 1 << i not in legal)
+    return DownwardClosureError(
+        tuple(names[i] for i in members), tuple(names[i] for i in members if i != missing)
     )
-    return GameAnalysis(index, frozenset(legal), minimal)
+
+
+def _pairwise_closure(
+    index: BasicPositionIndex, predicate: Callable[[int], bool]
+) -> tuple[set[int], list[int]]:
+    """The closure of a ``pairwise`` ruleset: one predicate call per basic
+    position and per disjoint pair of legal ones gives a conflict mask per
+    basic position, and the legal sets are the independent sets of that
+    conflict graph."""
+    m = len(index)
+    singles = sum(1 << i for i in range(m) if predicate(1 << i))
+    conflict = list(index.overlaps)
+    for i in _bits(singles):
+        for j in _bits(singles & ~conflict[i] & ~((2 << i) - 1)):
+            if not predicate(1 << i | 1 << j):
+                conflict[i] |= 1 << j
+                conflict[j] |= 1 << i
+    legal = {0, *_independent_sets(conflict, singles)}
+    minimal = [1 << i for i in range(m) if not singles >> i & 1]
+    return legal, minimal + _conflicting_pairs(conflict, singles)
+
+
+def _conflicting_pairs(conflict: Sequence[int], singles: int) -> list[int]:
+    """The conflicting pairs of basic positions in ``singles``, which are
+    minimal illegal because each member is legal alone."""
+    return [
+        1 << i | 1 << j
+        for i in _bits(singles)
+        for j in _bits(conflict[i] & singles & ~((2 << i) - 1))
+    ]
 
 
 def legal_complex(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> LabeledComplex:
@@ -228,36 +389,26 @@ def check_condition_iv(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> C
     """
     index = basic_positions(game, board)
     _check_cap(index, cap)
-    support = {name: pl.occupied for name, pl in index.entries}
-    by_name = index.by_name
-    names = index.names
-
-    def predicate(s: tuple[str, ...]) -> bool:
-        return game.legal(board, position(*(by_name[c] for c in s)))
-
-    if not predicate(()):
+    predicate = _predicate(game, board, index)
+    if not predicate(0):
         return ConditionReport(False, ((), ()), "the empty position must be legal")
 
-    # depth-first enumeration of disjoint-support subsets in canonical order
-    stack: list[tuple[tuple[str, ...], frozenset[int], int]] = [((), frozenset(), 0)]
-    while stack:
-        chosen, occupied, start = stack.pop()
-        for i in range(start, len(names)):
-            b = names[i]
-            if support[b] & occupied:
-                continue
-            t = chosen + (b,)
-            if predicate(t):
-                for drop in range(len(t)):
-                    sub = t[:drop] + t[drop + 1 :]
-                    if not predicate(sub):
-                        return ConditionReport(
-                            False,
-                            (t, sub),
-                            f"{{{','.join(t)}}} satisfies the predicate but "
-                            f"{{{','.join(sub)}}} does not",
-                        )
-            stack.append((t, occupied | support[b], i + 1))
+    # Every disjoint-support set in canonical order, legal or not.  The walk
+    # reaches each one-smaller subset of a set before the set itself, so one
+    # predicate call per set suffices.
+    accepted = {0}
+    for t in _independent_sets(index.overlaps, (1 << len(index)) - 1):
+        if predicate(t):
+            accepted.add(t)
+            for i in _bits(t):
+                if t ^ 1 << i not in accepted:
+                    good, bad = index.names_of(t), index.names_of(t ^ 1 << i)
+                    return ConditionReport(
+                        False,
+                        (good, bad),
+                        f"{{{','.join(good)}}} satisfies the predicate but "
+                        f"{{{','.join(bad)}}} does not",
+                    )
     return ConditionReport(True, None, "predicate is downward closed on this board")
 
 

@@ -64,12 +64,19 @@ EMPTY_POSITION = position()
 
 @dataclass(frozen=True)
 class Ruleset:
-    """Named piece shapes for both players and a legality predicate."""
+    """Named piece shapes for both players and a legality predicate.
+
+    ``pairwise`` declares that a position is legal exactly when each of its
+    placements and each pair of them is legal on every board, so that the
+    legal complex is the flag complex of its edges; the engine then consults
+    the predicate on singletons and pairs only.
+    """
 
     name: str
     pieces: Mapping[str, tuple[Piece, ...]]
     legal: Callable[[Board, Position], bool]
     claims_invariant: bool = False
+    pairwise: bool = False
 
     def __repr__(self) -> str:
         return f"Ruleset({self.name!r})"
@@ -88,7 +95,9 @@ def _single_vertex_pieces() -> dict[str, tuple[Piece, ...]]:
 
 def free_placement() -> Ruleset:
     """Single-vertex pieces, every position legal."""
-    return Ruleset("free", _single_vertex_pieces(), lambda b, pos: True, claims_invariant=True)
+    return Ruleset(
+        "free", _single_vertex_pieces(), lambda b, pos: True, claims_invariant=True, pairwise=True
+    )
 
 
 def snort() -> Ruleset:
@@ -99,7 +108,7 @@ def snort() -> Ruleset:
         right = pos.occupied_by("R")
         return not any(w in right for v in left for w in b.neighbors(v))
 
-    return Ruleset("snort", _single_vertex_pieces(), legal, claims_invariant=True)
+    return Ruleset("snort", _single_vertex_pieces(), legal, claims_invariant=True, pairwise=True)
 
 
 def col() -> Ruleset:
@@ -112,7 +121,7 @@ def col() -> Ruleset:
                 return False
         return True
 
-    return Ruleset("col", _single_vertex_pieces(), legal, claims_invariant=True)
+    return Ruleset("col", _single_vertex_pieces(), legal, claims_invariant=True, pairwise=True)
 
 
 def nogo() -> Ruleset:
@@ -149,7 +158,9 @@ def domineering() -> Ruleset:
     def legal(b: Board, pos: Position) -> bool:
         return all(oriented(b, p.occupied, p.player) for p in pos)
 
-    return Ruleset("domineering", dict(_DOMINO_PIECES), legal, claims_invariant=False)
+    return Ruleset(
+        "domineering", dict(_DOMINO_PIECES), legal, claims_invariant=False, pairwise=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +170,9 @@ def domineering() -> Ruleset:
 def _cycle_vertex_map(b: Board, delta: LabeledComplex) -> dict[frozenset[int], str]:
     """Components that are triangles name L-vertices, 4-cycles name R-vertices,
     in canonical order.  Components beyond the needed counts stay unlabelled."""
-    triangles = []
-    squares = []
-    for comp in boards.components(b):
-        is_cycle = all(
-            sum(1 for w in b.neighbors(v) if w in comp) == 2 for v in comp
-        )
-        if is_cycle and len(comp) == 3:
-            triangles.append(comp)
-        elif is_cycle and len(comp) == 4:
-            squares.append(comp)
-    out: dict[frozenset[int], str] = {}
-    for comp, name in zip(triangles, delta.left):
-        out[comp] = name
-    for comp, name in zip(squares, delta.right):
-        out[comp] = name
+    cycles = b._cycle_components
+    out = dict(zip(cycles.get(3, ()), delta.left))
+    out.update(zip(cycles.get(4, ()), delta.right))
     return out
 
 
@@ -227,7 +226,10 @@ def cycle_placement_game(delta: LabeledComplex) -> Ruleset:
     Realises a simplex as a legal complex on the matching board of small
     cycles: every disjoint collection of covered cycles is allowed.
     """
-    return Ruleset("cycle-placement", _table_pieces(), lambda b, pos: True, claims_invariant=True)
+    return Ruleset(
+        "cycle-placement", _table_pieces(), lambda b, pos: True, claims_invariant=True,
+        pairwise=True,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -315,14 +315,30 @@ def test_gamma_board_distances_are_label_plus_one():
     assert distance(b, regions["a"], regions["c"]) > 3
 
 
+def simple_cycle_lengths(b, restrict):
+    """Lengths of all simple cycles within an induced vertex subset, by an
+    exhaustive walk from each start vertex to larger ids only."""
+    allowed = set(restrict)
+    adj = {v: [w for w in b.neighbors(v) if w in allowed] for v in allowed}
+    lengths: set[int] = set()
+    for start in sorted(allowed):
+        stack = [(start, (start,))]
+        while stack:
+            v, path = stack.pop()
+            for w in adj[v]:
+                if w == start and len(path) >= 3:
+                    lengths.add(len(path))
+                elif w > start and w not in path:
+                    stack.append((w, path + (w,)))
+    return lengths
+
+
 def test_gamma_board_cycle_structure():
     b = gamma_board(P3_GAMMA)
     n = 3
     # restricted to one assembly, the only simple cycles are the outer cycle,
     # the inner cycles, and their vertex-identified composites
     regions = assembly_regions(b)
-    from spg.boards import simple_cycle_lengths
-
     lengths = simple_cycle_lengths(b, regions["a"])
     outer, inner = n**4 + 4, n**3
     assert outer in lengths and inner in lengths

@@ -310,6 +310,24 @@ def test_max_pieces_below_one_is_usage_error(capsys, value):
     assert "--max-pieces: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "invariance", "--ruleset", "nogo", "--board", "path:3", "--samples", "0"],
+        ["verify", "invariance", "--ruleset", "nogo", "--board", "path:3", "--cap", "-1"],
+        ["verify", "illegal", "--complex", "COMPLEX", "--max-n", "0"],
+    ],
+    ids=["samples", "cap", "max-n"],
+)
+def test_counts_below_one_are_usage_errors(capsys, tmp_path, argv):
+    argv = [write_complex(tmp_path / "p3.json", P3) if a == "COMPLEX" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"{argv[-2]}: must be at least 1" in err and "Traceback" not in err
+
+
 def _dry_run_argv(command, complex_path: str, board_path: str, out: str) -> list[str]:
     """Every flag a row needs, with a value; ``--complex?`` rows get --complex."""
     values = {

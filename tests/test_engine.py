@@ -1,8 +1,21 @@
 from __future__ import annotations
 
-import pytest
+import dataclasses
+from itertools import combinations, combinations_with_replacement
 
-from spg.boards import build_grid, build_path, disjoint_union, empty_board, vertex_piece
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spg.boards import (
+    board,
+    build_cycle,
+    build_grid,
+    build_path,
+    disjoint_union,
+    domino_piece,
+    empty_board,
+    vertex_piece,
+)
 from spg.complexes import from_facets, sr_complex
 from spg.engine import (
     BoardTooLarge,
@@ -16,7 +29,16 @@ from spg.engine import (
     legal_complex,
     legal_ideal,
 )
-from spg.rulesets import Ruleset, col, domineering, free_placement, nogo, snort
+from spg.rulesets import (
+    Ruleset,
+    col,
+    cycle_placement_game,
+    domineering,
+    free_placement,
+    nogo,
+    position,
+    snort,
+)
 from conftest import connected_boards, degree_one_game
 
 
@@ -188,3 +210,132 @@ def test_board_cap():
         analyze(snort(), build_path(4), cap=4)
     a = analyze(snort(), build_path(2), cap=4)
     assert len(a.index) == 4
+
+
+# ---------------------------------------------------------------------------
+# The closure against brute force
+
+
+def closure_oracle(game, board_):
+    """Every set of basic positions with disjoint supports, smallest first: a
+    set is legal when the predicate accepts it and every one-smaller subset is
+    legal.  Returns the legal sets, the minimal illegal sets, whether some
+    accepted set has both a legal and an illegal one-smaller subset, and
+    whether some accepted set has a rejected one-smaller subset."""
+    index = basic_positions(game, board_)
+    names, by_name = index.names, index.by_name
+    disjoint, seen = [frozenset()], {frozenset()}
+    for s in disjoint:  # grows while walked: all disjoint sets, by size
+        used = {v for c in s for v in by_name[c].occupied}
+        for b in names:
+            if not by_name[b].occupied & used and s | {b} not in seen:
+                seen.add(s | {b})
+                disjoint.append(s | {b})
+    legal, violated = {frozenset()}, False
+    accepted = {t for t in disjoint if game.legal(board_, position(*(by_name[c] for c in t)))}
+    for t in disjoint[1:]:
+        subs_legal = [t - {c} in legal for c in t]
+        if t in accepted:
+            if all(subs_legal):
+                legal.add(t)
+            elif any(subs_legal):
+                violated = True
+    minimal = {
+        s | {b}
+        for s in legal
+        for b in names
+        if b not in s and s | {b} not in legal and all((s | {b}) - {c} in legal for c in s)
+    }
+    unordered = any(t - {c} not in accepted for t in accepted for c in t)
+    return legal, minimal, violated, unordered
+
+
+_PIECES = {
+    "vertex": {"L": (vertex_piece("L"),), "R": (vertex_piece("R"),)},
+    "domino": {"L": (domino_piece("L"),), "R": (domino_piece("R"),)},
+    "mixed": {"L": (vertex_piece("L"),), "R": (domino_piece("R"),)},
+}
+
+
+@st.composite
+def small_games(draw):
+    """A random board on at most 5 vertices and a random predicate, drawn
+    lazily and memoised: ``table`` is rarely downward closed, ``closed``
+    always is, and ``pairwise`` decides by singletons and pairs."""
+    n = draw(st.integers(0, 5))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
+    kind = draw(st.sampled_from(["table", "closed", "pairwise"]))
+    rng = draw(st.randoms(use_true_random=False))
+    accept = draw(st.floats(0.5, 1.0))
+    memo: dict = {}
+
+    def coin(key) -> bool:
+        if key not in memo:
+            memo[key] = rng.random() < accept
+        return memo[key]
+
+    def closed(pls) -> bool:
+        return not pls or coin(pls) and all(closed(pls - {p}) for p in pls)
+
+    def legal(b, pos) -> bool:
+        pls = pos.placements
+        if kind == "table":
+            return coin(pls) if pls else True
+        if kind == "closed":
+            return closed(pls)
+        return all(coin(frozenset(c)) for r in (1, 2) for c in combinations(pls, r))
+
+    pieces = _PIECES[draw(st.sampled_from(sorted(_PIECES)))]
+    return Ruleset(kind, pieces, legal), board(range(n), edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_games())
+def test_analyze_matches_brute_force(case):
+    game, board_ = case
+    legal, minimal, violated, unordered = closure_oracle(game, board_)
+    assert check_condition_iv(game, board_).passed is not unordered
+    variants = [game]
+    if game.name == "pairwise":  # the pairwise path must agree with the oracle too
+        variants.append(dataclasses.replace(game, pairwise=True))
+    for variant in variants:
+        try:
+            a = analyze(variant, board_)
+        except DownwardClosureError as exc:
+            assert violated and not variant.pairwise
+            by_name = basic_positions(game, board_).by_name
+            assert game.legal(board_, position(*(by_name[c] for c in exc.witness)))
+            assert set(exc.missing) < set(exc.witness)
+            assert len(exc.missing) == len(exc.witness) - 1
+            assert frozenset(exc.missing) not in legal
+            continue
+        assert not violated
+        assert a.legal == legal
+        assert a.minimal_illegal == minimal
+
+
+def _table_boards():
+    """Disjoint unions of up to three triangles and squares."""
+    for size in range(1, 4):
+        for lengths in combinations_with_replacement((3, 4), size):
+            yield disjoint_union(*(build_cycle(k) for k in lengths))
+
+
+def test_pairwise_declarations_hold():
+    cases = [
+        (game, board_)
+        for n in range(1, 6)
+        for board_ in connected_boards(n)
+        for game in (free_placement(), snort(), col(), nogo())
+    ]
+    cases += [(domineering(), build_grid(r, c)) for r in range(1, 4) for c in range(1, 4)]
+    cases += [(cycle_placement_game(from_facets([])), board_) for board_ in _table_boards()]
+    cases = [(game, board_) for game, board_ in cases if game.pairwise]
+    assert {game.name for game, _ in cases} == {
+        "free", "snort", "col", "domineering", "cycle-placement"
+    }
+    for game, board_ in cases:
+        general = dataclasses.replace(game, pairwise=False)
+        assert analyze(game, board_) == analyze(general, board_), (game.name, board_)
+        assert check_condition_iv(game, board_).passed, (game.name, board_)
