@@ -33,7 +33,7 @@ from .boards import (
 )
 from .complexes import (
     LabeledComplex, SquareFreeIdeal, complex_from_obj, complex_to_obj, dimension, dumps,
-    facet_complex, facet_ideal, faces, ideal, ideal_to_obj, is_flag, is_name_list, is_pure,
+    facet_complex, facet_ideal, ideal, ideal_to_obj, is_flag, is_name_list, is_pure,
     is_simplex, minimal_nonfaces, sr_complex, sr_ideal,
 )
 from .construct import (
@@ -320,7 +320,7 @@ def _complex_info(args: Args, delta: LabeledComplex) -> int:
         print("dimension: -1 (only the empty face)")
     else:
         print(f"dimension: {dimension(delta)}")
-        print(f"faces: {len(faces(delta))}")
+        print(f"faces: {len(delta.face_masks)}")
         for name, test in (("pure", is_pure), ("flag", is_flag), ("simplex", is_simplex)):
             print(f"{name}: {'yes' if test(delta) else 'no'}")
     return 0
@@ -400,7 +400,7 @@ def _game_tree(args: Args, source) -> int:
         else:
             print(text, end="")
         return 0
-    depth = max((len(f) for f in faces(delta)), default=0)
+    depth = max((len(f) for f in delta.facets), default=0)
     print(f"game tree: {tree.node_count} nodes, depth {depth}")
     if tree.node_count <= _TREE_PRINT_LIMIT:
         lines: list[str] = ["(root)"]

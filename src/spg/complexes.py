@@ -20,12 +20,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 PARTS = ("L", "R")
 
 Face = frozenset
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _norm_faces(faces: Iterable[Iterable[str]]) -> set[frozenset[str]]:
@@ -65,6 +74,26 @@ class LabeledComplex:
     vertices: tuple[str, ...]
     part: Mapping[str, str]
     facets: frozenset[frozenset[str]]
+
+    @cached_property
+    def face_masks(self) -> frozenset[int]:
+        """Every face as an int mask over ``vertices`` (bit i is vertex i),
+        enumerated once from the facets.  Empty for the void complex."""
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        out: set[int] = set()
+        for f in self.facets:
+            full = sum(bit[v] for v in f)
+            sub = full
+            while True:
+                out.add(sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & full
+        return frozenset(out)
+
+    def face_names(self, mask: int) -> frozenset[str]:
+        """The vertices of ``mask``, by name."""
+        return frozenset(self.vertices[i] for i in bits(mask))
 
     @property
     def is_void(self) -> bool:
@@ -130,12 +159,7 @@ def empty_face_complex() -> LabeledComplex:
 
 def faces(delta: LabeledComplex) -> frozenset[frozenset[str]]:
     """All faces, i.e. all subsets of facets.  Empty for the void complex."""
-    out: set[frozenset[str]] = set()
-    for f in delta.facets:
-        fl = sorted(f)
-        for k in range(len(fl) + 1):
-            out.update(frozenset(c) for c in combinations(fl, k))
-    return frozenset(out)
+    return frozenset(delta.face_names(m) for m in delta.face_masks)
 
 
 def dimension(delta: LabeledComplex) -> int:
@@ -155,7 +179,7 @@ def k_skeleton(delta: LabeledComplex, k: int) -> LabeledComplex:
         raise ValueError("the void complex has no skeleton")
     if not 0 <= k <= dimension(delta):
         raise ValueError(f"k={k} out of range for a complex of dimension {dimension(delta)}")
-    wanted = {f for f in faces(delta) if len(f) == k + 1}
+    wanted = [delta.face_names(m) for m in delta.face_masks if m.bit_count() == k + 1]
     return from_facets(wanted, delta.part)
 
 
@@ -163,20 +187,20 @@ def minimal_nonfaces(delta: LabeledComplex) -> frozenset[frozenset[str]]:
     """Inclusion-minimal subsets of the vertex set that are not faces.
 
     A simplex has none.  The void complex has exactly the empty set: nothing at
-    all is a face of it.
+    all is a face of it.  Any other minimal nonface is a face plus a vertex
+    above all of that face's vertices (drop its last vertex in ``vertices``
+    order), so only those extensions are tried, each once.
     """
-    face_set = faces(delta)
-    verts = delta.vertices
-    out: set[frozenset[str]] = set()
-    for size in range(len(verts) + 1):
-        for combo in combinations(verts, size):
-            cand = frozenset(combo)
-            if cand in face_set:
-                continue
-            if any(cand - {v} not in face_set for v in cand):
-                continue
-            out.add(cand)
-    return frozenset(out)
+    if delta.is_void:
+        return frozenset({frozenset()})
+    masks = delta.face_masks
+    out: set[int] = set()
+    for f in masks:
+        for i in range(f.bit_length(), len(delta.vertices)):
+            cand = f | 1 << i
+            if cand not in masks and all(cand ^ 1 << j in masks for j in bits(f)):
+                out.add(cand)
+    return frozenset(delta.face_names(m) for m in out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,7 +496,3 @@ def ideal_to_obj(ideal_: SquareFreeIdeal) -> dict:
         "variables": list(ideal_.variables),
         "generators": [sorted(g, key=lambda v: index[v]) for g in gens],
     }
-
-
-def ideal_to_json(ideal_: SquareFreeIdeal) -> str:
-    return dumps(ideal_to_obj(ideal_))

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from . import boards
 from .boards import Board, Placement, piece_placements
-from .complexes import LabeledComplex, SquareFreeIdeal, from_facets, ideal
+from .complexes import LabeledComplex, SquareFreeIdeal, bits, from_facets, ideal
 from .rulesets import Position, Ruleset, position
 
 
@@ -50,14 +50,6 @@ class DownwardClosureError(ValueError):
 
 
 DEFAULT_CAP = 24
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _independent_sets(conflict: Sequence[int], allowed: int) -> Iterator[int]:
@@ -89,10 +81,6 @@ class BasicPositionIndex:
     @cached_property
     def left_names(self) -> tuple[str, ...]:
         return tuple(n for n, p in self.entries if p.player == "L")
-
-    @cached_property
-    def right_names(self) -> tuple[str, ...]:
-        return tuple(n for n, p in self.entries if p.player == "R")
 
     @cached_property
     def by_name(self) -> dict[str, Placement]:
@@ -129,12 +117,12 @@ class BasicPositionIndex:
     def position(self, mask: int) -> Position:
         """The position made of the basic positions in ``mask``."""
         pls = self.placements
-        return position(*(pls[i] for i in _bits(mask)))
+        return position(*(pls[i] for i in bits(mask)))
 
     def names_of(self, mask: int) -> tuple[str, ...]:
         """The names of the basic positions in ``mask``, in index order."""
         names = self.names
-        return tuple(names[i] for i in _bits(mask))
+        return tuple(names[i] for i in bits(mask))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -311,7 +299,7 @@ def _closure(
 
 
 def _closure_error(t: int, legal: set[int], names: tuple[str, ...]) -> DownwardClosureError:
-    members = sorted(_bits(t), key=names.__getitem__)
+    members = sorted(bits(t), key=names.__getitem__)
     missing = next(i for i in members if t ^ 1 << i not in legal)
     return DownwardClosureError(
         tuple(names[i] for i in members), tuple(names[i] for i in members if i != missing)
@@ -328,8 +316,8 @@ def _pairwise_closure(
     m = len(index)
     singles = sum(1 << i for i in range(m) if predicate(1 << i))
     conflict = list(index.overlaps)
-    for i in _bits(singles):
-        for j in _bits(singles & ~conflict[i] & ~((2 << i) - 1)):
+    for i in bits(singles):
+        for j in bits(singles & ~conflict[i] & ~((2 << i) - 1)):
             if not predicate(1 << i | 1 << j):
                 conflict[i] |= 1 << j
                 conflict[j] |= 1 << i
@@ -343,8 +331,8 @@ def _conflicting_pairs(conflict: Sequence[int], singles: int) -> list[int]:
     minimal illegal because each member is legal alone."""
     return [
         1 << i | 1 << j
-        for i in _bits(singles)
-        for j in _bits(conflict[i] & singles & ~((2 << i) - 1))
+        for i in bits(singles)
+        for j in bits(conflict[i] & singles & ~((2 << i) - 1))
     ]
 
 
@@ -400,7 +388,7 @@ def check_condition_iv(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> C
     for t in _independent_sets(index.overlaps, (1 << len(index)) - 1):
         if predicate(t):
             accepted.add(t)
-            for i in _bits(t):
+            for i in bits(t):
                 if t ^ 1 << i not in accepted:
                     good, bad = index.names_of(t), index.names_of(t ^ 1 << i)
                     return ConditionReport(

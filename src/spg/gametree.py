@@ -1,11 +1,16 @@
 """Game trees over legal complexes, and canonical normal-play values.
 
-The tree of a complex unfolds move sequences: the root is the empty position
-and a node at face F has one child per vertex v with F+v still a face.  Since
-faces are downward closed, every ordering of a face is a play sequence, so the
-unfolded tree has sum-over-faces-of-|F|! nodes.  Nodes are built once per face
-and shared, which keeps construction and traversal polynomial in the number of
-faces while `node_count` still reports the unfolded size.
+The tree of a complex is built from its face masks
+(:attr:`~spg.complexes.LabeledComplex.face_masks`): one node per face, whose
+children are the faces one vertex larger, in vertex order.  Equal faces share
+one node, so the structure is a DAG; its unfolding is the move-sequence tree,
+in which every ordering of a face is a play sequence, so the unfolded tree has
+sum-over-faces-of-|F|! nodes.
+
+Everything read off a tree is a fold of it: :func:`fold` walks the DAG once,
+children before parents, without recursion.  The canonical value, the node
+count of the unfolded tree, tree isomorphism and the DOT export are each one
+such fold, so their cost is polynomial in the number of faces.
 
 Values use the standard normal-play canonical form: options are simplified by
 removing dominated options and bypassing reversible ones until a fixpoint,
@@ -16,9 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from itertools import count
+from typing import Callable, Iterable, Optional, TypeVar
 
-from .complexes import LabeledComplex, are_isomorphic, faces
+from .complexes import LabeledComplex, are_isomorphic
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +44,7 @@ class GameTree:
     @cached_property
     def node_count(self) -> int:
         """Number of nodes of the unfolded move-sequence tree."""
-        return 1 + sum(child.node_count for _, _, child in self.children)
+        return fold(self, lambda _, counts: 1 + sum(counts))
 
     def __repr__(self) -> str:
         face = ",".join(sorted(self.face)) or "{}"
@@ -46,26 +54,44 @@ class GameTree:
 def build_tree(delta: LabeledComplex) -> GameTree:
     """The move tree of a legal complex, rooted at the empty position.
 
-    The void complex and the single-face complex both yield a lone root: in
-    either case no move is available.
+    Nodes are built largest face first, so every child exists before its
+    parent.  The void complex and the single-face complex both yield a lone
+    root: in either case no move is available.
     """
-    face_set = faces(delta)
-    memo: dict[frozenset[str], GameTree] = {}
-
-    def node(face: frozenset[str]) -> GameTree:
-        hit = memo.get(face)
-        if hit is not None:
-            return hit
+    moves = [(1 << i, delta.part[v], v) for i, v in enumerate(delta.vertices)]
+    nodes: dict[int, GameTree] = {}
+    for mask in sorted(delta.face_masks, key=int.bit_count, reverse=True):
         kids = tuple(
-            (delta.part[v], v, node(face | {v}))
-            for v in delta.vertices
-            if v not in face and face | {v} in face_set
+            (label, v, nodes[mask | b])
+            for b, label, v in moves
+            if not mask & b and mask | b in nodes
         )
-        t = GameTree(face, kids)
-        memo[face] = t
-        return t
+        nodes[mask] = GameTree(delta.face_names(mask), kids)
+    return nodes[0] if nodes else GameTree(frozenset(), ())
 
-    return node(frozenset())
+
+def fold(tree: GameTree, combine: Callable[[GameTree, list[T]], T]) -> T:
+    """``combine(node, results)`` over the DAG below ``tree``, where
+    ``results`` holds the children's results in move order.
+
+    Each node is combined once, after its children.  An explicit stack walks
+    the children in move order and finishes each child's subtree before the
+    next, so the combines run in the order of a recursive depth-first walk.
+    """
+    done: dict[GameTree, T] = {}
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        todo = [child for _, _, child in reversed(node.children) if child not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        done[node] = combine(node, [done[child] for _, _, child in node.children])
+    return done[tree]
 
 
 def trees_isomorphic(t1: GameTree, t2: GameTree) -> bool:
@@ -77,39 +103,33 @@ def trees_isomorphic(t1: GameTree, t2: GameTree) -> bool:
     """
     codes: dict[tuple, int] = {}
 
-    def enc(t: GameTree, memo: dict[int, int]) -> int:
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit
-        key = tuple(sorted((label, enc(child, memo)) for label, _, child in t.children))
-        code = codes.setdefault(key, len(codes))
-        memo[id(t)] = code
-        return code
+    def code(node: GameTree, kids: list[int]) -> int:
+        key = tuple(sorted(zip((label for label, _, _ in node.children), kids)))
+        return codes.setdefault(key, len(codes))
 
-    return enc(t1, {}) == enc(t2, {})
+    return fold(t1, code) == fold(t2, code)
 
 
 def tree_to_dot(t: GameTree, name: str = "tree") -> str:
-    """DOT export of the unfolded move-sequence tree.
+    """DOT export of the shared DAG: one node per face, whose tooltip names
+    the face, and one edge per move.
 
-    Edge colour encodes the mover (L blue, R red).  The unfolded tree is
-    factorial in the face sizes; intended for small complexes.
+    Edge colour encodes the mover (L blue, R red).  Nodes are numbered
+    children first, so the root is the last node.
     """
     lines = [f"digraph {name} {{", "  node [shape=circle, label=\"\"];"]
-    counter = [0]
+    ids = count()
 
-    def emit(node: GameTree) -> int:
-        my_id = counter[0]
-        counter[0] += 1
+    def emit(node: GameTree, kids: list[int]) -> int:
+        my_id = next(ids)
         face = ",".join(sorted(node.face)) or "{}"
         lines.append(f'  n{my_id} [tooltip="{face}"];')
-        for label, vertex, child in node.children:
-            child_id = emit(child)
+        for (label, vertex, _), child_id in zip(node.children, kids):
             color = "blue" if label == "L" else "red"
             lines.append(f'  n{my_id} -> n{child_id} [color={color}, label="{vertex}"];')
         return my_id
 
-    emit(t)
+    fold(t, emit)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -237,31 +257,17 @@ def game_add(g: CanonicalValue, h: CanonicalValue) -> CanonicalValue:
 def canonical_value(delta: LabeledComplex) -> CanonicalValue:
     """Canonical value of the placement game on a legal complex.
 
-    Memoised per face: the subtree below every ordering of a face has one
-    value, so evaluation is polynomial in the number of faces.
+    A fold of :func:`build_tree`: one :func:`make_value` per face, from the
+    values of the faces one move further, so evaluation is polynomial in the
+    number of faces.
     """
-    face_set = faces(delta)
-    memo: dict[frozenset[str], CanonicalValue] = {}
+    return fold(build_tree(delta), _value_of)
 
-    def val(face: frozenset[str]) -> CanonicalValue:
-        hit = memo.get(face)
-        if hit is not None:
-            return hit
-        left = [
-            val(face | {v})
-            for v in delta.left
-            if v not in face and face | {v} in face_set
-        ]
-        right = [
-            val(face | {v})
-            for v in delta.right
-            if v not in face and face | {v} in face_set
-        ]
-        out = make_value(left, right)
-        memo[face] = out
-        return out
 
-    return val(frozenset())
+def _value_of(node: GameTree, values: list[CanonicalValue]) -> CanonicalValue:
+    left = [g for (label, _, _), g in zip(node.children, values) if label == "L"]
+    right = [g for (label, _, _), g in zip(node.children, values) if label == "R"]
+    return make_value(left, right)
 
 
 def outcome(delta: LabeledComplex) -> str:

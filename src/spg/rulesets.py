@@ -131,12 +131,16 @@ def nogo() -> Ruleset:
         occupied = pos.all_occupied
         for player in ("L", "R"):
             own = pos.occupied_by(player)
-            for group in boards._components_of(sorted(own), {e for e in b.edges if set(e) <= own}):
-                breath = any(
-                    w not in occupied for v in group for w in b.neighbors(v)
-                )
-                if not breath:
-                    return False
+            # a group breathes when one of its stones does: flood out from those
+            reached = {v for v in own if any(w not in occupied for w in b.neighbors(v))}
+            stack = list(reached)
+            while stack:
+                for w in b.neighbors(stack.pop()):
+                    if w in own and w not in reached:
+                        reached.add(w)
+                        stack.append(w)
+            if len(reached) != len(own):
+                return False
         return True
 
     return Ruleset("nogo", _single_vertex_pieces(), legal, claims_invariant=False)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import chain, combinations
 
 import pytest
@@ -114,6 +115,16 @@ def test_minimal_nonfaces_matches_oracle_on_small_corpus():
 
 def test_minimal_nonfaces_worked_example():
     assert minimal_nonfaces(AB_BC) == frozenset({frozenset("ac")})
+
+
+def test_minimal_nonfaces_of_isolated_vertices():
+    names = [f"v{i:02d}" for i in range(24)]
+    delta = from_facets([[v] for v in names], {v: "L" for v in names})
+    t0 = time.perf_counter()
+    nonfaces = minimal_nonfaces(delta)
+    assert time.perf_counter() - t0 < 2.0
+    assert nonfaces == frozenset(frozenset(p) for p in combinations(names, 2))
+    assert len(nonfaces) == 276
 
 
 def test_ideal_rejects_unknown_variables():

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +108,15 @@ def test_tree_dot_output():
     assert "color=blue" in text and "color=red" in text
 
 
+def test_tree_dot_is_the_shared_dag():
+    delta = legal_complex(snort(), build_path(4))
+    lines = tree_to_dot(build_tree(delta)).splitlines()
+    face_set = faces(delta)
+    assert sum("tooltip=" in line for line in lines) == len(face_set)
+    # every nonempty face F is reached by one move from each of its |F| subfaces
+    assert sum("->" in line for line in lines) == sum(len(f) for f in face_set)
+
+
 def test_values_are_interned():
     assert make_value([], []) is ZERO
     one = make_value([ZERO], [])
@@ -178,6 +191,33 @@ def test_disjoint_union_value_is_the_sum():
     assert whole is game_add(v2, v2)
 
 
+def reference_value(delta):
+    """Canonical value by recursion over the face poset, by vertex names."""
+    face_set = faces(delta)
+    memo = {}
+
+    def val(face):
+        if face not in memo:
+            moves = [v for v in delta.vertices if v not in face and face | {v} in face_set]
+            memo[face] = make_value(
+                [val(face | {v}) for v in moves if delta.part[v] == "L"],
+                [val(face | {v}) for v in moves if delta.part[v] == "R"],
+            )
+        return memo[face]
+
+    return val(frozenset())
+
+
+def test_canonical_value_matches_face_walk():
+    rng = random.Random(7)
+    corpus = all_labeled_complexes("abcd") + [random_complex(rng, 6) for _ in range(100)]
+    for delta in corpus:
+        want = reference_value(delta)
+        got = canonical_value(delta)
+        assert got is want, delta
+        assert value_str(got) == value_str(want)
+
+
 def test_canonical_value_ignores_vertex_names():
     other = relabel(LSHAPE_DELTA, {"x1": "p", "x2": "q", "y3": "r"})
     assert canonical_value(other) is canonical_value(LSHAPE_DELTA)
@@ -202,3 +242,19 @@ def test_iso_agreement_report():
     different = from_facets([["a"]], {"a": "L"})
     rep2 = legal_iso_iff_tree_iso(LSHAPE_DELTA, different)
     assert not rep2.complexes_isomorphic and not rep2.trees_isomorphic and rep2.agree
+
+
+def test_worked_examples_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "worked_examples.py")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
+    snort_part = out[out.index("== snort on a 4-path =="):out.index("== col on a 4-path ==")]
+    col_part = out[out.index("== col on a 4-path =="):]
+    assert "value: {{2|1}|{-1|-2}}   outcome: N" in snort_part
+    assert "value: 0   outcome: P" in col_part

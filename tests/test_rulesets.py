@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 
 from spg.boards import (
+    _components_of,
     build_cycle,
     build_grid,
     build_path,
@@ -26,6 +30,7 @@ from spg.rulesets import (
     table_game_illegal,
     table_game_legal,
 )
+from conftest import connected_boards
 
 
 AB_BC = from_facets([["a", "b"], ["b", "c"]], {"a": "L", "b": "L", "c": "R"})
@@ -85,6 +90,36 @@ def test_nogo_liberty_rule():
     assert not game.legal(b, position(L(0), R(1), L(2)))
     lonely = disjoint_union(build_path(2), build_path(1))
     assert not game.legal(lonely, position(L(2)))
+
+
+def nogo_component_rule(b, pos) -> bool:
+    """NoGo's rule group by group: every component of a player's stones
+    needs an empty neighbour."""
+    occupied = pos.all_occupied
+    for player in ("L", "R"):
+        own = pos.occupied_by(player)
+        for group in _components_of(sorted(own), {e for e in b.edges if set(e) <= own}):
+            if not any(w not in occupied for v in group for w in b.neighbors(v)):
+                return False
+    return True
+
+
+def _colouring(b, colours):
+    return position(*(placement(c, [v]) for v, c in zip(b.vertices, colours) if c != "."))
+
+
+def test_nogo_matches_component_rule():
+    game = nogo()
+    for n in range(1, 5):
+        for b in connected_boards(n):
+            for colours in product("LR.", repeat=n):
+                pos = _colouring(b, colours)
+                assert game.legal(b, pos) == nogo_component_rule(b, pos), (b.edges, colours)
+    grid = build_grid(3, 3)
+    rng = random.Random(5)
+    for _ in range(200):
+        pos = _colouring(grid, [rng.choice("LR.") for _ in grid.vertices])
+        assert game.legal(grid, pos) == nogo_component_rule(grid, pos)
 
 
 def test_domineering_orientations():
