@@ -2,8 +2,9 @@
 
 Boards carry integer vertex ids, optional grid coordinates, and optional
 role labels produced by the cycle constructions.  Each board also keeps the
-memos computed from it (neighbour sets, components, set distances), so they
-are freed with the board.  Pieces are connected graphs owned by one player; a
+memos computed from it (neighbour sets, components, set distances, and the
+last game analysis made by the ``engine`` shorthands), so they are freed with
+the board.  Pieces are connected graphs owned by one player; a
 placement is the vertex image of an embedding of a piece into a board.
 
 Embeddings are not-necessarily-induced (or, on request, induced) subgraph
@@ -21,7 +22,6 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .complexes import LabeledComplex, has_isolated_vertex
@@ -49,6 +49,7 @@ class Board:
     _adj: dict = field(init=False, repr=False)
     _nbrs: dict = field(init=False, repr=False)
     _dist: dict = field(init=False, repr=False)
+    _analysis: Optional[tuple] = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -72,6 +73,7 @@ class Board:
         object.__setattr__(self, "_adj", {v: tuple(sorted(n)) for v, n in adj.items()})
         object.__setattr__(self, "_nbrs", adj)
         object.__setattr__(self, "_dist", {})
+        object.__setattr__(self, "_analysis", None)
         object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
 
     @cached_property
@@ -534,16 +536,12 @@ OUTER_EXTRA = {"L": 4, "R": 5}
 def default_edge_labeling(gamma: LabeledComplex) -> dict[frozenset[str], int]:
     """Edges of the 1-skeleton labelled 1..k in canonical lexicographic order."""
     index = {v: i for i, v in enumerate(gamma.vertices)}
-    edges = {f for f in _one_faces(gamma)}
-    ordered = sorted(edges, key=lambda e: tuple(sorted(index[v] for v in e)))
+    ordered = sorted(_one_faces(gamma), key=lambda e: tuple(sorted(index[v] for v in e)))
     return {e: i + 1 for i, e in enumerate(ordered)}
 
 
 def _one_faces(gamma: LabeledComplex) -> set[frozenset[str]]:
-    out: set[frozenset[str]] = set()
-    for f in gamma.facets:
-        out.update(frozenset(p) for p in combinations(sorted(f), 2))
-    return out
+    return {gamma.face_names(m) for m in gamma.face_masks if m.bit_count() == 2}
 
 
 def check_edge_labeling(gamma: LabeledComplex, labeling: Mapping[frozenset[str], int]) -> dict[frozenset[str], int]:

@@ -101,12 +101,16 @@ def load_ideal(path: str) -> SquareFreeIdeal:
 def load_labeling(path: str) -> Labeling:
     obj = _load_json(path)
     out: Labeling = {}
+    usage = f"{path}: labelings are lists of {{'edge': [u, v], 'label': n}} with integer n"
     try:
         for entry in obj:
             u, v = entry["edge"]
-            out[frozenset((u, v))] = int(entry["label"])
+            label = entry["label"]
+            if not isinstance(label, int) or isinstance(label, bool):
+                raise CliError(usage)
+            out[frozenset((u, v))] = label
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{path}: labelings are lists of {{'edge': [u, v], 'label': n}}") from exc
+        raise CliError(usage) from exc
     return out
 
 
@@ -497,8 +501,9 @@ def _construct(args: Args, delta: LabeledComplex, files: Files,
 def _same_tree_and_value(delta: LabeledComplex, rep: VerifyReport, obj: dict) -> tuple[str, str]:
     """The rebuilt game must have the original's game tree and value."""
     obj["trees_isomorphic"] = trees_isomorphic(build_tree(delta), build_tree(rep.computed))
-    obj["value"] = value_str(canonical_value(delta))
-    obj["values_equal"] = canonical_value(rep.computed) is canonical_value(delta)
+    value = canonical_value(delta)
+    obj["value"] = value_str(value)
+    obj["values_equal"] = canonical_value(rep.computed) is value
     print(
         f"trees isomorphic: {obj['trees_isomorphic']}; "
         f"value {obj['value']} preserved: {obj['values_equal']}"

@@ -26,8 +26,6 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 PARTS = ("L", "R")
 
-Face = frozenset
-
 
 def bits(mask: int) -> Iterator[int]:
     """The set bits of ``mask``, lowest first."""

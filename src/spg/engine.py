@@ -336,24 +336,43 @@ def _conflicting_pairs(conflict: Sequence[int], singles: int) -> list[int]:
     ]
 
 
+def _board_analysis(game: Ruleset, board: Board, cap: int) -> GameAnalysis:
+    """``analyze(game, board, cap=cap)``, reused when the board's last
+    analysis was made for this very ruleset object and cap.
+
+    The board keeps one analysis at a time: a different game object or cap
+    replaces it, and a call that raises stores nothing.
+    """
+    last = board._analysis
+    if last is not None and last[0] is game and last[1] == cap:
+        return last[2]
+    result = analyze(game, board, cap=cap)
+    object.__setattr__(board, "_analysis", (game, cap, result))
+    return result
+
+
 def legal_complex(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> LabeledComplex:
-    """Shorthand for ``analyze(game, board, cap=cap).legal_complex()``."""
-    return analyze(game, board, cap=cap).legal_complex()
+    """Shorthand for ``analyze(game, board, cap=cap).legal_complex()``; the
+    four shorthands share one analysis per board, game object and cap."""
+    return _board_analysis(game, board, cap).legal_complex()
 
 
 def legal_ideal(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> SquareFreeIdeal:
-    """Shorthand for ``analyze(game, board, cap=cap).legal_ideal()``."""
-    return analyze(game, board, cap=cap).legal_ideal()
+    """Shorthand for ``analyze(game, board, cap=cap).legal_ideal()``; the
+    four shorthands share one analysis per board, game object and cap."""
+    return _board_analysis(game, board, cap).legal_ideal()
 
 
 def illegal_complex(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> LabeledComplex:
-    """Shorthand for ``analyze(game, board, cap=cap).illegal_complex()``."""
-    return analyze(game, board, cap=cap).illegal_complex()
+    """Shorthand for ``analyze(game, board, cap=cap).illegal_complex()``; the
+    four shorthands share one analysis per board, game object and cap."""
+    return _board_analysis(game, board, cap).illegal_complex()
 
 
 def illegal_ideal(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> SquareFreeIdeal:
-    """Shorthand for ``analyze(game, board, cap=cap).illegal_ideal()``."""
-    return analyze(game, board, cap=cap).illegal_ideal()
+    """Shorthand for ``analyze(game, board, cap=cap).illegal_ideal()``; the
+    four shorthands share one analysis per board, game object and cap."""
+    return _board_analysis(game, board, cap).illegal_ideal()
 
 
 # ---------------------------------------------------------------------------

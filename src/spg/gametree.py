@@ -1,16 +1,17 @@
 """Game trees over legal complexes, and canonical normal-play values.
 
-The tree of a complex is built from its face masks
-(:attr:`~spg.complexes.LabeledComplex.face_masks`): one node per face, whose
-children are the faces one vertex larger, in vertex order.  Equal faces share
+The game tree of a complex is a view of its face lattice
+(:attr:`~spg.complexes.LabeledComplex.face_masks`): a node is a face, and its
+children are the faces one vertex larger, in vertex order.  Equal faces are
 one node, so the structure is a DAG; its unfolding is the move-sequence tree,
 in which every ordering of a face is a play sequence, so the unfolded tree has
-sum-over-faces-of-|F|! nodes.
+sum-over-faces-of-|F|! nodes.  A :class:`GameTree` holds only the complex and
+the mask of its face.
 
-Everything read off a tree is a fold of it: :func:`fold` walks the DAG once,
-children before parents, without recursion.  The canonical value, the node
-count of the unfolded tree, tree isomorphism and the DOT export are each one
-such fold, so their cost is polynomial in the number of faces.
+Everything read off a tree is a fold of it: :func:`fold` walks the face masks
+once, children before parents, without recursion.  The canonical value, the
+node count of the unfolded tree, tree isomorphism and the DOT export are each
+one such fold, so their cost is polynomial in the number of faces.
 
 Values use the standard normal-play canonical form: options are simplified by
 removing dominated options and bypassing reversible ones until a fixpoint,
@@ -28,23 +29,42 @@ from .complexes import LabeledComplex, are_isomorphic
 
 T = TypeVar("T")
 
+# one move of a fold: the mover's label, the vertex played, the child's result
+Move = tuple[str, str, T]
+
 
 @dataclass(frozen=True, eq=False)
 class GameTree:
-    """A shared-subtree game tree node.
+    """The game tree below one face of a legal complex, as a view.
 
-    ``children`` pairs each extension vertex with the moving player's label.
-    Equal faces share one node object, so the structure is a DAG whose
-    unfolding is the move-sequence tree.
+    ``face`` names the vertices of ``mask``.  ``children`` pairs each vertex
+    that extends the face to a face one larger with the moving player's label
+    and the view of that face, in vertex order.  Both are read from the
+    complex's face masks when asked for; the unfolding of the DAG of views is
+    the move-sequence tree.
     """
 
-    face: frozenset[str]
-    children: tuple[tuple[str, str, "GameTree"], ...]
+    complex: LabeledComplex
+    mask: int
+
+    @property
+    def face(self) -> frozenset[str]:
+        return self.complex.face_names(self.mask)
+
+    @property
+    def children(self) -> tuple[tuple[str, str, "GameTree"], ...]:
+        delta, mask = self.complex, self.mask
+        masks = delta.face_masks
+        return tuple(
+            (delta.part[v], v, GameTree(delta, mask | 1 << i))
+            for i, v in enumerate(delta.vertices)
+            if not mask >> i & 1 and mask | 1 << i in masks
+        )
 
     @cached_property
     def node_count(self) -> int:
         """Number of nodes of the unfolded move-sequence tree."""
-        return fold(self, lambda _, counts: 1 + sum(counts))
+        return fold(self, lambda _, moves: 1 + sum(n for _, _, n in moves))
 
     def __repr__(self) -> str:
         face = ",".join(sorted(self.face)) or "{}"
@@ -54,44 +74,47 @@ class GameTree:
 def build_tree(delta: LabeledComplex) -> GameTree:
     """The move tree of a legal complex, rooted at the empty position.
 
-    Nodes are built largest face first, so every child exists before its
-    parent.  The void complex and the single-face complex both yield a lone
-    root: in either case no move is available.
+    The void complex and the single-face complex both yield a lone root: in
+    either case no move is available.
     """
-    moves = [(1 << i, delta.part[v], v) for i, v in enumerate(delta.vertices)]
-    nodes: dict[int, GameTree] = {}
-    for mask in sorted(delta.face_masks, key=int.bit_count, reverse=True):
-        kids = tuple(
-            (label, v, nodes[mask | b])
-            for b, label, v in moves
-            if not mask & b and mask | b in nodes
-        )
-        nodes[mask] = GameTree(delta.face_names(mask), kids)
-    return nodes[0] if nodes else GameTree(frozenset(), ())
+    return GameTree(delta, 0)
 
 
-def fold(tree: GameTree, combine: Callable[[GameTree, list[T]], T]) -> T:
-    """``combine(node, results)`` over the DAG below ``tree``, where
-    ``results`` holds the children's results in move order.
+def fold(tree: GameTree, combine: Callable[[int, list[Move]], T]) -> T:
+    """``combine(mask, moves)`` over the faces at and above ``tree``'s face,
+    where ``moves`` lists ``(label, vertex, result)`` per child in move order.
 
-    Each node is combined once, after its children.  An explicit stack walks
-    the children in move order and finishes each child's subtree before the
-    next, so the combines run in the order of a recursive depth-first walk.
+    The cover relation is derived once: faces in ascending mask order, each
+    appended to the child list of every face one vertex smaller, so every
+    child list comes out in vertex order.  Each face is combined once, after
+    its children.  An explicit stack walks the children in move order and
+    finishes each child's subtree before the next, so the combines run in the
+    order of a recursive depth-first walk.
     """
-    done: dict[GameTree, T] = {}
-    stack = [tree]
+    delta = tree.complex
+    move_of = {1 << i: (delta.part[v], v) for i, v in enumerate(delta.vertices)}
+    up: dict[int, list[int]] = {face: [] for face in delta.face_masks}
+    for face in sorted(up):
+        rest = face
+        while rest:
+            low = rest & -rest
+            up[face ^ low].append(face)
+            rest ^= low
+    done: dict[int, T] = {}
+    stack = [tree.mask]
     while stack:
-        node = stack[-1]
-        if node in done:
+        mask = stack[-1]
+        if mask in done:
             stack.pop()
             continue
-        todo = [child for _, _, child in reversed(node.children) if child not in done]
+        kids = up.get(mask, ())
+        todo = [child for child in reversed(kids) if child not in done]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
-        done[node] = combine(node, [done[child] for _, _, child in node.children])
-    return done[tree]
+        done[mask] = combine(mask, [(*move_of[child ^ mask], done[child]) for child in kids])
+    return done[tree.mask]
 
 
 def trees_isomorphic(t1: GameTree, t2: GameTree) -> bool:
@@ -103,8 +126,8 @@ def trees_isomorphic(t1: GameTree, t2: GameTree) -> bool:
     """
     codes: dict[tuple, int] = {}
 
-    def code(node: GameTree, kids: list[int]) -> int:
-        key = tuple(sorted(zip((label for label, _, _ in node.children), kids)))
+    def code(_: int, moves: list[Move]) -> int:
+        key = tuple(sorted((label, kid) for label, _, kid in moves))
         return codes.setdefault(key, len(codes))
 
     return fold(t1, code) == fold(t2, code)
@@ -120,11 +143,11 @@ def tree_to_dot(t: GameTree, name: str = "tree") -> str:
     lines = [f"digraph {name} {{", "  node [shape=circle, label=\"\"];"]
     ids = count()
 
-    def emit(node: GameTree, kids: list[int]) -> int:
+    def emit(mask: int, moves: list[Move]) -> int:
         my_id = next(ids)
-        face = ",".join(sorted(node.face)) or "{}"
+        face = ",".join(sorted(t.complex.face_names(mask))) or "{}"
         lines.append(f'  n{my_id} [tooltip="{face}"];')
-        for (label, vertex, _), child_id in zip(node.children, kids):
+        for label, vertex, child_id in moves:
             color = "blue" if label == "L" else "red"
             lines.append(f'  n{my_id} -> n{child_id} [color={color}, label="{vertex}"];')
         return my_id
@@ -264,9 +287,9 @@ def canonical_value(delta: LabeledComplex) -> CanonicalValue:
     return fold(build_tree(delta), _value_of)
 
 
-def _value_of(node: GameTree, values: list[CanonicalValue]) -> CanonicalValue:
-    left = [g for (label, _, _), g in zip(node.children, values) if label == "L"]
-    right = [g for (label, _, _), g in zip(node.children, values) if label == "R"]
+def _value_of(_: int, moves: list[Move]) -> CanonicalValue:
+    left = [g for label, _, g in moves if label == "L"]
+    right = [g for label, _, g in moves if label == "R"]
     return make_value(left, right)
 
 

@@ -184,6 +184,26 @@ def test_gamma_spec_tokens(run, tmp_path):
     assert code == 0 and "illegal ideal:" in out
 
 
+@pytest.mark.parametrize("label", ["1e400", "2.7", "true"])
+def test_labeling_labels_must_be_json_integers(run, tmp_path, label):
+    """A label that is not a JSON integer is bad input (exit 2): 1e400 used to
+    end in an OverflowError, 2.7 was read as 2 and true as 1."""
+    p3 = write_complex(tmp_path / "p3.json", P3)
+    lab = tmp_path / "lab.json"
+    lab.write_text(f'[{{"edge": ["a", "b"], "label": {label}}}, {{"edge": ["b", "c"], "label": 1}}]')
+    spec = f"gamma:{p3}:{lab}"
+    out_dir = tmp_path / "artifacts"
+    for argv in (
+        ("game", "value", "--ruleset", spec, "--board", "path:2"),
+        ("game", "value", "--ruleset", "snort", "--board", spec),
+        ("construct", "illegal", "--complex", p3, "--labeling", str(lab), "--out-dir", str(out_dir)),
+    ):
+        code, out, err = run(*argv)
+        assert code == 2, argv
+        assert "labelings are lists of" in err and out == "", argv
+    assert not out_dir.exists()
+
+
 def test_dry_run_skips_work(run, tmp_path):
     out_dir = tmp_path / "artifacts"
     code, out, _ = run(

@@ -212,6 +212,48 @@ def test_board_cap():
     assert len(a.index) == 4
 
 
+def _counting(game):
+    calls = [0]
+
+    def legal(b, pos):
+        calls[0] += 1
+        return game.legal(b, pos)
+
+    return dataclasses.replace(game, legal=legal), calls
+
+
+SHORTHANDS = (legal_complex, illegal_complex, legal_ideal, illegal_ideal)
+
+
+def test_shorthands_share_one_analysis_per_board():
+    game, calls = _counting(nogo())
+    analyze(game, build_grid(2, 3))
+    once = calls[0]
+    assert once > 0
+    brd = build_grid(2, 3)
+    calls[0] = 0
+    for shorthand in SHORTHANDS:
+        shorthand(game, brd)
+    assert calls[0] == once
+    # another game object, another cap, then the first game again: each analyses
+    other, other_calls = _counting(nogo())
+    for shorthand in SHORTHANDS:
+        shorthand(other, brd)
+    assert other_calls[0] == once
+    for shorthand in SHORTHANDS:
+        shorthand(game, brd, cap=30)
+    assert calls[0] == 2 * once
+    legal_complex(game, brd)
+    assert calls[0] == 3 * once
+
+
+def test_shorthands_store_no_failed_analysis():
+    game, brd = nogo(), build_grid(2, 3)
+    for shorthand in SHORTHANDS + SHORTHANDS:
+        with pytest.raises(BoardTooLarge):
+            shorthand(game, brd, cap=4)
+
+
 # ---------------------------------------------------------------------------
 # The closure against brute force
 

@@ -5,7 +5,8 @@ import os
 import random
 import subprocess
 import sys
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from spg.gametree import (
     ZERO,
     build_tree,
     canonical_value,
+    fold,
     game_add,
     le,
     legal_iso_iff_tree_iso,
@@ -88,6 +90,68 @@ def test_tree_counts_match_oracle_on_corpus():
 def test_tree_children_are_sorted_moves():
     t = build_tree(LSHAPE_DELTA)
     assert [(p, v) for p, v, _ in t.children] == [("L", "x1"), ("L", "x2"), ("R", "y3")]
+
+
+@dataclass(frozen=True, eq=False)
+class NodeTree:
+    """A node object per face, as trees were built before they became views."""
+
+    face: frozenset
+    children: tuple
+
+    @cached_property
+    def node_count(self) -> int:
+        return 1 + sum(child.node_count for _, _, child in self.children)
+
+
+def node_tree(delta) -> NodeTree:
+    moves = [(1 << i, delta.part[v], v) for i, v in enumerate(delta.vertices)]
+    nodes: dict[int, NodeTree] = {}
+    for mask in sorted(delta.face_masks, key=int.bit_count, reverse=True):
+        kids = tuple(
+            (label, v, nodes[mask | b]) for b, label, v in moves if not mask & b and mask | b in nodes
+        )
+        nodes[mask] = NodeTree(delta.face_names(mask), kids)
+    return nodes[0] if nodes else NodeTree(frozenset(), ())
+
+
+def assert_view_matches_nodes(delta) -> None:
+    """At every face: the same face, the same moves in order, the same count
+    of the unfolded subtree."""
+    stack, seen = [(build_tree(delta), node_tree(delta))], set()
+    while stack:
+        view, node = stack.pop()
+        if node.face in seen:
+            continue
+        seen.add(node.face)
+        assert view.face == node.face, delta
+        assert [m[:2] for m in view.children] == [m[:2] for m in node.children], delta
+        assert view.node_count == node.node_count, delta
+        stack.extend((v, n) for (_, _, v), (_, _, n) in zip(view.children, node.children))
+    assert len(seen) == max(len(delta.face_masks), 1)
+    # the fold combines in the post-order of a recursive walk of the node tree
+    want: list = []
+    done: set = set()
+
+    def post_order(node: NodeTree) -> None:
+        for _, _, child in node.children:
+            if child.face not in done:
+                post_order(child)
+        done.add(node.face)
+        want.append((node.face, [m[:2] for m in node.children]))
+
+    post_order(node_tree(delta))
+    got: list = []
+    fold(build_tree(delta), lambda mask, moves: got.append((delta.face_names(mask), [m[:2] for m in moves])))
+    assert got == want, delta
+
+
+def test_tree_views_match_node_trees():
+    for delta in all_labeled_complexes("abcd"):
+        assert_view_matches_nodes(delta)
+    rng = random.Random(2024)
+    for _ in range(100):
+        assert_view_matches_nodes(random_complex(rng, 6))
 
 
 def test_trees_isomorphic_under_relabel():
