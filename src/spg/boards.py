@@ -2,26 +2,51 @@
 
 Boards carry integer vertex ids, optional grid coordinates, and optional
 role labels produced by the cycle constructions.  Each board also keeps the
-memos computed from it (neighbour sets, components, set distances, and the
-last game analysis made by the ``engine`` shorthands), so they are freed with
-the board.  Pieces are connected graphs owned by one player; a
-placement is the vertex image of an embedding of a piece into a board.
+memos computed from it (neighbour sets, components, cut-vertex sides, set
+distances, and the last game analysis made by the ``engine`` shorthands), so
+they are freed with the board.  Pieces are connected graphs owned by one
+player; a placement is the vertex image of an embedding of a piece into a
+board.
 
 Embeddings are not-necessarily-induced (or, on request, induced) subgraph
-embeddings found by one iterative backtracking search: a static vertex order,
-an explicit stack of candidate lists drawn from the board's sorted neighbour
-tuples, and no recursion, so pattern size is not bounded by Python's
-recursion limit.  For placements the search is symmetry-broken: the piece's
-automorphisms (found by embedding the piece into itself) give Grochow-Kellis
-conditions ``image[a] < image[b]`` that keep one embedding per automorphism
-class, and the occupied sets are then deduplicated.
+embeddings found by one iterative backtracking search: an explicit stack of
+candidate lists drawn from the board's sorted neighbour tuples, and no
+recursion, so pattern size is not bounded by Python's recursion limit.  What
+the search needs to know about its pattern is a ``_SearchPlan``, made once
+per pattern and memoised on the piece: the static vertex order, the earlier
+neighbours, degree needs and symmetry conditions of each position, and two
+look-ahead tables.  With them the search drops, in the spirit of VF2's
+look-ahead (Cordella et al., 2004), candidates that cannot complete:
+
+* distance rule: an embedding never stretches distances, so a candidate
+  farther (on the board) from the root's image than its pattern vertex is
+  from the root cannot be part of one;
+* cut-vertex rule: the not yet mapped pattern vertices joined to a
+  candidate's vertex map to a connected set avoiding the used vertices, so
+  they fit into the side of a used cut vertex that holds the candidate.
+
+A rule is checked only at the positions where the plan cannot prove it
+implied by adjacency or by the degree filter (the cut-vertex rule also not
+where it could cut only a dead end at most a degree deep), and the board
+data it reads (a breadth-first search per root image, the cut-vertex sides)
+is made when a check first needs it: single vertices, dominoes and the
+table games' 3- and 4-cycles pay nothing.  Both rules cut dead branches
+only, so the embeddings and their order are those of the search without
+them.
+
+For placements the search is symmetry-broken: the piece's automorphisms
+(found by embedding the piece into itself) give Grochow-Kellis conditions
+``image[a] < image[b]`` that keep one embedding per automorphism class, and
+the occupied sets are then deduplicated.  The distance-game pieces are shared
+per ``(n, player)``, so their automorphisms and plans are found once per
+process.
 """
 from __future__ import annotations
 
 import heapq
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .complexes import LabeledComplex, has_isolated_vertex
@@ -89,6 +114,65 @@ class Board:
             if all(len(self._adj[v]) == 2 for v in comp):
                 out.setdefault(len(comp), []).append(comp)
         return {n: tuple(comps) for n, comps in out.items()}
+
+    @cached_property
+    def _cut_sides(self) -> dict[int, dict[int, int]]:
+        """For each cut vertex ``c``: neighbour ``w`` -> the number of vertices
+        of the component of ``board - c`` that holds ``w``.
+
+        One iterative depth-first search per component (Hopcroft-Tarjan).  A
+        child ``u`` of ``c`` whose subtree reaches no higher than ``c``
+        (``low[u] >= disc[c]``) is cut off by ``c``, with its subtree; the
+        subtree's discovery numbers run from ``disc[u]`` for ``size[u]``.  The
+        rest of the component minus ``c`` is one more side.  A root is a cut
+        vertex when it has two children or more.
+        """
+        adj = self._adj
+        disc: dict[int, int] = {}
+        low: dict[int, int] = {}
+        size: dict[int, int] = {}
+        out: dict[int, dict[int, int]] = {}
+        t = 0
+        for root in self.vertices:
+            if root in disc:
+                continue
+            first = t
+            cut_off: dict[int, list[int]] = {}
+            disc[root] = low[root] = t
+            t += 1
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                v, it = stack[-1]
+                for w in it:
+                    if w not in disc:
+                        disc[w] = low[w] = t
+                        t += 1
+                        stack.append((w, iter(adj[w])))
+                        break
+                    # the tree edge to the parent counts too: it lowers
+                    # low[v] to disc[parent] at most, which the cut test allows
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    stack.pop()
+                    size[v] = t - disc[v]
+                    if stack:
+                        up = stack[-1][0]
+                        if low[v] < low[up]:
+                            low[up] = low[v]
+                        elif low[v] >= disc[up]:
+                            cut_off.setdefault(up, []).append(v)
+            for c, kids in cut_off.items():
+                if c == root and len(kids) < 2:
+                    continue
+                rest = t - first - 1 - sum(size[u] for u in kids)
+                sides = dict.fromkeys(adj[c], rest)
+                for u in kids:
+                    for w in adj[c]:
+                        if disc[u] <= disc[w] < disc[u] + size[u]:
+                            sides[w] = size[u]
+                out[c] = sides
+        return out
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -186,13 +270,14 @@ def disjoint_union(*boards: Board) -> Board:
 @dataclass(frozen=True, eq=False)
 class Piece:
     """A connected graph shape owned by one player.  It memoises the
-    symmetry-breaking conditions of its placement search."""
+    symmetry-breaking conditions and the plan of its placement search."""
 
     player: str
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
     _adj: dict = field(init=False, repr=False)
     _conditions: Optional[list] = field(init=False, repr=False, default=None)
+    _plan: Optional[_SearchPlan] = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         if self.player not in ("L", "R"):
@@ -306,6 +391,98 @@ def _search_order(vertices: Sequence[int], adj: Mapping[int, tuple[int, ...]]) -
     return order
 
 
+class _SearchPlan:
+    """Everything an embedding search needs to know about its pattern, worked
+    out once per pattern and set of conditions.  Per position ``i`` of the
+    static order:
+
+    * ``earlier[i]``: the positions of the neighbours that come earlier;
+    * ``need[i]``: the pattern degree, a lower bound on the image's degree;
+    * ``above[i]``/``below[i]``: positions whose images must stay under /
+      exceed the image at ``i`` (the symmetry conditions);
+    * ``root_dist[i]``: the pattern distance to the root, ``order[0]``, when
+      the distance rule is checked here (else ``None``); ``reach`` is the
+      largest, the radius of the board search around the root's image;
+    * ``rest[i]``: the size of the component of ``order[i]`` among the
+      vertices not yet mapped, ``order[i:]``, when the cut-vertex rule is
+      checked here (else 0).
+    """
+
+    __slots__ = ("order", "earlier", "need", "above", "below", "root_dist", "rest", "reach")
+
+    def __init__(
+        self,
+        vertices: Sequence[int],
+        adj: Mapping[int, tuple[int, ...]],
+        conditions: Iterable[tuple[int, int]] = (),
+    ) -> None:
+        order = _search_order(vertices, adj)
+        k = len(order)
+        pos = {v: i for i, v in enumerate(order)}
+        self.order = order
+        self.earlier = earlier = [tuple(pos[w] for w in adj[v] if pos[w] < i) for i, v in enumerate(order)]
+        self.need = need = [len(adj[v]) for v in order]
+        self.above: list[tuple[int, ...]] = [()] * k
+        self.below: list[tuple[int, ...]] = [()] * k
+        for a, b in conditions:
+            ia, ib = pos[a], pos[b]
+            if ia < ib:
+                self.above[ib] += (ia,)
+            else:
+                self.below[ia] += (ib,)
+        # pattern distances to the root, by breadth-first search
+        dist = [-1] * k
+        if k:
+            dist[0] = 0
+            frontier = [0]
+            while frontier:
+                nxt = []
+                for i in frontier:
+                    for w in adj[order[i]]:
+                        j = pos[w]
+                        if dist[j] < 0:
+                            dist[j] = dist[i] + 1
+                            nxt.append(j)
+                frontier = nxt
+        # the image of an earlier neighbour at pattern distance d - 1 already
+        # lies within d - 1 of the root's image, so adjacency implies the rule
+        self.root_dist: list[Optional[int]] = [
+            dist[i] if dist[i] > 0 and all(dist[j] != dist[i] - 1 for j in earlier[i]) else None
+            for i in range(k)
+        ]
+        self.reach = max((d for d in self.root_dist if d is not None), default=0)
+        # component sizes among order[i:], adding positions from the back
+        # into a union-find
+        parent = list(range(k))
+        size = [1] * k
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        rest = [0] * k
+        for i in range(k - 1, -1, -1):
+            for w in adj[order[i]]:
+                if pos[w] < i:
+                    continue
+                a, b = find(i), find(pos[w])
+                if a != b:
+                    if size[a] < size[b]:
+                        a, b = b, a
+                    parent[b] = a
+                    size[a] += size[b]
+            # the side holding a candidate holds its other neighbours too, so
+            # after the degree filter it has need[i] vertices at least.  With
+            # one vertex more the rule could cut only a side made of exactly
+            # those, a dead end the search leaves within need[i] positions;
+            # not checking it spares the 4-cycle piece a cut-vertex table
+            r = size[find(i)]
+            rest[i] = r if i and r > need[i] + 1 else 0
+        self.rest = rest
+
+
 def _embeddings(
     p_vertices: Sequence[int],
     p_adj: Mapping[int, tuple[int, ...]],
@@ -314,38 +491,67 @@ def _embeddings(
     deadline: float | None = None,
     conditions: Iterable[tuple[int, int]] = (),
 ) -> Iterator[dict[int, int]]:
-    """Yield every embedding of the pattern into the target board.
+    """Yield every embedding of the pattern into the target board, in the
+    order and under the rules of :func:`_search`, with conditions
+    ``image[a] < image[b]`` for each ``(a, b)`` in ``conditions``.
+
+    The search plan is made for this one call; pieces memoise theirs and
+    ``induced_embeddings`` makes one per pattern component.
+    """
+    return _search(_SearchPlan(p_vertices, p_adj, conditions), target, induced, deadline)
+
+
+def _search(
+    plan: _SearchPlan,
+    target: Board,
+    induced: bool = False,
+    deadline: float | None = None,
+) -> Iterator[dict[int, int]]:
+    """Yield every embedding of the plan's pattern into the target board.
 
     Pattern edges must map to target edges; with ``induced`` pattern non-edges
-    must map to target non-edges as well.  Each ``(a, b)`` in ``conditions``
-    keeps only the embeddings with ``image[a] < image[b]``; it is checked when
-    the later of ``a`` and ``b`` in the search order is mapped.  Connected
-    patterns only.  Embeddings come in lexicographic order of their images
-    along the search order.
+    must map to target non-edges as well.  Each ``(a, b)`` among the plan's
+    conditions keeps only the embeddings with ``image[a] < image[b]``; it is
+    checked when the later of ``a`` and ``b`` in the search order is mapped.
+    Connected patterns only.  Embeddings come in lexicographic order of their
+    images along the search order.
+
+    Two look-ahead rules drop candidates that cannot complete, so they change
+    nothing that is yielded:
+
+    * distance rule: an embedding never stretches distances, so a candidate
+      farther from the root's image on the board than its vertex is from the
+      root in the pattern is dropped (one breadth-first search per root
+      image, to the plan's ``reach``);
+    * cut-vertex rule: the unmapped component of a candidate's vertex maps
+      to a connected set avoiding used vertices, so it must fit into the side
+      of each used cut vertex the candidate is entered from
+      (``Board._cut_sides``).
+
+    Each rule is checked only at the positions the plan marks, and its board
+    data is made when a marked position is first reached.  The deadline is
+    polled when the search starts and every 2,048 nodes.
     """
-    if not p_vertices:
+    order = plan.order
+    k = len(order)
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded("embedding search ran past its deadline")
+    if not k:
         yield {}
         return
-    order = _search_order(p_vertices, p_adj)
-    k = len(order)
-    pos = {v: i for i, v in enumerate(order)}
-    # for each position, the positions of the neighbours that come earlier
-    earlier = [[pos[w] for w in p_adj[v] if pos[w] < i] for i, v in enumerate(order)]
-    need = [len(p_adj[v]) for v in order]
-    above: list[list[int]] = [[] for _ in order]  # image must exceed theirs
-    below: list[list[int]] = [[] for _ in order]  # image must stay under theirs
-    for a, b in conditions:
-        ia, ib = pos[a], pos[b]
-        if ia < ib:
-            above[ib].append(ia)
-        else:
-            below[ia].append(ib)
+    earlier, need, above, below = plan.earlier, plan.need, plan.above, plan.below
+    root_dist, rest = plan.root_dist, plan.rest
     t_adj, t_nbrs = target._adj, target._nbrs
     t_deg = {v: len(nbrs) for v, nbrs in t_adj.items()}
     image: list[int] = [0] * k
     used: set[int] = set()
+    near: dict[int, int] = {}  # board distances from ``near_root``
+    near_root: int | None = None
+    far = plan.reach + 1  # farther than any distance the rule compares
+    cut_sides: dict[int, dict[int, int]] | None = None
 
     def candidates(i: int) -> list[int]:
+        nonlocal near, near_root, cut_sides
         prior = earlier[i]
         if len(prior) == 1:
             base: Iterable[int] = t_adj[image[prior[0]]]
@@ -370,6 +576,20 @@ def _embeddings(
             # candidate, so any further used neighbour is the image of an
             # earlier non-neighbour
             out = [w for w in out if sum(1 for x in t_adj[w] if x in used) == len(prior)]
+        limit = root_dist[i]
+        if limit is not None and out:
+            if near_root != image[0]:
+                near_root = image[0]
+                near = _ball(target, near_root, plan.reach)
+            out = [w for w in out if near.get(w, far) <= limit]
+        r = rest[i]
+        if r and out:
+            if cut_sides is None:
+                cut_sides = target._cut_sides
+            for j in prior:
+                sides = cut_sides.get(image[j])
+                if sides is not None:
+                    out = [w for w in out if sides[w] >= r]
         return out
 
     # stack[i] iterates the candidates for position i; ``used`` holds the
@@ -395,6 +615,24 @@ def _embeddings(
             stack.append(iter(candidates(i + 1)))
 
 
+def _ball(b: Board, root: int, radius: int) -> dict[int, int]:
+    """Board distances from ``root`` to every vertex within ``radius``."""
+    adj = b._adj
+    dist = {root: 0}
+    frontier = [root]
+    for d in range(1, radius + 1):
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        if not nxt:
+            break
+        frontier = nxt
+    return dist
+
+
 def _symmetry_conditions(piece: Piece, deadline: float | None = None) -> list[tuple[int, int]]:
     """Conditions ``image[a] < image[b]`` under which exactly one embedding
     of each class of embeddings equal up to an automorphism of the pattern
@@ -404,10 +642,10 @@ def _symmetry_conditions(piece: Piece, deadline: float | None = None) -> list[tu
     stabiliser chain whose base follows the search order, each base vertex
     must take the smallest image of its orbit under the current stabiliser.
     """
-    own = board(piece.vertices, piece.edges)
-    autos = list(_embeddings(piece.vertices, piece._adj, own, deadline=deadline))
+    plan = _SearchPlan(piece.vertices, piece._adj)
+    autos = list(_search(plan, board(piece.vertices, piece.edges), deadline=deadline))
     conditions: list[tuple[int, int]] = []
-    for v in _search_order(piece.vertices, piece._adj):
+    for v in plan.order:
         if len(autos) == 1:
             break
         orbit = sorted({a[v] for a in autos} - {v})
@@ -419,11 +657,11 @@ def _symmetry_conditions(piece: Piece, deadline: float | None = None) -> list[tu
 def piece_placements(target: Board, piece: Piece, deadline: float | None = None) -> tuple[Placement, ...]:
     """All distinct occupied sets realising the piece on the board, in
     canonical (sorted occupied tuple) order."""
-    if piece._conditions is None:
-        object.__setattr__(piece, "_conditions", _symmetry_conditions(piece, deadline))
-    images: set[frozenset[int]] = set()
-    for emb in _embeddings(piece.vertices, piece._adj, target, deadline=deadline, conditions=piece._conditions):
-        images.add(frozenset(emb.values()))
+    if piece._plan is None:
+        conditions = _symmetry_conditions(piece, deadline)
+        object.__setattr__(piece, "_conditions", conditions)
+        object.__setattr__(piece, "_plan", _SearchPlan(piece.vertices, piece._adj, conditions))
+    images = {frozenset(emb.values()) for emb in _search(piece._plan, target, deadline=deadline)}
     return tuple(placement(piece.player, img) for img in sorted(images, key=sorted))
 
 
@@ -437,20 +675,21 @@ def induced_embeddings(
     """Embeddings of an induced pattern (vertices plus exact edge set) into the
     board, non-edges required to stay non-edges.  Disconnected patterns are
     handled component by component with a cross-component non-adjacency check."""
-    comps = _components_of(sub_vertices, sub_edges)
     sub_adj = _adjacency(sub_vertices, sub_edges)
+    plans = [
+        _SearchPlan(sorted(comp), {v: tuple(w for w in sub_adj[v] if w in comp) for v in comp})
+        for comp in _components_of(sub_vertices, sub_edges)
+    ]
     t_adj = target._nbrs
     results: list[dict[int, int]] = []
 
     def place(ci: int, acc: dict[int, int]) -> None:
         if limit is not None and len(results) >= limit:
             return
-        if ci == len(comps):
+        if ci == len(plans):
             results.append(dict(acc))
             return
-        comp = sorted(comps[ci])
-        comp_adj = {v: tuple(w for w in sub_adj[v] if w in comps[ci]) for v in comp}
-        for emb in _embeddings(comp, comp_adj, target, induced=True, deadline=deadline):
+        for emb in _search(plans[ci], target, induced=True, deadline=deadline):
             vals = set(emb.values())
             if vals & set(acc.values()):
                 continue
@@ -648,9 +887,13 @@ def assembly_board(name: str, part: str, n: int) -> Board:
     return board(range(count), edges, cycle_labels=labels)
 
 
+@lru_cache(maxsize=8)
 def gamma_piece(n: int, player: str) -> Piece:
     """The piece played by ``player`` in the distance game for an n-vertex
-    illegal complex: an (n**4+4 or +5)-cycle with n-1 inner n**3 cycles."""
+    illegal complex: an (n**4+4 or +5)-cycle with n-1 inner n**3 cycles.
+
+    One shared piece per ``(n, player)``, so its symmetry conditions and
+    search plan are worked out once per process."""
     if n < 2:
         raise ValueError("distance-game pieces need n >= 2")
     return ringed_cycle_piece(n**4 + OUTER_EXTRA[player], n**3, n - 1, player)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -568,6 +569,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_seconds(text: str) -> float:
+    """argparse type of time budgets: a finite number of seconds above 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number of seconds, got {text}")
+    return value
+
+
 # Every flag's argparse keyword arguments; the destination is the flag's name.
 _OPTIONS: dict[str, dict] = {
     "--complex": dict(required=True, metavar="FILE", help="labeled complex JSON file"),
@@ -587,7 +596,7 @@ _OPTIONS: dict[str, dict] = {
     "--skip-verify": dict(action="store_true"),
     "--max-n": dict(type=positive_int, default=3, metavar="N",
                     help="largest distance-game vertex count to verify"),
-    "--time-cap": dict(type=float, default=600.0, metavar="SECONDS",
+    "--time-cap": dict(type=positive_seconds, default=600.0, metavar="SECONDS",
                        help="verification time budget"),
     "--cap": dict(type=positive_int, default=DEFAULT_CAP, metavar="N",
                   help="refuse boards with more than N basic positions"),

@@ -151,6 +151,8 @@ class GameAnalysis:
 
     Sets of basic positions are kept as ints (bit i is basic position i);
     ``legal``, ``minimal_illegal`` and ``maximal_legal`` name them when read.
+    The complex and ideal methods name the sets they need without caching
+    the names, so an analysis kept on a board holds masks only.
     """
 
     index: BasicPositionIndex
@@ -183,19 +185,19 @@ class GameAnalysis:
 
     def legal_complex(self) -> LabeledComplex:
         """Faces are the legal positions.  Always contains the empty position."""
-        return from_facets(self.maximal_legal, self.index.part_map())
+        return from_facets(self._named(self.maximal_masks), self.index.part_map())
 
     def legal_ideal(self) -> SquareFreeIdeal:
         """Generated by the maximal legal positions, over all basic positions."""
-        return ideal(self.index.names, self.index.part_map(), self.maximal_legal)
+        return ideal(self.index.names, self.index.part_map(), self._named(self.maximal_masks))
 
     def illegal_complex(self) -> LabeledComplex:
         """Facets are the minimal illegal positions; void when nothing is illegal."""
-        return from_facets(self.minimal_illegal, self.index.part_map())
+        return from_facets(self._named(self.minimal_masks), self.index.part_map())
 
     def illegal_ideal(self) -> SquareFreeIdeal:
         """Generated by the minimal illegal positions, over all basic positions."""
-        return ideal(self.index.names, self.index.part_map(), self.minimal_illegal)
+        return ideal(self.index.names, self.index.part_map(), self._named(self.minimal_masks))
 
 
 def _extends(s: int, free: int, family: frozenset[int]) -> bool:

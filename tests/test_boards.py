@@ -6,11 +6,13 @@ from itertools import combinations, permutations
 
 import pytest
 
+from spg import boards as boards_module
 from spg.boards import (
     OUTER_EXTRA,
     BudgetExceeded,
     Piece,
     _embeddings,
+    _search_order,
     _symmetry_conditions,
     assembly_board,
     assembly_regions,
@@ -35,6 +37,7 @@ from spg.boards import (
     induced_embeddings,
     piece_placements,
     placement,
+    ringed_cycle_piece,
     vertex_piece,
 )
 from spg.complexes import from_facets
@@ -214,6 +217,140 @@ def test_embedding_deadline_raises():
     # search must be big enough to reach the first poll
     with pytest.raises(BudgetExceeded):
         piece_placements(build_cycle(240), cycle_piece(24, "L"), deadline=time.monotonic() - 1)
+
+
+def reference_embeddings(p_vertices, p_adj, target, induced=False, conditions=()):
+    """The embedding search without look-ahead: the same static order,
+    candidate filters and yield order, and no pruning rule."""
+    order = _search_order(p_vertices, p_adj)
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [[pos[w] for w in p_adj[v] if pos[w] < i] for i, v in enumerate(order)]
+    above = [[] for _ in order]
+    below = [[] for _ in order]
+    for a, c in conditions:
+        if pos[a] < pos[c]:
+            above[pos[c]].append(pos[a])
+        else:
+            below[pos[a]].append(pos[c])
+    image, used = [0] * len(order), set()
+
+    def candidates(i):
+        prior = earlier[i]
+        base = target.neighbors(image[prior[0]]) if prior else target.vertices
+        base = [w for w in base if all(w in target._nbrs[image[j]] for j in prior)]
+        out = [w for w in base if w not in used and target.degree(w) >= len(p_adj[order[i]])]
+        out = [w for w in out if all(w > image[j] for j in above[i]) and all(w < image[j] for j in below[i])]
+        if induced:
+            out = [w for w in out if sum(1 for x in target.neighbors(w) if x in used) == len(prior)]
+        return out
+
+    stack = [iter(candidates(0))]
+    while stack:
+        i = len(stack) - 1
+        w = next(stack[i], None)
+        if w is None:
+            stack.pop()
+            if i:
+                used.remove(image[i - 1])
+            continue
+        image[i] = w
+        if i + 1 == len(order):
+            yield dict(zip(order, image))
+        else:
+            used.add(w)
+            stack.append(iter(candidates(i + 1)))
+
+
+def assert_same_search(piece, b, conditions):
+    """Identical yield sequences, map by map and in order, with and without
+    the symmetry conditions and for induced and non-induced search."""
+    for induced in (False, True):
+        for conds in ((), conditions):
+            want = list(reference_embeddings(piece.vertices, piece._adj, b, induced, conds))
+            got = list(_embeddings(piece.vertices, piece._adj, b, induced=induced, conditions=conds))
+            assert got == want, (piece, b.edges, induced, conds)
+
+
+def random_sparse_board(rng, n):
+    """A random tree plus a few extra edges, so that cut vertices are common."""
+    ids = rng.sample(range(3 * n), n)
+    edges = {(ids[rng.randrange(i)], ids[i]) for i in range(1, n)}
+    edges |= {(ids[a], ids[c]) for a, c in combinations(range(n), 2) if rng.random() < 1.5 / n}
+    return board(ids, edges)
+
+
+SEARCH_PATTERNS = [
+    STAR, PATH3, cycle_piece(3, "L"), cycle_piece(4, "R"), cycle_piece(5, "L"), domino_piece("R"),
+    Piece("L", tuple(range(5)), frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})),
+    ringed_cycle_piece(4, 3, 1, "L"), ringed_cycle_piece(5, 3, 2, "R"),
+]
+
+
+@pytest.mark.parametrize("piece", SEARCH_PATTERNS, ids=repr)
+def test_search_yields_as_the_reference_on_random_boards(piece):
+    conditions = _symmetry_conditions(piece)
+    rng = random.Random(19)
+    for _ in range(25):
+        assert_same_search(piece, random_board(rng, rng.randint(3, 8), rng.choice((0.3, 0.5))), conditions)
+        assert_same_search(piece, random_sparse_board(rng, rng.randint(4, 14)), conditions)
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        from_facets([["a", "b"]], {"a": "L", "b": "R"}),
+        from_facets([["a", "b", "c"]], {"a": "L", "b": "R", "c": "R"}),
+        P3_GAMMA,
+    ],
+    ids=["edge", "triangle", "path"],
+)
+def test_search_yields_as_the_reference_on_gamma_boards(gamma):
+    n = len(gamma.vertices)
+    rng = random.Random(23 + n)
+    for base in (gamma_board(gamma), disjoint_union(assembly_board("z", "L", n), gamma_board(gamma))):
+        ids = rng.sample(range(2 * len(base.vertices)), len(base.vertices))
+        b = board(ids, [(ids[u], ids[v]) for u, v in base.edges])
+        for player in ("L", "R"):
+            piece = gamma_piece(n, player)
+            assert_same_search(piece, b, _symmetry_conditions(piece))
+
+
+def test_cut_sides_match_brute_force():
+    rng = random.Random(5)
+    for _ in range(60):
+        b = random_sparse_board(rng, rng.randint(1, 14))
+        want = {}
+        for c in b.vertices:
+            rest = board([v for v in b.vertices if v != c], [e for e in b.edges if c not in e])
+            side = {v: comp for comp in components(rest) for v in comp}
+            if len({side[w] for w in b.neighbors(c)}) > 1:
+                want[c] = {w: len(side[w]) for w in b.neighbors(c)}
+        assert b._cut_sides == want
+
+
+def test_gamma_piece_is_shared_and_plans_once(monkeypatch):
+    piece = gamma_piece(3, "L")
+    assert piece is gamma_piece(3, "L")
+    free = assembly_board("z", "L", 3)
+    first = piece_placements(free, piece)
+    conditions, plan = piece._conditions, piece._plan
+    assert conditions is not None and plan is not None
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("symmetry conditions computed twice")
+
+    monkeypatch.setattr(boards_module, "_symmetry_conditions", recompute)
+    assert piece_placements(free, piece) == first
+    assert piece._conditions is conditions and piece._plan is plan
+
+
+def test_budget_exceeded_caches_no_conditions():
+    piece = ringed_cycle_piece(6, 3, 2, "L")
+    with pytest.raises(BudgetExceeded):
+        piece_placements(build_cycle(5), piece, deadline=time.monotonic() - 1)
+    assert piece._conditions is None and piece._plan is None
+    free = board(piece.vertices, piece.edges)
+    assert [p.occupied for p in piece_placements(free, piece)] == [frozenset(piece.vertices)]
 
 
 def test_induced_embeddings_on_cycle():

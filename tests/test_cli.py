@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -380,3 +384,24 @@ def test_dry_run_on_every_subcommand(run, tmp_path, command):
     missing = str(tmp_path / "missing.json")
     code, out, err = run(*_dry_run_argv(command, missing, missing, str(tmp_path / "out")))
     assert code == 2 and "cannot read" in err and out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_time_cap_must_be_positive_and_finite(capsys, tmp_path, value):
+    argv = ["verify", "illegal", "--complex", write_complex(tmp_path / "p3.json", P3), "--time-cap", value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--time-cap: must be a positive finite number of seconds" in err and "Traceback" not in err
+
+
+def test_python_dash_m_spg_runs(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spg", "--help"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: spg")

@@ -247,6 +247,17 @@ def test_shorthands_share_one_analysis_per_board():
     assert calls[0] == 3 * once
 
 
+def test_analysis_kept_on_the_board_holds_no_name_sets():
+    game, brd = nogo(), build_grid(2, 3)
+    legal = legal_complex(game, brd)
+    illegal = illegal_complex(game, brd)
+    kept = brd._analysis[2]
+    assert not {"legal", "minimal_illegal", "maximal_legal"} & set(vars(kept))
+    # the names are still there when asked for
+    assert from_facets(kept.maximal_legal, kept.index.part_map()) == legal
+    assert from_facets(kept.minimal_illegal, kept.index.part_map()) == illegal
+
+
 def test_shorthands_store_no_failed_analysis():
     game, brd = nogo(), build_grid(2, 3)
     for shorthand in SHORTHANDS + SHORTHANDS:
