@@ -7,94 +7,3 @@ concrete rulesets, computes game trees and canonical values over them, and
 realises arbitrary labelled complexes as legal or illegal complexes of
 constructed games, with round-trip verifiers.
 """
-from .boards import (
-    Board,
-    BudgetExceeded,
-    Piece,
-    Placement,
-    assembly_regions,
-    board,
-    build_cycle,
-    build_grid,
-    build_path,
-    default_edge_labeling,
-    disjoint_union,
-    distance,
-    empty_board,
-    gamma_board,
-    grid_from_cells,
-    piece_placements,
-    placement,
-)
-from .complexes import (
-    LabeledComplex,
-    SquareFreeIdeal,
-    are_isomorphic,
-    dimension,
-    faces,
-    facet_complex,
-    facet_ideal,
-    from_facets,
-    has_isolated_vertex,
-    ideal,
-    independence_complex,
-    is_flag,
-    is_pure,
-    is_simplex,
-    k_skeleton,
-    minimal_nonfaces,
-    relabel,
-    sr_complex,
-    sr_ideal,
-    void_complex,
-)
-from .construct import (
-    Realization,
-    VerifyReport,
-    realize_both,
-    realize_illegal,
-    realize_legal,
-    to_independence,
-    to_invariant,
-    verify_roundtrip,
-)
-from .engine import (
-    BasicPositionIndex,
-    ConditionReport,
-    InvarianceReport,
-    basic_positions,
-    check_condition_iv,
-    check_invariance,
-    illegal_complex,
-    illegal_ideal,
-    legal_complex,
-    legal_ideal,
-)
-from .gametree import (
-    CanonicalValue,
-    GameTree,
-    build_tree,
-    canonical_value,
-    game_add,
-    legal_iso_iff_tree_iso,
-    le,
-    outcome,
-    trees_isomorphic,
-    value_str,
-)
-from .rulesets import (
-    Position,
-    Ruleset,
-    col,
-    domineering,
-    free_placement,
-    gamma_game,
-    id_sets,
-    nogo,
-    position,
-    snort,
-    table_game_illegal,
-    table_game_legal,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,12 +1,11 @@
 """Game boards (finite simple graphs), pieces, placements, and embeddings.
 
-Boards carry integer vertex ids, optional grid coordinates, and optional
-role labels produced by the cycle constructions.  Each board also keeps the
-memos computed from it (neighbour sets, components, cut-vertex sides, set
-distances, and the last game analysis made by the ``engine`` shorthands), so
-they are freed with the board.  Pieces are connected graphs owned by one
-player; a placement is the vertex image of an embedding of a piece into a
-board.
+Boards carry integer vertex ids and optional grid coordinates.  Each board
+also keeps the memos computed from it (neighbour sets, components,
+cut-vertex sides, set distances, and the last game analysis made by the
+``engine`` shorthands), so they are freed with the board.  Pieces are
+connected graphs owned by one player; a placement is the vertex image of an
+embedding of a piece into a board.
 
 Embeddings are not-necessarily-induced (or, on request, induced) subgraph
 embeddings found by one iterative backtracking search: an explicit stack of
@@ -70,7 +69,6 @@ class Board:
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
     coords: Optional[Mapping[int, tuple[int, int]]] = None
-    cycle_labels: Optional[Mapping[int, tuple]] = None
     _adj: dict = field(init=False, repr=False)
     _nbrs: dict = field(init=False, repr=False)
     _dist: dict = field(init=False, repr=False)
@@ -92,6 +90,8 @@ class Board:
             if len(set(vals)) != len(vals):
                 raise ValueError("coords are not injective")
             for a, b in self.edges:
+                if a not in self.coords or b not in self.coords:
+                    raise ValueError(f"edge ({a},{b}) has an endpoint without coords")
                 (ra, ca), (rb, cb) = self.coords[a], self.coords[b]
                 if abs(ra - rb) + abs(ca - cb) != 1:
                     raise ValueError(f"edge ({a},{b}) is not orthogonally adjacent in coords")
@@ -202,11 +202,10 @@ def board(
     vertices: Iterable[int],
     edges: Iterable[tuple[int, int]],
     coords: Mapping[int, tuple[int, int]] | None = None,
-    cycle_labels: Mapping[int, tuple] | None = None,
 ) -> Board:
     verts = tuple(sorted(set(vertices)))
     es = frozenset(_norm_edge(a, b) for a, b in edges)
-    return Board(verts, es, dict(coords) if coords else None, dict(cycle_labels) if cycle_labels else None)
+    return Board(verts, es, dict(coords) if coords else None)
 
 
 def empty_board() -> Board:
@@ -247,20 +246,17 @@ def grid_from_cells(cells: Sequence[tuple[int, int]]) -> Board:
 
 
 def disjoint_union(*boards: Board) -> Board:
-    """Relabel components to consecutive ids.  Coordinates are dropped; role
-    labels are kept (they describe structure, not ids)."""
+    """Relabel the boards to consecutive id ranges, in argument order and
+    each in vertex order.  Coordinates are dropped."""
     verts: list[int] = []
     edges: list[Edge] = []
-    labels: dict[int, tuple] = {}
     offset = 0
     for b in boards:
         remap = {v: offset + i for i, v in enumerate(b.vertices)}
         verts.extend(remap[v] for v in b.vertices)
         edges.extend((remap[a], remap[x]) for a, x in b.edges)
-        if b.cycle_labels:
-            labels.update({remap[v]: lab for v, lab in b.cycle_labels.items()})
         offset += len(b.vertices)
-    return board(verts, edges, cycle_labels=labels or None)
+    return board(verts, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -322,26 +318,26 @@ def cycle_piece(n: int, player: str) -> Piece:
     return Piece(player, tuple(range(n)), frozenset(_norm_edge(i, (i + 1) % n) for i in range(n)))
 
 
-def _cycle_with_attached_cycles(outer_len: int, inner_len: int, count: int):
-    """Raw graph data for a cycle with ``count`` inner cycles, one joined (by
-    vertex identification) to each of ``count`` consecutive outer vertices.
-
-    Returns (num_vertices, edges, attachment_ids); the attachment ids are the
-    consecutive outer vertices 0..count-1.
-    """
-    if count >= outer_len:
-        raise ValueError("more attachment vertices than outer cycle vertices")
+def _ringed_cycle(outer_len: int, inner_len: int, attach: Iterable[int]) -> tuple[int, list[Edge]]:
+    """Raw graph data for a cycle on ids 0..outer_len-1 with an inner
+    ``inner_len``-cycle joined (by vertex identification) to each outer
+    vertex in ``attach``; the other ring vertices follow, ring by ring.
+    Returns (number of vertices, edges)."""
     edges = [_norm_edge(i, (i + 1) % outer_len) for i in range(outer_len)]
     nxt = outer_len
-    for attach in range(count):
-        ring = [attach] + list(range(nxt, nxt + inner_len - 1))
+    for a in attach:
+        ring = [a, *range(nxt, nxt + inner_len - 1)]
         nxt += inner_len - 1
         edges.extend(_norm_edge(ring[i], ring[(i + 1) % inner_len]) for i in range(inner_len))
-    return nxt, edges, list(range(count))
+    return nxt, edges
 
 
 def ringed_cycle_piece(outer_len: int, inner_len: int, count: int, player: str) -> Piece:
-    n, edges, _ = _cycle_with_attached_cycles(outer_len, inner_len, count)
+    """An ``outer_len``-cycle with an inner ``inner_len``-cycle joined to
+    each of its first ``count`` vertices."""
+    if count >= outer_len:
+        raise ValueError("more attachment vertices than outer cycle vertices")
+    n, edges = _ringed_cycle(outer_len, inner_len, range(count))
     return Piece(player, tuple(range(n)), frozenset(edges))
 
 
@@ -767,7 +763,7 @@ def _set_distance(b: Board, a: frozenset[int], c: frozenset[int]) -> int | float
 
 
 # ---------------------------------------------------------------------------
-# The cycle-assembly board built from an illegal complex
+# The distance game's boards and pieces, built from an illegal complex
 
 OUTER_EXTRA = {"L": 4, "R": 5}
 
@@ -793,21 +789,16 @@ def check_edge_labeling(gamma: LabeledComplex, labeling: Mapping[frozenset[str],
     return lab
 
 
-def gamma_board(
+def distance_labeling(
     gamma: LabeledComplex,
     edge_labeling: Mapping[frozenset[str], int] | None = None,
-) -> Board:
-    """The board realising ``gamma`` as an illegal complex.
+) -> dict[frozenset[str], int]:
+    """The edge labelling of the distance game for ``gamma``: the default
+    one, or ``edge_labeling`` checked.
 
-    One large cycle per vertex of ``gamma`` (length n**4+4 for an L-vertex,
-    n**4+5 for an R-vertex, n the number of vertices), each with n-1
-    consecutive connection vertices joined to inner cycles of length n**3.
-    An edge labelled l becomes a path of l new centre vertices whose ends are
-    identified with the matching connection vertices.  An empty complex gives
-    an empty board.
+    Complexes with an isolated vertex are rejected: a lone always-forbidden
+    move cannot arise from piece patterns alone.
     """
-    if gamma.is_empty:
-        return empty_board()
     if has_isolated_vertex(gamma):
         bad = sorted(min(f) for f in gamma.facets if len(f) == 1)
         raise ValueError(
@@ -815,88 +806,84 @@ def gamma_board(
             "cannot arise from piece patterns alone, so no placement-invariant "
             "ruleset realises it"
         )
-    labeling = (
-        default_edge_labeling(gamma)
-        if edge_labeling is None
-        else check_edge_labeling(gamma, edge_labeling)
-    )
+    if edge_labeling is None:
+        return default_edge_labeling(gamma)
+    return check_edge_labeling(gamma, edge_labeling)
+
+
+def _assembly(n: int, part: str) -> tuple[int, list[Edge], list[int]]:
+    """The cycle assembly of a ``part`` vertex of an n-vertex complex, the
+    one geometry behind the board, the free assemblies and the pieces.
+
+    An outer cycle of n**4+4 (L) or n**4+5 (R) vertices on ids 0.., and n-1
+    inner n**3-cycles, one joined to each attachment vertex of the outer
+    cycle.  The attachment vertices lie n**2 apart, so a path that crosses
+    an assembly is at least n**2 long, and one between two assemblies
+    through a third (n**2+4 at least) is longer than any id-set entry
+    (C(n,2)+1 at most): only assemblies joined by a centre path can be as
+    near as an id-set demands.  Returns (number of vertices, edges,
+    attachment ids).
+    """
+    if n < 2:
+        raise ValueError("distance-game assemblies need n >= 2")
+    attach = [i * n**2 for i in range(n - 1)]
+    count, edges = _ringed_cycle(n**4 + OUTER_EXTRA[part], n**3, attach)
+    return count, edges, attach
+
+
+def gamma_board(
+    gamma: LabeledComplex,
+    edge_labeling: Mapping[frozenset[str], int] | None = None,
+) -> Board:
+    """The board realising ``gamma`` as an illegal complex.
+
+    One cycle assembly per vertex of ``gamma`` (see :func:`assembly_board`),
+    laid out in vertex order as consecutive id ranges: the region of the
+    i-th vertex is the i-th range.  The centre paths follow, in label order:
+    an edge labelled l becomes a path of l new vertices between the
+    attachment vertices its two assemblies keep for each other, so the
+    assemblies lie l+1 apart.  An empty complex gives an empty board.
+    """
+    if gamma.is_empty:
+        return empty_board()
+    labeling = distance_labeling(gamma, edge_labeling)
     names = gamma.vertices
     n = len(names)
-    inner_len = n**3
     nxt = 0
     edges: list[Edge] = []
-    labels: dict[int, tuple] = {}
     conn: dict[tuple[str, str], int] = {}
     for name in names:
-        outer_len = n**4 + OUTER_EXTRA[gamma.part[name]]
-        count, local_edges, attach = _cycle_with_attached_cycles(outer_len, inner_len, n - 1)
-        remap = {v: nxt + v for v in range(count)}
-        edges.extend((remap[a], remap[bb]) for a, bb in local_edges)
+        count, local, attach = _assembly(n, gamma.part[name])
+        edges.extend((nxt + a, nxt + b) for a, b in local)
         others = [m for m in names if m != name]
-        for v in range(count):
-            if v in attach:
-                other = others[attach.index(v)]
-                labels[remap[v]] = ("connection", name, other)
-                conn[(name, other)] = remap[v]
-            elif v < outer_len:
-                labels[remap[v]] = ("outer", name)
-            else:
-                which = others[(v - outer_len) // (inner_len - 1)]
-                labels[remap[v]] = ("inner", name, which)
+        conn.update(((name, other), nxt + a) for other, a in zip(others, attach))
         nxt += count
     for e in sorted(labeling, key=labeling.get):
-        l = labeling[e]
         u, v = sorted(e, key=names.index)
-        path = [conn[(u, v)]] + list(range(nxt, nxt + l)) + [conn[(v, u)]]
-        for c in range(nxt, nxt + l):
-            labels[c] = ("centre", l)
-        nxt += l
-        edges.extend(_norm_edge(path[i], path[i + 1]) for i in range(len(path) - 1))
-    return board(range(nxt), edges, cycle_labels=labels)
+        path = [conn[u, v], *range(nxt, nxt + labeling[e]), conn[v, u]]
+        edges.extend(zip(path, path[1:]))
+        nxt += labeling[e]
+    return board(range(nxt), edges)
 
 
-def assembly_regions(b: Board) -> dict[str, frozenset[int]]:
-    """Map each complex-vertex name to the ids of its cycle assembly (outer,
-    connection and inner vertices; centre path vertices belong to no region)."""
-    regions: dict[str, set[int]] = {}
-    if not b.cycle_labels:
-        return {}
-    for vid, lab in b.cycle_labels.items():
-        if lab[0] in ("outer", "connection", "inner"):
-            regions.setdefault(lab[1], set()).add(vid)
-    return {name: frozenset(ids) for name, ids in regions.items()}
-
-
-def assembly_board(name: str, part: str, n: int) -> Board:
-    """One free-standing cycle assembly labelled with ``name``: the component
-    added for a complex vertex that lies in every facet of the legal complex
-    being realised.  Shape matches the piece of the owning player."""
-    if n < 2:
-        raise ValueError("assemblies need n >= 2")
-    outer_len = n**4 + OUTER_EXTRA[part]
-    inner_len = n**3
-    count, edges, attach = _cycle_with_attached_cycles(outer_len, inner_len, n - 1)
-    labels: dict[int, tuple] = {}
-    for v in range(count):
-        if v in attach:
-            labels[v] = ("connection", name, attach.index(v))
-        elif v < outer_len:
-            labels[v] = ("outer", name)
-        else:
-            labels[v] = ("inner", name, (v - outer_len) // (inner_len - 1))
-    return board(range(count), edges, cycle_labels=labels)
+def assembly_board(part: str, n: int) -> Board:
+    """One free-standing cycle assembly of a ``part`` vertex of an n-vertex
+    complex: the component added for a complex vertex that lies in every
+    facet of the legal complex being realised, and the shape of the piece
+    of the owning player."""
+    count, edges, _ = _assembly(n, part)
+    return board(range(count), edges)
 
 
 @lru_cache(maxsize=8)
 def gamma_piece(n: int, player: str) -> Piece:
     """The piece played by ``player`` in the distance game for an n-vertex
-    illegal complex: an (n**4+4 or +5)-cycle with n-1 inner n**3 cycles.
+    illegal complex: the player's cycle assembly.
 
     One shared piece per ``(n, player)``, so its symmetry conditions and
     search plan are worked out once per process."""
-    if n < 2:
-        raise ValueError("distance-game pieces need n >= 2")
-    return ringed_cycle_piece(n**4 + OUTER_EXTRA[player], n**3, n - 1, player)
+    count, edges, _ = _assembly(n, player)
+    return Piece(player, tuple(range(count)), frozenset(edges))
 
 
 # ---------------------------------------------------------------------------

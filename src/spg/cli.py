@@ -122,12 +122,19 @@ def labeling_to_obj(labeling: Labeling) -> list[dict]:
     ]
 
 
+_MAX_NESTING = 100
+
+
 def _split_top_level(text: str) -> list[str]:
-    """Split on commas that are not nested inside () or []; used by union specs."""
+    """Split on commas that are not nested inside () or []; used by union
+    specs.  Union specs are read one nesting level per call, so brackets
+    nested deeper than ``_MAX_NESTING`` are a usage error."""
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch in "([":
             depth += 1
+            if depth > _MAX_NESTING:
+                raise CliError(f"board spec nests brackets more than {_MAX_NESTING} deep")
         elif ch in ")]":
             depth -= 1
         elif ch == "," and depth == 0:

@@ -50,7 +50,13 @@ def _maximal(sets: set[frozenset[str]]) -> frozenset[frozenset[str]]:
 
 
 def _minimal(sets: set[frozenset[str]]) -> frozenset[frozenset[str]]:
-    return frozenset(s for s in sets if not any(t < s for t in sets))
+    """Smallest first, so each set is compared only with the minimal sets
+    kept so far, not with the whole family."""
+    kept: list[frozenset[str]] = []
+    for s in sorted(sets, key=len):
+        if not any(t <= s for t in kept):
+            kept.append(s)
+    return frozenset(kept)
 
 
 def canonical_vertex_order(names: Iterable[str], part: Mapping[str, str]) -> tuple[str, ...]:

@@ -19,19 +19,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .boards import (
     Board,
     BudgetExceeded,
     assembly_board,
-    assembly_regions,
     build_cycle,
-    check_edge_labeling,
-    default_edge_labeling,
     disjoint_union,
+    distance_labeling,
     empty_board,
     gamma_board,
+    gamma_piece,
 )
 from .complexes import (
     LabeledComplex,
@@ -42,7 +41,6 @@ from .complexes import (
 )
 from .engine import (
     DEFAULT_CAP,
-    BasicPositionIndex,
     analyze,
     basic_positions,
     check_condition_iv,
@@ -63,7 +61,8 @@ class Realization:
 
     ``regions`` maps each complex vertex to the board ids its piece must
     cover; verification requires every enumerated placement to coincide with
-    exactly one region.  ``index`` is filled in by verification.
+    exactly one region.  Every construction lays its regions out as
+    consecutive id ranges.
     """
 
     game: Ruleset
@@ -72,21 +71,22 @@ class Realization:
     source: Optional[LabeledComplex] = None
     regions: dict[str, frozenset[int]] = field(default_factory=dict)
     edge_labeling: Optional[dict[frozenset[str], int]] = None
-    index: Optional[BasicPositionIndex] = None
+
+
+def _ranges(names: Sequence[str], sizes: Iterable[int], start: int = 0) -> dict[str, frozenset[int]]:
+    """Consecutive id ranges of the given sizes from ``start``, one per name."""
+    out: dict[str, frozenset[int]] = {}
+    for name, size in zip(names, sizes):
+        out[name] = frozenset(range(start, start + size))
+        start += size
+    return out
 
 
 def _cycle_table_board(delta: LabeledComplex) -> tuple[Board, dict[str, frozenset[int]]]:
     """One 3-cycle per L-vertex and one 4-cycle per R-vertex, in canonical
     vertex order, with the id range of each component recorded per vertex."""
     parts = [build_cycle(3 if delta.part[v] == "L" else 4) for v in delta.vertices]
-    combined = disjoint_union(*parts) if parts else empty_board()
-    regions: dict[str, frozenset[int]] = {}
-    offset = 0
-    for v, piece_board in zip(delta.vertices, parts):
-        size = len(piece_board.vertices)
-        regions[v] = frozenset(range(offset, offset + size))
-        offset += size
-    return combined, regions
+    return disjoint_union(*parts), _ranges(delta.vertices, (len(p.vertices) for p in parts))
 
 
 def realize_both(delta: LabeledComplex) -> tuple[Realization, Realization]:
@@ -111,25 +111,23 @@ def realize_illegal(
 
     The game and board are built from one shared edge labeling: the board
     spaces assemblies at label+1 steps, and the game forbids exactly those
-    distance patterns.  An empty complex yields free placement on an empty
-    board.  Isolated vertices are rejected: a single always-illegal placement
-    cannot be expressed through piece patterns alone.
+    distance patterns.  The region of each vertex is its assembly, the id
+    range of its piece's size in vertex order.  An empty complex yields free
+    placement on an empty board.  Isolated vertices are rejected: a single
+    always-illegal placement cannot be expressed through piece patterns
+    alone.
     """
     if gamma.is_empty:
         return Realization(gamma_game(gamma), empty_board(), "distance-game", source=gamma)
-    labeling = (
-        default_edge_labeling(gamma)
-        if edge_labeling is None
-        else check_edge_labeling(gamma, edge_labeling)
-    )
-    board = gamma_board(gamma, labeling)
-    game = gamma_game(gamma, labeling)
+    labeling = distance_labeling(gamma, edge_labeling)
+    n = len(gamma.vertices)
+    sizes = (len(gamma_piece(n, gamma.part[v]).vertices) for v in gamma.vertices)
     return Realization(
-        game,
-        board,
+        gamma_game(gamma, labeling),
+        gamma_board(gamma, labeling),
         "distance-game",
         source=gamma,
-        regions=assembly_regions(board),
+        regions=_ranges(gamma.vertices, sizes),
         edge_labeling=labeling,
     )
 
@@ -141,36 +139,24 @@ def realize_legal(delta: LabeledComplex) -> Realization:
     matching cycle board and every disjoint placement is allowed.  Otherwise
     the forbidden patterns are the minimal nonfaces of ``delta``; the distance
     game realises them, and vertices lying in every facet (absent from every
-    minimal nonface) each get a free assembly component of their own.
+    minimal nonface) each get a free assembly component of their own, after
+    the distance game's board.
     """
     if is_simplex(delta):
         table, regions = _cycle_table_board(delta)
-        return Realization(
-            cycle_placement_game(delta), table, "cycle-placement", source=delta, regions=regions
-        )
-    gamma = facet_complex(sr_ideal(delta))
-    inner = realize_illegal(gamma)
-    always = [v for v in delta.vertices if v not in set(gamma.vertices)]
-    if not always:
-        return Realization(
-            inner.game,
-            inner.board,
-            "distance-game",
-            source=delta,
-            regions=inner.regions,
-            edge_labeling=inner.edge_labeling,
-        )
-    n = len(gamma.vertices)
-    extras = [assembly_board(v, delta.part[v], n) for v in always]
-    combined = disjoint_union(inner.board, *extras)
-    return Realization(
-        inner.game,
-        combined,
-        "distance-game+free-components",
-        source=delta,
-        regions=assembly_regions(combined),
-        edge_labeling=inner.edge_labeling,
-    )
+        out = Realization(cycle_placement_game(delta), table, "cycle-placement", regions=regions)
+    else:
+        out = realize_illegal(facet_complex(sr_ideal(delta)))
+        always = [v for v in delta.vertices if v not in out.regions]
+        if always:
+            extras = [assembly_board(delta.part[v], len(out.regions)) for v in always]
+            out.regions.update(
+                _ranges(always, (len(b.vertices) for b in extras), len(out.board.vertices))
+            )
+            out.board = disjoint_union(out.board, *extras)
+            out.provenance += "+free-components"
+    out.source = delta
+    return out
 
 
 def to_invariant(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> Realization:
@@ -241,7 +227,6 @@ def _recovered_complex(
     """Run the engine on a realization and relabel the result through the
     intended regions.  Returns (complex, "") or (None, failure detail)."""
     idx = basic_positions(realization.game, realization.board, deadline=deadline)
-    realization.index = idx
     regions = realization.regions
     by_ids = {ids: name for name, ids in regions.items()}
     mapping: dict[str, str] = {}
@@ -268,32 +253,19 @@ def _recovered_complex(
     return relabel(raw, mapping), ""
 
 
-def _compare(
-    kind: str,
-    expected: LabeledComplex,
-    computed: LabeledComplex,
-    extra: str,
-) -> VerifyReport:
+def _mismatch(expected: LabeledComplex, computed: LabeledComplex) -> str:
+    """Why the recovered complex differs from the expected one ("" when it
+    does not)."""
     if expected.is_empty:
         # a game always has the empty position and nothing else on an empty
         # board, so zero-vertex targets are compared by emptiness
-        if computed.is_empty:
-            return VerifyReport("PASS", kind, f"both complexes empty; {extra}", expected, computed)
-        return VerifyReport(
-            "FAIL", kind, f"expected an empty complex, recovered {computed!r}", expected, computed
-        )
+        return "" if computed.is_empty else f"expected an empty complex, recovered {computed!r}"
     if computed == expected:
-        return VerifyReport("PASS", kind, f"recovered complex matches; {extra}", expected, computed)
+        return ""
     miss = sorted(
         "".join(sorted(f)) for f in expected.facets.symmetric_difference(computed.facets)
     )
-    return VerifyReport(
-        "FAIL",
-        kind,
-        f"facet mismatch on {', '.join(miss) if miss else 'vertex parts'}",
-        expected,
-        computed,
-    )
+    return f"facet mismatch on {', '.join(miss) if miss else 'vertex parts'}"
 
 
 def verify_roundtrip(
@@ -315,62 +287,42 @@ def verify_roundtrip(
     if kind not in ("legal", "illegal", "both"):
         raise ValueError(f"unknown round-trip kind {kind!r}")
     deadline = time.monotonic() + time_cap_s
-
-    def needs_budget(n: int, what: str) -> Optional[VerifyReport]:
-        if n > max_construction_vertices:
-            return VerifyReport(
-                "INCONCLUSIVE",
-                kind,
-                f"{what} needs {n} assemblies, over the budget of "
-                f"{max_construction_vertices}; raise max_construction_vertices to run it",
-                complex_,
-                None,
-            )
-        return None
-
+    if kind == "both":
+        assemblies = 0
+    elif kind == "illegal":
+        assemblies = len(complex_.vertices)
+    else:  # the distance game runs on the minimal nonfaces; a simplex has none
+        assemblies = len(facet_complex(sr_ideal(complex_)).vertices)
+    if assemblies > max_construction_vertices:
+        return VerifyReport(
+            "INCONCLUSIVE",
+            kind,
+            f"the distance-game board needs {assemblies} assemblies, over the budget of "
+            f"{max_construction_vertices}; raise max_construction_vertices to run it",
+            complex_,
+            None,
+        )
     try:
         if kind == "both":
             legal_r, illegal_r = realize_both(complex_)
-            got_legal, err = _recovered_complex(legal_r, "legal", cap, deadline)
-            if got_legal is None:
-                return VerifyReport("FAIL", kind, f"face-membership game: {err}", complex_, None)
-            rep = _compare(kind, complex_, got_legal, "face-membership game")
-            if not rep.passed:
-                return rep
-            got_illegal, err = _recovered_complex(illegal_r, "illegal", cap, deadline)
-            if got_illegal is None:
-                return VerifyReport("FAIL", kind, f"facet-avoidance game: {err}", complex_, None)
-            rep2 = _compare(kind, complex_, got_illegal, "facet-avoidance game")
-            if not rep2.passed:
-                return rep2
-            return VerifyReport(
-                "PASS",
-                kind,
-                f"legal and illegal recovery both exact on {len(complex_.vertices)} cycles",
-                complex_,
-                got_legal,
-            )
-        if kind == "illegal":
-            over = needs_budget(len(complex_.vertices), "the distance-game board")
-            if over:
-                return over
+            runs = [
+                (legal_r, "legal", "face-membership game"),
+                (illegal_r, "illegal", "facet-avoidance game"),
+            ]
+        elif kind == "illegal":
             r = realize_illegal(complex_, edge_labeling)
-            got, err = _recovered_complex(r, "illegal", cap, deadline)
-            if got is None:
-                return VerifyReport("FAIL", kind, err, complex_, None)
-            return _compare(
-                kind, complex_, got, f"board has {len(r.board.vertices)} vertices"
-            )
-        # kind == "legal"
-        if not is_simplex(complex_):
-            gamma = facet_complex(sr_ideal(complex_))
-            over = needs_budget(len(gamma.vertices), "the minimal-nonface distance board")
-            if over:
-                return over
-        r = realize_legal(complex_)
-        got, err = _recovered_complex(r, "legal", cap, deadline)
-        if got is None:
-            return VerifyReport("FAIL", kind, err, complex_, None)
-        return _compare(kind, complex_, got, f"construction {r.provenance}")
+            runs = [(r, "illegal", f"board has {len(r.board.vertices)} vertices")]
+        else:
+            r = realize_legal(complex_)
+            runs = [(r, "legal", f"construction {r.provenance}")]
+        recovered = []
+        for r, side, what in runs:
+            got, err = _recovered_complex(r, side, cap, deadline)
+            wrong = err or _mismatch(complex_, got)
+            if wrong:
+                return VerifyReport("FAIL", kind, f"{what}: {wrong}", complex_, got)
+            recovered.append(got)
     except BudgetExceeded as exc:
         return VerifyReport("INCONCLUSIVE", kind, f"time budget exhausted: {exc}", complex_, None)
+    done = "; ".join(what for _, _, what in runs)
+    return VerifyReport("PASS", kind, f"recovered complex matches; {done}", complex_, recovered[0])

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
 from . import boards
-from .complexes import LabeledComplex, faces, has_isolated_vertex
+from .complexes import LabeledComplex, faces
 from .boards import Board, Piece, Placement, distance
 
 
@@ -258,14 +258,7 @@ def id_sets(
     edge_labeling: Mapping[frozenset[str], int] | None = None,
 ) -> tuple[IdSet, ...]:
     """One id-set per facet: the labels of the facet's edges, each plus one."""
-    if has_isolated_vertex(gamma):
-        bad = sorted(min(f) for f in gamma.facets if len(f) == 1)
-        raise ValueError(f"complex has singleton facet(s) {bad}; id-sets need edges")
-    labeling = (
-        boards.default_edge_labeling(gamma)
-        if edge_labeling is None
-        else boards.check_edge_labeling(gamma, edge_labeling)
-    )
+    labeling = boards.distance_labeling(gamma, edge_labeling)
     index = {v: i for i, v in enumerate(gamma.vertices)}
     out = []
     for f in sorted(gamma.facets, key=lambda f: tuple(sorted(index[v] for v in f))):
@@ -289,13 +282,6 @@ def gamma_game(
     """
     if gamma.is_empty:
         return free_placement()
-    if has_isolated_vertex(gamma):
-        bad = sorted(min(f) for f in gamma.facets if len(f) == 1)
-        raise ValueError(
-            f"complex has singleton facet(s) {bad}: a lone always-forbidden move "
-            "cannot arise from piece patterns alone, so no placement-invariant "
-            "ruleset realises it"
-        )
     ids = id_sets(gamma, edge_labeling)
     by_size: dict[int, set[frozenset[int]]] = {}
     for i in ids:

@@ -15,7 +15,6 @@ from spg.boards import (
     _search_order,
     _symmetry_conditions,
     assembly_board,
-    assembly_regions,
     board,
     board_from_obj,
     board_to_dot,
@@ -40,7 +39,7 @@ from spg.boards import (
     ringed_cycle_piece,
     vertex_piece,
 )
-from spg.complexes import from_facets
+from spg.complexes import from_facets, has_isolated_vertex
 from conftest import all_labeled_complexes
 
 
@@ -94,6 +93,8 @@ def test_board_validation():
         board([0, 1], [(0, 1)], coords={0: (0, 0), 1: (0, 2)})
     with pytest.raises(ValueError):
         board([0, 1], [(0, 1)], coords={0: (0, 0), 1: (0, 0)})
+    with pytest.raises(ValueError, match=r"edge \(0,1\) has an endpoint without coords"):
+        board([0, 1], [(0, 1)], coords={0: (0, 0)})
 
 
 def test_disjoint_union_offsets_and_components():
@@ -201,7 +202,7 @@ def test_symmetry_breaking_on_gamma_piece(player):
     assert len(list(_embeddings(piece.vertices, p_adj, board(piece.vertices, piece.edges)))) == automorphisms
     edge = from_facets([["a", "b"]], {"a": "L", "b": "R"})
     rng = random.Random(11)
-    for base in (gamma_board(edge), disjoint_union(assembly_board("z", player, 2), gamma_board(edge))):
+    for base in (gamma_board(edge), disjoint_union(assembly_board(player, 2), gamma_board(edge))):
         ids = rng.sample(range(2 * len(base.vertices)), len(base.vertices))
         b = board(ids, [(ids[u], ids[v]) for u, v in base.edges])
         plain = list(_embeddings(piece.vertices, p_adj, b))
@@ -307,7 +308,7 @@ def test_search_yields_as_the_reference_on_random_boards(piece):
 def test_search_yields_as_the_reference_on_gamma_boards(gamma):
     n = len(gamma.vertices)
     rng = random.Random(23 + n)
-    for base in (gamma_board(gamma), disjoint_union(assembly_board("z", "L", n), gamma_board(gamma))):
+    for base in (gamma_board(gamma), disjoint_union(assembly_board("L", n), gamma_board(gamma))):
         ids = rng.sample(range(2 * len(base.vertices)), len(base.vertices))
         b = board(ids, [(ids[u], ids[v]) for u, v in base.edges])
         for player in ("L", "R"):
@@ -331,7 +332,7 @@ def test_cut_sides_match_brute_force():
 def test_gamma_piece_is_shared_and_plans_once(monkeypatch):
     piece = gamma_piece(3, "L")
     assert piece is gamma_piece(3, "L")
-    free = assembly_board("z", "L", 3)
+    free = assembly_board("L", 3)
     first = piece_placements(free, piece)
     conditions, plan = piece._conditions, piece._plan
     assert conditions is not None and plan is not None
@@ -409,11 +410,27 @@ def expected_gamma_size(gamma, labeling) -> int:
     return sum(per_vertex.values()) + sum(labeling.values())
 
 
+def layout_regions(gamma, b):
+    """The assemblies of a distance-game board, read from its layout: one id
+    range per vertex in vertex order, each the size of the vertex's free
+    assembly.  Checked against the components left once the centre paths,
+    which come after the ranges, are taken out."""
+    n = len(gamma.vertices)
+    regions, start = {}, 0
+    for v in gamma.vertices:
+        size = len(assembly_board(gamma.part[v], n).vertices)
+        regions[v] = frozenset(range(start, start + size))
+        start += size
+    rest = board(range(start), [e for e in b.edges if max(e) < start])
+    assert components(rest) == [regions[v] for v in gamma.vertices]
+    return regions
+
+
 def test_gamma_board_single_edge_sizes():
     edge = from_facets([["a", "b"]], {"a": "L", "b": "R"})
     b = gamma_board(edge)
     assert len(b.vertices) == 56  # 20 + 7 + 21 + 7 + 1
-    regions = assembly_regions(b)
+    regions = layout_regions(edge, b)
     assert set(regions) == {"a", "b"}
     assert len(regions["a"]) == 27 and len(regions["b"]) == 28
     centre = set(b.vertices) - regions["a"] - regions["b"]
@@ -445,11 +462,42 @@ def test_gamma_board_empty_complex():
 def test_gamma_board_distances_are_label_plus_one():
     lab = {frozenset("ab"): 2, frozenset("bc"): 1}
     b = gamma_board(P3_GAMMA, lab)
-    regions = assembly_regions(b)
+    regions = layout_regions(P3_GAMMA, b)
     assert distance(b, regions["a"], regions["b"]) == 3
     assert distance(b, regions["b"], regions["c"]) == 2
     # a and c are not joined directly; nearest route runs through b's assembly
     assert distance(b, regions["a"], regions["c"]) > 3
+
+
+def test_unjoined_assemblies_are_farther_apart_than_any_id_set_entry():
+    """On the board of every complex on 3 and 4 vertices with no isolated
+    vertex, assemblies joined by an edge labelled l lie l+1 apart, and two
+    that are not joined lie farther apart than the largest id-set entry.
+    So a set of pieces can only match the id-set of the facet it covers.
+    Complexes that give the same board (same parts in vertex order, same
+    labelled edges) are checked once."""
+    seen = set()
+    for pool in ("abc", "abcd"):
+        for gamma in all_labeled_complexes(pool, include_degenerate=False):
+            if len(gamma.vertices) < len(pool) or has_isolated_vertex(gamma):
+                continue
+            lab = default_edge_labeling(gamma)
+            index = {v: i for i, v in enumerate(gamma.vertices)}
+            key = (
+                tuple(gamma.part[v] for v in gamma.vertices),
+                frozenset((frozenset(index[v] for v in e), l) for e, l in lab.items()),
+            )
+            if key in seen:
+                continue
+            seen.add(key)
+            b = gamma_board(gamma, lab)
+            regions = layout_regions(gamma, b)
+            top = max(lab.values()) + 1
+            for u, v in combinations(gamma.vertices, 2):
+                d = distance(b, regions[u], regions[v])
+                l = lab.get(frozenset((u, v)))
+                assert d > top if l is None else d == l + 1, (gamma, gamma.part, u, v, d)
+    assert len(seen) == 221
 
 
 def simple_cycle_lengths(b, restrict):
@@ -475,7 +523,7 @@ def test_gamma_board_cycle_structure():
     n = 3
     # restricted to one assembly, the only simple cycles are the outer cycle,
     # the inner cycles, and their vertex-identified composites
-    regions = assembly_regions(b)
+    regions = layout_regions(P3_GAMMA, b)
     lengths = simple_cycle_lengths(b, regions["a"])
     outer, inner = n**4 + 4, n**3
     assert outer in lengths and inner in lengths
@@ -485,11 +533,11 @@ def test_gamma_board_cycle_structure():
 def test_assembly_board_matches_gamma_piece():
     for part in ("L", "R"):
         for n in (2, 3):
-            free = assembly_board("z", part, n)
+            free = assembly_board(part, n)
             piece = gamma_piece(n, part)
             assert len(free.vertices) == len(piece.vertices)
             assert len(free.edges) == len(piece.edges)
-            assert assembly_regions(free) == {"z": frozenset(free.vertices)}
+            assert components(free) == [frozenset(free.vertices)]
             # the piece tiles its own free assembly exactly once
             ps = piece_placements(free, piece)
             assert len(ps) == 1 and ps[0].occupied == frozenset(free.vertices)
@@ -497,7 +545,7 @@ def test_assembly_board_matches_gamma_piece():
 
 def test_gamma_piece_embeds_once_per_matching_assembly():
     b = gamma_board(P3_GAMMA)
-    regions = assembly_regions(b)
+    regions = layout_regions(P3_GAMMA, b)
     left = piece_placements(b, gamma_piece(3, "L"))
     right = piece_placements(b, gamma_piece(3, "R"))
     assert {p.occupied for p in left} == {regions["a"], regions["c"]}

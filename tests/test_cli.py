@@ -325,6 +325,23 @@ def test_malformed_board_exits_2(run, tmp_path, board):
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
 
+def test_board_coords_missing_an_edge_endpoint_exits_2(run, tmp_path):
+    board_path = tmp_path / "board.json"
+    board_path.write_text(json.dumps({"vertices": [0, 1], "edges": [[0, 1]], "coords": {"0": [0, 0]}}))
+    code, _, err = run("game", "value", "--ruleset", "snort", "--board", f"file:{board_path}")
+    assert code == 2 and err.startswith("error:") and "edge (0,1)" in err
+
+
+def test_deeply_nested_union_spec_exits_2(run):
+    deep = "union:(" * 600 + "path:2" + ")" * 600
+    code, _, err = run("game", "value", "--ruleset", "snort", "--board", deep)
+    assert code == 2 and err.startswith("error:") and "nest" in err
+    # a union of one board, nested within the limit, is that board
+    shallow = "union:(" * 50 + "path:2" + ")" * 50
+    got = run("game", "value", "--ruleset", "snort", "--board", shallow)
+    assert got[0] == 0 and got == run("game", "value", "--ruleset", "snort", "--board", "path:2")
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_max_pieces_below_one_is_usage_error(capsys, value):
     with pytest.raises(SystemExit) as exc:

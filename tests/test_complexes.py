@@ -35,6 +35,7 @@ from spg.complexes import (
     sr_complex,
     sr_ideal,
     void_complex,
+    _minimal,
 )
 from conftest import all_labeled_complexes, random_complex
 
@@ -144,6 +145,13 @@ def test_ideal_equality_and_flags():
 def test_ideal_minimalizes_generators():
     idl = ideal(["a", "b"], {"a": "L", "b": "L"}, [["a"], ["a", "b"]])
     assert idl.generators == frozenset({frozenset("a")})
+
+
+def test_minimal_matches_the_pairwise_rule_on_random_families():
+    rng = random.Random(7)
+    for _ in range(300):
+        family = {frozenset(rng.sample("abcdef", rng.randint(0, 4))) for _ in range(rng.randint(0, 12))}
+        assert _minimal(family) == frozenset(s for s in family if not any(t < s for t in family))
 
 
 # the four correspondences, pinned on the degenerate corners

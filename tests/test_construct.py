@@ -247,12 +247,10 @@ def test_minimal_nonfaces_drive_the_legal_construction():
     assert set(rep.edge_labeling) == minimal_nonfaces(AB_BC)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the distance-game round trip recovers a minimal illegal pair ac "
-    "that the input complex lacks (facet mismatch on ac)",
-)
 def test_distance_roundtrip_without_spurious_pair():
+    # the labels run ab=1, bc=2, bd=3, ad=4, cd=5: the route from a through
+    # b's assembly to c must be longer than 6, or the pair ac matches cd's
+    # id-set {6} and the round trip recovers a pair the input lacks
     gamma = from_facets(
         [["a", "b", "d"], ["b", "c"], ["c", "d"]],
         {"a": "R", "b": "L", "c": "R", "d": "R"},
