@@ -2,8 +2,8 @@
 
 Boards carry integer vertex ids and optional grid coordinates.  Each board
 also keeps the memos computed from it (neighbour sets, components,
-cut-vertex sides, set distances, and the last game analysis made by the
-``engine`` shorthands), so they are freed with the board.  Pieces are
+cut-vertex sides, and the last game analysis made by the ``engine``
+shorthands), so they are freed with the board.  Pieces are
 connected graphs owned by one player; a placement is the vertex image of an
 embedding of a piece into a board.
 
@@ -71,7 +71,6 @@ class Board:
     coords: Optional[Mapping[int, tuple[int, int]]] = None
     _adj: dict = field(init=False, repr=False)
     _nbrs: dict = field(init=False, repr=False)
-    _dist: dict = field(init=False, repr=False)
     _analysis: Optional[tuple] = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
 
@@ -97,7 +96,6 @@ class Board:
                     raise ValueError(f"edge ({a},{b}) is not orthogonally adjacent in coords")
         object.__setattr__(self, "_adj", {v: tuple(sorted(n)) for v, n in adj.items()})
         object.__setattr__(self, "_nbrs", adj)
-        object.__setattr__(self, "_dist", {})
         object.__setattr__(self, "_analysis", None)
         object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
 
@@ -231,9 +229,16 @@ def build_grid(rows: int, cols: int) -> Board:
     return grid_from_cells(cells)
 
 
+def _integer(x: object) -> int:
+    """``x`` itself when it is an int (bools are not), else a ValueError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def grid_from_cells(cells: Sequence[tuple[int, int]]) -> Board:
     """A grid board over an arbitrary cell set, ids assigned in sorted cell order."""
-    uniq = sorted(set((int(r), int(c)) for r, c in cells))
+    uniq = sorted(set((_integer(r), _integer(c)) for r, c in cells))
     if len(uniq) != len(cells):
         raise ValueError("duplicate cells")
     index = {cell: i for i, cell in enumerate(uniq)}
@@ -730,18 +735,10 @@ def components(b: Board) -> list[frozenset[int]]:
 
 def distance(b: Board, s1: Iterable[int], s2: Iterable[int]) -> int | float:
     """Length of a shortest path between two nonempty vertex sets on the bare
-    board graph, ignoring occupancy.  ``inf`` when no path exists.  Results
-    are memoised on the board."""
+    board graph, ignoring occupancy.  ``inf`` when no path exists."""
     a, c = frozenset(s1), frozenset(s2)
     if not a or not c:
         raise ValueError("distance needs nonempty vertex sets")
-    key = frozenset((a, c))
-    if key not in b._dist:
-        b._dist[key] = _set_distance(b, a, c)
-    return b._dist[key]
-
-
-def _set_distance(b: Board, a: frozenset[int], c: frozenset[int]) -> int | float:
     if a & c:
         return 0
     frontier = set(a)
@@ -902,11 +899,11 @@ def board_to_obj(b: Board) -> dict:
 
 def board_from_obj(obj: Mapping) -> Board:
     try:
-        vertices = [int(v) for v in obj["vertices"]]
-        edges = [(int(a), int(b)) for a, b in obj["edges"]]
+        vertices = [_integer(v) for v in obj["vertices"]]
+        edges = [(_integer(a), _integer(b)) for a, b in obj["edges"]]
         coords = obj.get("coords")
         if coords is not None:
-            coords = {int(k): (int(r), int(c)) for k, (r, c) in coords.items()}
+            coords = {int(k): (_integer(r), _integer(c)) for k, (r, c) in coords.items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed board object: {exc}") from exc
     return board(vertices, edges, coords=coords)

@@ -11,12 +11,14 @@ are found among one-placement extensions of legal sets.
 
 The closure works on ints: basic position i is bit i, a set of basic
 positions is the int of its bits, and names are produced only when an
-analysis is read.  A ruleset that declares ``pairwise`` promises that a
-position is legal exactly when each of its placements and each pair of them
-is legal.  Its legal complex is then a flag complex (the independence complex
-of its conflict graph), so :func:`analyze` consults the predicate once per
-basic position and once per disjoint pair, and enumerates the legal sets as
-the independent sets of the conflict graph without consulting it again.
+analysis is read.  Each analysis and verifier compiles the ruleset's
+predicate once, over the index's placements, and asks it about masks.  A
+ruleset that declares ``pairwise`` promises that a position is legal exactly
+when each of its placements and each pair of them is legal.  Its legal
+complex is then a flag complex (the independence complex of its conflict
+graph), so :func:`analyze` consults the predicate once per basic position
+and once per disjoint pair, and enumerates the legal sets as the independent
+sets of the conflict graph without consulting it again.
 """
 from __future__ import annotations
 
@@ -24,12 +26,12 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import boards
 from .boards import Board, Placement, piece_placements
 from .complexes import LabeledComplex, SquareFreeIdeal, bits, from_facets, ideal
-from .rulesets import Position, Ruleset, position
+from .rulesets import Predicate, Ruleset
 
 
 class BoardTooLarge(ValueError):
@@ -113,11 +115,6 @@ class BasicPositionIndex:
 
     def part_map(self) -> Mapping[str, str]:
         return self._parts
-
-    def position(self, mask: int) -> Position:
-        """The position made of the basic positions in ``mask``."""
-        pls = self.placements
-        return position(*(pls[i] for i in bits(mask)))
 
     def names_of(self, mask: int) -> tuple[str, ...]:
         """The names of the basic positions in ``mask``, in index order."""
@@ -235,20 +232,11 @@ def analyze(
         index = basic_positions(game, board, deadline=deadline)
     _check_cap(index, cap)
     closure = _pairwise_closure if game.pairwise else _closure
-    legal, minimal = closure(index, _predicate(game, board, index))
+    legal, minimal = closure(index, game.legal(board, index.placements))
     return GameAnalysis(index, frozenset(legal), frozenset(minimal))
 
 
-def _predicate(game: Ruleset, board: Board, index: BasicPositionIndex) -> Callable[[int], bool]:
-    def predicate(mask: int) -> bool:
-        return game.legal(board, index.position(mask))
-
-    return predicate
-
-
-def _closure(
-    index: BasicPositionIndex, predicate: Callable[[int], bool]
-) -> tuple[set[int], list[int]]:
+def _closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[set[int], list[int]]:
     """Breadth-first closure, one level of equal-size sets at a time.
 
     Each disjoint one-element extension of a legal set gets one predicate
@@ -308,9 +296,7 @@ def _closure_error(t: int, legal: set[int], names: tuple[str, ...]) -> DownwardC
     )
 
 
-def _pairwise_closure(
-    index: BasicPositionIndex, predicate: Callable[[int], bool]
-) -> tuple[set[int], list[int]]:
+def _pairwise_closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[set[int], list[int]]:
     """The closure of a ``pairwise`` ruleset: one predicate call per basic
     position and per disjoint pair of legal ones gives a conflict mask per
     basic position, and the legal sets are the independent sets of that
@@ -398,7 +384,7 @@ def check_condition_iv(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> C
     """
     index = basic_positions(game, board)
     _check_cap(index, cap)
-    predicate = _predicate(game, board, index)
+    predicate = game.legal(board, index.placements)
     if not predicate(0):
         return ConditionReport(False, ((), ()), "the empty position must be legal")
 
@@ -448,8 +434,9 @@ def check_invariance(
     index = basic_positions(game, board)
     _check_cap(index, cap)
     by_name = index.by_name
-    for name, pl in index.entries:
-        if not game.legal(board, position(pl)):
+    predicate = game.legal(board, index.placements)
+    for i, (name, pl) in enumerate(index.entries):
+        if not predicate(1 << i):
             return InvarianceReport(
                 "FAIL",
                 f"basic position {name} (vertices {sorted(pl.occupied)}) is illegal",
@@ -460,6 +447,8 @@ def check_invariance(
 
     rng = random.Random(seed)
     names = list(index.names)
+    # a transported placement is a placement of the same piece: a basic position
+    bit = {(p.player, p.occupied): 1 << i for i, p in enumerate(index.placements)}
     run = 0
     for _ in range(samples):
         k = rng.randint(1, max_pieces)
@@ -482,15 +471,13 @@ def check_invariance(
         if not alternatives:
             continue
         phi = alternatives[rng.randrange(len(alternatives))]
-        pos = position(*(by_name[c] for c in chosen))
-        moved = position(
-            *(
-                boards.placement(by_name[c].player, {phi[v] for v in by_name[c].occupied})
-                for c in chosen
-            )
-        )
+        pos = moved = 0
+        for c in chosen:
+            pl = by_name[c]
+            pos |= bit[pl.player, pl.occupied]
+            moved |= bit[pl.player, frozenset(phi[v] for v in pl.occupied)]
         run += 1
-        verdict, verdict_moved = game.legal(board, pos), game.legal(board, moved)
+        verdict, verdict_moved = predicate(pos), predicate(moved)
         if verdict != verdict_moved:
             return InvarianceReport(
                 "FAIL",

@@ -1,80 +1,40 @@
 """Rulesets: piece shapes per player plus a legality predicate.
 
-A :class:`Position` is a set of placements with pairwise disjoint occupied
-sets; double occupation is impossible to express here, mirroring the fact
-that pieces are placed on empty spaces.  Predicates must accept arbitrary
-positions, not just reachable ones, and must treat the empty position as
-legal.  Monomial-level sets of basic positions with overlapping supports are
-handled upstream by the engine, which classifies them illegal without ever
-consulting the predicate.
+A position is a set of basic positions, held as an int mask.  A ruleset's
+``legal`` compiles a predicate once per analysis: ``legal(board, placements)``
+returns a ``mask -> bool`` function in which bit i stands for
+``placements[i]``.  The masks it is asked about never hold two placements
+whose occupied sets overlap (the engine classifies those illegal without
+consulting it, as pieces are placed on empty spaces), but they need not be
+reachable.  The empty mask must be legal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from . import boards
-from .complexes import LabeledComplex, faces
+from .complexes import LabeledComplex, bits, faces
 from .boards import Board, Piece, Placement, distance
 
-
-@dataclass(frozen=True, eq=False)
-class Position:
-    placements: frozenset[Placement]
-
-    def __post_init__(self) -> None:
-        occupied: set[int] = set()
-        for p in self.placements:
-            if occupied & p.occupied:
-                raise ValueError("placements overlap")
-            occupied |= p.occupied
-
-    def occupied_by(self, player: str) -> frozenset[int]:
-        out: set[int] = set()
-        for p in self.placements:
-            if p.player == player:
-                out |= p.occupied
-        return frozenset(out)
-
-    @property
-    def all_occupied(self) -> frozenset[int]:
-        return frozenset().union(*(p.occupied for p in self.placements)) if self.placements else frozenset()
-
-    def __len__(self) -> int:
-        return len(self.placements)
-
-    def __iter__(self):
-        return iter(sorted(self.placements))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Position):
-            return NotImplemented
-        return self.placements == other.placements
-
-    def __hash__(self) -> int:
-        return hash(self.placements)
-
-
-def position(*placements: Placement) -> Position:
-    return Position(frozenset(placements))
-
-EMPTY_POSITION = position()
+Predicate = Callable[[int], bool]
 
 
 @dataclass(frozen=True)
 class Ruleset:
     """Named piece shapes for both players and a legality predicate.
 
-    ``pairwise`` declares that a position is legal exactly when each of its
-    placements and each pair of them is legal on every board, so that the
-    legal complex is the flag complex of its edges; the engine then consults
-    the predicate on singletons and pairs only.
+    ``legal(board, placements)`` compiles the predicate for one analysis (see
+    the module docstring).  ``pairwise`` declares that a position is legal
+    exactly when each of its placements and each pair of them is legal on
+    every board, so that the legal complex is the flag complex of its edges;
+    the engine then consults the predicate on singletons and pairs only.
     """
 
     name: str
     pieces: Mapping[str, tuple[Piece, ...]]
-    legal: Callable[[Board, Position], bool]
+    legal: Callable[[Board, Sequence[Placement]], Predicate]
     claims_invariant: bool = False
     pairwise: bool = False
 
@@ -93,55 +53,87 @@ def _single_vertex_pieces() -> dict[str, tuple[Piece, ...]]:
     return dict(_VERTEX_PIECES)
 
 
+def _anything(b: Board, placements: Sequence[Placement]) -> Predicate:
+    return lambda mask: True
+
+
 def free_placement() -> Ruleset:
     """Single-vertex pieces, every position legal."""
     return Ruleset(
-        "free", _single_vertex_pieces(), lambda b, pos: True, claims_invariant=True, pairwise=True
+        "free", _single_vertex_pieces(), _anything, claims_invariant=True, pairwise=True
     )
+
+
+def _no_touching(same: bool) -> Callable[[Board, Sequence[Placement]], Predicate]:
+    """Legal when no placement occupies a neighbour of a vertex of a
+    placement of the same player (``same``) or of the other player."""
+
+    def legal(b: Board, placements: Sequence[Placement]) -> Predicate:
+        at: dict[int, int] = {}  # vertex -> the placements occupying it
+        by_player: dict[str, int] = {}
+        for i, p in enumerate(placements):
+            for v in p.occupied:
+                at[v] = at.get(v, 0) | 1 << i
+            by_player[p.player] = by_player.get(p.player, 0) | 1 << i
+        touching = []
+        for p in placements:
+            near = 0
+            for v in p.occupied:
+                for w in b.neighbors(v):
+                    near |= at.get(w, 0)
+            own = by_player[p.player]
+            touching.append(near & own if same else near & ~own)
+        return lambda mask: not any(touching[i] & mask for i in bits(mask))
+
+    return legal
 
 
 def snort() -> Ruleset:
     """No piece may be orthogonally adjacent to an opposing piece."""
-
-    def legal(b: Board, pos: Position) -> bool:
-        left = pos.occupied_by("L")
-        right = pos.occupied_by("R")
-        return not any(w in right for v in left for w in b.neighbors(v))
-
-    return Ruleset("snort", _single_vertex_pieces(), legal, claims_invariant=True, pairwise=True)
+    return Ruleset(
+        "snort", _single_vertex_pieces(), _no_touching(False), claims_invariant=True, pairwise=True
+    )
 
 
 def col() -> Ruleset:
     """No piece may be adjacent to a piece of the same player."""
-
-    def legal(b: Board, pos: Position) -> bool:
-        for player in ("L", "R"):
-            own = pos.occupied_by(player)
-            if any(w in own for v in own for w in b.neighbors(v) if w > v):
-                return False
-        return True
-
-    return Ruleset("col", _single_vertex_pieces(), legal, claims_invariant=True, pairwise=True)
+    return Ruleset(
+        "col", _single_vertex_pieces(), _no_touching(True), claims_invariant=True, pairwise=True
+    )
 
 
 def nogo() -> Ruleset:
     """Every maximal same-player connected group needs an adjacent empty vertex."""
 
-    def legal(b: Board, pos: Position) -> bool:
-        occupied = pos.all_occupied
-        for player in ("L", "R"):
-            own = pos.occupied_by(player)
-            # a group breathes when one of its stones does: flood out from those
-            reached = {v for v in own if any(w not in occupied for w in b.neighbors(v))}
-            stack = list(reached)
-            while stack:
-                for w in b.neighbors(stack.pop()):
-                    if w in own and w not in reached:
-                        reached.add(w)
-                        stack.append(w)
-            if len(reached) != len(own):
-                return False
-        return True
+    def legal(b: Board, placements: Sequence[Placement]) -> Predicate:
+        dense = {v: i for i, v in enumerate(b.vertices)}
+        nbrs = [sum(1 << dense[w] for w in b.neighbors(v)) for v in b.vertices]
+        occ = [sum(1 << dense[v] for v in p.occupied) for p in placements]
+        right = [p.player == "R" for p in placements]
+        everything = (1 << len(dense)) - 1
+
+        def near(vs: int) -> int:
+            out = 0
+            for v in bits(vs):
+                out |= nbrs[v]
+            return out
+
+        def predicate(mask: int) -> bool:
+            stones = [0, 0]
+            for i in bits(mask):
+                stones[right[i]] |= occ[i]
+            breathing = near(everything & ~(stones[0] | stones[1]))
+            for own in stones:
+                # a group breathes when one of its stones does: flood out from those
+                reached = frontier = own & breathing
+                while frontier:
+                    frontier = near(frontier) & own & ~reached
+                    reached |= frontier
+                if reached != own:
+                    return False
+            return True
+
+        return predicate
 
     return Ruleset("nogo", _single_vertex_pieces(), legal, claims_invariant=False)
 
@@ -149,18 +141,19 @@ def nogo() -> Ruleset:
 def domineering() -> Ruleset:
     """Left places vertical dominoes, Right horizontal ones, on a grid board."""
 
-    def oriented(b: Board, occ: frozenset[int], player: str) -> bool:
-        if b.coords is None:
-            raise ValueError("domineering needs a board with grid coordinates")
-        if len(occ) != 2:
+    def oriented(b: Board, p: Placement) -> bool:
+        if len(p.occupied) != 2:
             return False
-        (r1, c1), (r2, c2) = sorted(b.coords[v] for v in occ)
-        if player == "L":
+        (r1, c1), (r2, c2) = sorted(b.coords[v] for v in p.occupied)
+        if p.player == "L":
             return c1 == c2 and r2 - r1 == 1
         return r1 == r2 and c2 - c1 == 1
 
-    def legal(b: Board, pos: Position) -> bool:
-        return all(oriented(b, p.occupied, p.player) for p in pos)
+    def legal(b: Board, placements: Sequence[Placement]) -> Predicate:
+        if placements and b.coords is None:
+            raise ValueError("domineering needs a board with grid coordinates")
+        wrong = sum(1 << i for i, p in enumerate(placements) if not oriented(b, p))
+        return lambda mask: not mask & wrong
 
     return Ruleset(
         "domineering", dict(_DOMINO_PIECES), legal, claims_invariant=False, pairwise=True
@@ -171,26 +164,15 @@ def domineering() -> Ruleset:
 # Table games: legality looked up in a fixed complex on a board of small cycles
 
 
-def _cycle_vertex_map(b: Board, delta: LabeledComplex) -> dict[frozenset[int], str]:
-    """Components that are triangles name L-vertices, 4-cycles name R-vertices,
-    in canonical order.  Components beyond the needed counts stay unlabelled."""
+def _covered_names(b: Board, placements: Sequence[Placement], delta: LabeledComplex) -> list[str | None]:
+    """Per placement, the complex vertex it names, or None when it does not
+    exactly cover a labelled cycle.  Components that are triangles name
+    L-vertices, 4-cycles name R-vertices, in canonical order; components
+    beyond the needed counts stay unlabelled."""
     cycles = b._cycle_components
-    out = dict(zip(cycles.get(3, ()), delta.left))
-    out.update(zip(cycles.get(4, ()), delta.right))
-    return out
-
-
-def _covered_names(b: Board, pos: Position, delta: LabeledComplex) -> set[str] | None:
-    """The complex vertices named by a position's exactly-covered cycles, or
-    None when some placement does not exactly cover a labelled cycle."""
-    mapping = _cycle_vertex_map(b, delta)
-    names: set[str] = set()
-    for p in pos:
-        name = mapping.get(p.occupied)
-        if name is None:
-            return None
-        names.add(name)
-    return names
+    names = dict(zip(cycles.get(3, ()), delta.left))
+    names.update(zip(cycles.get(4, ()), delta.right))
+    return [names.get(p.occupied) for p in placements]
 
 
 def _table_pieces() -> dict[str, tuple[Piece, ...]]:
@@ -201,11 +183,9 @@ def table_game_legal(delta: LabeledComplex) -> Ruleset:
     """Legal exactly when the set of covered cycles names a face of ``delta``."""
     face_set = faces(delta)
 
-    def legal(b: Board, pos: Position) -> bool:
-        if not len(pos):
-            return True
-        names = _covered_names(b, pos, delta)
-        return names is not None and frozenset(names) in face_set
+    def legal(b: Board, placements: Sequence[Placement]) -> Predicate:
+        names = _covered_names(b, placements, delta)
+        return lambda mask: not mask or frozenset(names[i] for i in bits(mask)) in face_set
 
     return Ruleset("table-legal", _table_pieces(), legal, claims_invariant=False)
 
@@ -213,13 +193,14 @@ def table_game_legal(delta: LabeledComplex) -> Ruleset:
 def table_game_illegal(delta: LabeledComplex) -> Ruleset:
     """Legal exactly when the covered cycles contain no facet of ``delta``."""
 
-    def legal(b: Board, pos: Position) -> bool:
-        if not len(pos):
-            return True
-        names = _covered_names(b, pos, delta)
-        if names is None:
-            return False
-        return not any(f <= names for f in delta.facets)
+    def legal(b: Board, placements: Sequence[Placement]) -> Predicate:
+        names = _covered_names(b, placements, delta)
+
+        def predicate(mask: int) -> bool:
+            covered = {names[i] for i in bits(mask)}
+            return not mask or None not in covered and not any(f <= covered for f in delta.facets)
+
+        return predicate
 
     return Ruleset("table-illegal", _table_pieces(), legal, claims_invariant=False)
 
@@ -231,7 +212,7 @@ def cycle_placement_game(delta: LabeledComplex) -> Ruleset:
     cycles: every disjoint collection of covered cycles is allowed.
     """
     return Ruleset(
-        "cycle-placement", _table_pieces(), lambda b, pos: True, claims_invariant=True,
+        "cycle-placement", _table_pieces(), _anything, claims_invariant=True,
         pairwise=True,
     )
 
@@ -289,18 +270,25 @@ def gamma_game(
     n = len(gamma.vertices)
     pieces = {"L": (boards.gamma_piece(n, "L"),), "R": (boards.gamma_piece(n, "R"),)}
 
-    def legal(b: Board, pos: Position) -> bool:
-        ps = list(pos)
-        for size, forbidden in by_size.items():
-            if size > len(ps):
-                continue
-            for combo in combinations(ps, size):
-                dists = frozenset(
-                    distance(b, p.occupied, q.occupied) for p, q in combinations(combo, 2)
-                )
-                if dists in forbidden:
-                    return False
-        return True
+    def legal(b: Board, placements: Sequence[Placement]) -> Predicate:
+        memo: dict[tuple[int, int], int | float] = {}
+
+        def dist(i: int, j: int) -> int | float:
+            if (i, j) not in memo:
+                memo[i, j] = distance(b, placements[i].occupied, placements[j].occupied)
+            return memo[i, j]
+
+        def predicate(mask: int) -> bool:
+            ps = list(bits(mask))
+            for size, forbidden in by_size.items():
+                if size > len(ps):
+                    continue
+                for combo in combinations(ps, size):
+                    if frozenset(dist(i, j) for i, j in combinations(combo, 2)) in forbidden:
+                        return False
+            return True
+
+        return predicate
 
     return Ruleset("gamma", pieces, legal, claims_invariant=True)
 

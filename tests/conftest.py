@@ -9,6 +9,7 @@ import pytest
 from spg.boards import Board, board, vertex_piece
 from spg.complexes import (
     LabeledComplex,
+    bits,
     empty_face_complex,
     from_facets,
     void_complex,
@@ -92,6 +93,21 @@ def connected_boards(n: int):
             yield board(vs, edges)
 
 
+def judge(game: Ruleset, b: Board, *placements) -> bool:
+    """The verdict of ``game`` on the position made of ``placements``: its
+    predicate compiled over exactly these placements, asked about all of them."""
+    return game.legal(b, placements)((1 << len(placements)) - 1)
+
+
+def on_placement_sets(rule):
+    """A ruleset predicate from a rule on ``(board, frozenset of placements)``."""
+
+    def legal(b: Board, placements):
+        return lambda mask: rule(b, frozenset(placements[i] for i in bits(mask)))
+
+    return legal
+
+
 def degree_one_game() -> Ruleset:
     """Single-vertex pieces; occupying any vertex of board degree 1 is
     forbidden, everything else is allowed."""
@@ -100,7 +116,7 @@ def degree_one_game() -> Ruleset:
     def legal(b: Board, pos) -> bool:
         return all(b.degree(v) != 1 for pl in pos for v in pl.occupied)
 
-    return Ruleset("degree-one", pieces, legal, claims_invariant=True)
+    return Ruleset("degree-one", pieces, on_placement_sets(legal), claims_invariant=True)
 
 
 @pytest.fixture

@@ -332,6 +332,27 @@ def test_board_coords_missing_an_edge_endpoint_exits_2(run, tmp_path):
     assert code == 2 and err.startswith("error:") and "edge (0,1)" in err
 
 
+NON_INTEGER_BOARDS = {  # a board spec, or the text of a board file
+    "cells-overflow": "grid-cells:[(1e400,0)]",
+    "cells-fractions": "grid-cells:[(0.5,0),(1.9,0)]",
+    "file-overflow": '{"vertices": [1e400], "edges": []}',
+    "file-bool-and-float": '{"vertices": [true, 2.7], "edges": []}',
+    "file-float-edge": '{"vertices": [0, 1], "edges": [[0, 1.0]]}',
+    "file-float-coords": '{"vertices": [0], "edges": [], "coords": {"0": [0.5, 0]}}',
+}
+
+
+@pytest.mark.parametrize("board", NON_INTEGER_BOARDS.values(), ids=NON_INTEGER_BOARDS.keys())
+def test_non_integer_board_input_exits_2(run, tmp_path, board):
+    if board.startswith("{"):
+        board_path = tmp_path / "board.json"
+        board_path.write_text(board)
+        board = f"file:{board_path}"
+    code, _, err = run("game", "value", "--ruleset", "snort", "--board", board)
+    assert code == 2 and err.startswith("error:") and "expected an integer" in err
+    assert "Traceback" not in err
+
+
 def test_deeply_nested_union_spec_exits_2(run):
     deep = "union:(" * 600 + "path:2" + ")" * 600
     code, _, err = run("game", "value", "--ruleset", "snort", "--board", deep)

@@ -27,7 +27,7 @@ from spg.construct import (
 from spg.engine import illegal_complex, legal_complex
 from spg.rulesets import free_placement, nogo, snort
 
-from conftest import all_labeled_complexes
+from conftest import all_labeled_complexes, on_placement_sets
 
 
 AB_BC = from_facets([["a", "b"], ["b", "c"]], {"a": "L", "b": "L", "c": "R"})
@@ -206,7 +206,7 @@ def test_to_invariant_rejects_order_dependent_rules():
         return len(pos) != 1
 
     pieces = {"L": (vertex_piece("L"),), "R": (vertex_piece("R"),)}
-    game = Ruleset("pairs-only", pieces, pairs_only)
+    game = Ruleset("pairs-only", pieces, on_placement_sets(pairs_only))
     with pytest.raises(ValueError, match="not downward closed"):
         to_invariant(game, build_path(2))
 

@@ -14,6 +14,7 @@ from spg.boards import (
     disjoint_union,
     domino_piece,
     empty_board,
+    induced_embeddings,
     vertex_piece,
 )
 from spg.complexes import from_facets, sr_complex
@@ -36,15 +37,14 @@ from spg.rulesets import (
     domineering,
     free_placement,
     nogo,
-    position,
     snort,
 )
-from conftest import connected_boards, degree_one_game
+from conftest import connected_boards, degree_one_game, judge, on_placement_sets
 
 
 def _single_vertex_rules(name, predicate, invariant=False) -> Ruleset:
     pieces = {"L": (vertex_piece("L"),), "R": (vertex_piece("R"),)}
-    return Ruleset(name, pieces, predicate, claims_invariant=invariant)
+    return Ruleset(name, pieces, on_placement_sets(predicate), claims_invariant=invariant)
 
 
 def test_basic_positions_canonical_index(lshape_board):
@@ -205,6 +205,24 @@ def test_invariance_is_deterministic():
     assert (a.status, a.detail, a.samples_run) == (b.status, b.detail, b.samples_run)
 
 
+@pytest.mark.parametrize(
+    "game, brd", [(domineering(), build_grid(3, 3)), (snort(), build_grid(2, 3))],
+    ids=["domineering-3x3", "snort-2x3"],
+)
+def test_transported_placements_are_basic_positions(game, brd):
+    # check_invariance looks a transported placement up among the basic
+    # positions by player and occupied set; the lookup must never miss
+    placements = basic_positions(game, brd).placements
+    basic = {(p.player, p.occupied) for p in placements}
+    for p in placements:
+        occ = sorted(p.occupied)
+        pattern = [e for e in brd.edges if set(e) <= p.occupied]
+        maps = induced_embeddings(brd, occ, pattern)
+        assert maps
+        for phi in maps:
+            assert (p.player, frozenset(phi[v] for v in occ)) in basic, (p, phi)
+
+
 def test_board_cap():
     with pytest.raises(BoardTooLarge):
         analyze(snort(), build_path(4), cap=4)
@@ -215,9 +233,14 @@ def test_board_cap():
 def _counting(game):
     calls = [0]
 
-    def legal(b, pos):
-        calls[0] += 1
-        return game.legal(b, pos)
+    def legal(b, placements):
+        predicate = game.legal(b, placements)
+
+        def counted(mask):
+            calls[0] += 1
+            return predicate(mask)
+
+        return counted
 
     return dataclasses.replace(game, legal=legal), calls
 
@@ -285,7 +308,7 @@ def closure_oracle(game, board_):
                 seen.add(s | {b})
                 disjoint.append(s | {b})
     legal, violated = {frozenset()}, False
-    accepted = {t for t in disjoint if game.legal(board_, position(*(by_name[c] for c in t)))}
+    accepted = {t for t in disjoint if judge(game, board_, *(by_name[c] for c in t))}
     for t in disjoint[1:]:
         subs_legal = [t - {c} in legal for c in t]
         if t in accepted:
@@ -331,8 +354,7 @@ def small_games(draw):
     def closed(pls) -> bool:
         return not pls or coin(pls) and all(closed(pls - {p}) for p in pls)
 
-    def legal(b, pos) -> bool:
-        pls = pos.placements
+    def legal(b, pls) -> bool:
         if kind == "table":
             return coin(pls) if pls else True
         if kind == "closed":
@@ -340,7 +362,7 @@ def small_games(draw):
         return all(coin(frozenset(c)) for r in (1, 2) for c in combinations(pls, r))
 
     pieces = _PIECES[draw(st.sampled_from(sorted(_PIECES)))]
-    return Ruleset(kind, pieces, legal), board(range(n), edges)
+    return Ruleset(kind, pieces, on_placement_sets(legal)), board(range(n), edges)
 
 
 @settings(max_examples=200, deadline=None)
@@ -358,7 +380,7 @@ def test_analyze_matches_brute_force(case):
         except DownwardClosureError as exc:
             assert violated and not variant.pairwise
             by_name = basic_positions(game, board_).by_name
-            assert game.legal(board_, position(*(by_name[c] for c in exc.witness)))
+            assert judge(game, board_, *(by_name[c] for c in exc.witness))
             assert set(exc.missing) < set(exc.witness)
             assert len(exc.missing) == len(exc.witness) - 1
             assert frozenset(exc.missing) not in legal

@@ -15,7 +15,6 @@ from spg.boards import (
 )
 from spg.complexes import empty_face_complex, from_facets, void_complex
 from spg.rulesets import (
-    EMPTY_POSITION,
     IdSet,
     col,
     cycle_placement_game,
@@ -24,13 +23,12 @@ from spg.rulesets import (
     gamma_game,
     id_sets,
     nogo,
-    position,
     ruleset_descriptor,
     snort,
     table_game_illegal,
     table_game_legal,
 )
-from conftest import connected_boards
+from conftest import connected_boards, judge
 
 
 AB_BC = from_facets([["a", "b"], ["b", "c"]], {"a": "L", "b": "L", "c": "R"})
@@ -45,93 +43,102 @@ def R(*vs):
     return placement("R", vs)
 
 
-def test_position_rejects_overlap():
-    with pytest.raises(ValueError):
-        position(L(0), R(0))
-    with pytest.raises(ValueError):
-        position(L(0, 1), L(1, 2))
-    pos = position(L(0), R(1))
-    assert pos.occupied_by("L") == frozenset({0})
-    assert pos.all_occupied == frozenset({0, 1})
-    assert len(EMPTY_POSITION) == 0
-
-
 def test_every_builtin_accepts_the_empty_position():
     b = build_path(3)
     for game in (free_placement(), snort(), col(), nogo()):
-        assert game.legal(b, EMPTY_POSITION)
-    assert domineering().legal(build_grid(2, 2), EMPTY_POSITION)
+        assert judge(game, b)
+    assert judge(domineering(), build_grid(2, 2))
 
 
 def test_snort_truth_table():
     game = snort()
     b = build_path(2)
-    assert game.legal(b, position(L(0), L(1)))
-    assert game.legal(b, position(R(0), R(1)))
-    assert not game.legal(b, position(L(0), R(1)))
-    assert game.legal(b, position(L(0)))
+    assert judge(game, b, L(0), L(1))
+    assert judge(game, b, R(0), R(1))
+    assert not judge(game, b, L(0), R(1))
+    assert judge(game, b, L(0))
 
 
 def test_col_truth_table():
     game = col()
     b = build_path(3)
-    assert not game.legal(b, position(L(0), L(1)))
-    assert game.legal(b, position(L(0), R(1)))
-    assert game.legal(b, position(L(0), L(2)))
+    assert not judge(game, b, L(0), L(1))
+    assert judge(game, b, L(0), R(1))
+    assert judge(game, b, L(0), L(2))
 
 
 def test_nogo_liberty_rule():
     game = nogo()
     b = build_path(3)
-    assert game.legal(b, position(L(0)))
-    assert game.legal(b, position(L(0), L(1)))
-    assert not game.legal(b, position(L(0), L(1), L(2)))
+    assert judge(game, b, L(0))
+    assert judge(game, b, L(0), L(1))
+    assert not judge(game, b, L(0), L(1), L(2))
     # a surrounded single stone has no liberty even though its captors do
-    assert not game.legal(b, position(L(0), R(1), L(2)))
+    assert not judge(game, b, L(0), R(1), L(2))
     lonely = disjoint_union(build_path(2), build_path(1))
-    assert not game.legal(lonely, position(L(2)))
+    assert not judge(game, lonely, L(2))
 
 
-def nogo_component_rule(b, pos) -> bool:
+# Each game's rule on vertex sets, written out for the reference test below
+
+
+def snort_rule(b, stones) -> bool:
+    return not any(w in stones["R"] for v in stones["L"] for w in b.neighbors(v))
+
+
+def col_rule(b, stones) -> bool:
+    return not any(w in own for own in stones.values() for v in own for w in b.neighbors(v))
+
+
+def nogo_rule(b, stones) -> bool:
     """NoGo's rule group by group: every component of a player's stones
     needs an empty neighbour."""
-    occupied = pos.all_occupied
-    for player in ("L", "R"):
-        own = pos.occupied_by(player)
+    occupied = stones["L"] | stones["R"]
+    for own in stones.values():
         for group in _components_of(sorted(own), {e for e in b.edges if set(e) <= own}):
             if not any(w not in occupied for v in group for w in b.neighbors(v)):
                 return False
     return True
 
 
-def _colouring(b, colours):
-    return position(*(placement(c, [v]) for v, c in zip(b.vertices, colours) if c != "."))
-
-
-def test_nogo_matches_component_rule():
-    game = nogo()
+def _colourings():
+    """Every L/R/empty colouring of every connected board on 1-4 vertices,
+    then 200 seeded colourings of the 3x3 grid."""
     for n in range(1, 5):
         for b in connected_boards(n):
             for colours in product("LR.", repeat=n):
-                pos = _colouring(b, colours)
-                assert game.legal(b, pos) == nogo_component_rule(b, pos), (b.edges, colours)
+                yield b, colours
     grid = build_grid(3, 3)
     rng = random.Random(5)
     for _ in range(200):
-        pos = _colouring(grid, [rng.choice("LR.") for _ in grid.vertices])
-        assert game.legal(grid, pos) == nogo_component_rule(grid, pos)
+        yield grid, [rng.choice("LR.") for _ in grid.vertices]
+
+
+@pytest.mark.parametrize(
+    "game, rule", [(snort, snort_rule), (col, col_rule), (nogo, nogo_rule)],
+    ids=["snort", "col", "nogo"],
+)
+def test_matches_reference_rule(game, rule):
+    compiled = {}  # per board: one predicate over a stone of each player on each vertex
+    for b, colours in _colourings():
+        if b not in compiled:
+            compiled[b] = game().legal(b, [placement(c, [v]) for c in "LR" for v in b.vertices])
+        n = len(b.vertices)
+        mask = sum(1 << i + n * (c == "R") for i, c in enumerate(colours) if c != ".")
+        stones = {p: {v for v, c in zip(b.vertices, colours) if c == p} for p in "LR"}
+        assert compiled[b](mask) == rule(b, stones), (b.edges, colours)
 
 
 def test_domineering_orientations():
     game = domineering()
     b = build_grid(2, 2)  # ids: (0,0)=0 (0,1)=1 (1,0)=2 (1,1)=3
-    assert game.legal(b, position(L(0, 2)))
-    assert not game.legal(b, position(L(0, 1)))
-    assert game.legal(b, position(R(0, 1)))
-    assert not game.legal(b, position(R(0, 2)))
-    assert game.legal(b, position(L(0, 2), R(1, 3))) is False  # R(1,3) is vertical
+    assert judge(game, b, L(0, 2))
+    assert not judge(game, b, L(0, 1))
+    assert judge(game, b, R(0, 1))
+    assert not judge(game, b, R(0, 2))
+    assert judge(game, b, L(0, 2), R(1, 3)) is False  # R(1,3) is vertical
     with pytest.raises(ValueError):
-        game.legal(build_path(2), position(L(0, 1)))
+        judge(game, build_path(2), L(0, 1))
 
 
 @pytest.fixture
@@ -143,29 +150,29 @@ def table_board():
 def test_table_game_legal_names_faces(table_board):
     game = table_game_legal(AB_BC)
     a, b, c = L(0, 1, 2), L(3, 4, 5), R(6, 7, 8, 9)
-    assert game.legal(table_board, EMPTY_POSITION)
-    assert game.legal(table_board, position(a, b))
-    assert game.legal(table_board, position(b, c))
-    assert not game.legal(table_board, position(a, c))
-    assert not game.legal(table_board, position(a, b, c))
+    assert judge(game, table_board)
+    assert judge(game, table_board, a, b)
+    assert judge(game, table_board, b, c)
+    assert not judge(game, table_board, a, c)
+    assert not judge(game, table_board, a, b, c)
     # a placement that covers no labelled cycle exactly is illegal
-    assert not game.legal(table_board, position(L(0, 1, 3)))
+    assert not judge(game, table_board, L(0, 1, 3))
 
 
 def test_table_game_illegal_avoids_facets(table_board):
     game = table_game_illegal(AB_BC)
     a, b, c = L(0, 1, 2), L(3, 4, 5), R(6, 7, 8, 9)
-    assert game.legal(table_board, EMPTY_POSITION)
-    assert not game.legal(table_board, position(a, b))
-    assert not game.legal(table_board, position(b, c))
-    assert game.legal(table_board, position(a, c))
-    assert not game.legal(table_board, position(L(0, 1, 3)))
+    assert judge(game, table_board)
+    assert not judge(game, table_board, a, b)
+    assert not judge(game, table_board, b, c)
+    assert judge(game, table_board, a, c)
+    assert not judge(game, table_board, L(0, 1, 3))
 
 
 def test_cycle_placement_game_is_unrestricted(table_board):
     game = cycle_placement_game(AB_BC)
     assert game.claims_invariant
-    assert game.legal(table_board, position(L(0, 1, 2), R(6, 7, 8, 9)))
+    assert judge(game, table_board, L(0, 1, 2), R(6, 7, 8, 9))
 
 
 def test_id_sets_default_labeling():
@@ -186,13 +193,13 @@ def test_id_set_size_validation():
 def test_gamma_game_forbids_exact_distance_patterns():
     game = gamma_game(P3_GAMMA)
     b = build_path(6)
-    assert game.legal(b, EMPTY_POSITION)
-    assert game.legal(b, position(L(0), R(1)))  # distance 1 matches no id-set
-    assert not game.legal(b, position(L(0), R(2)))  # distance 2 is facet ab
-    assert not game.legal(b, position(L(0), R(3)))  # distance 3 is facet bc
-    assert game.legal(b, position(L(0), R(4)))
+    assert judge(game, b)
+    assert judge(game, b, L(0), R(1))  # distance 1 matches no id-set
+    assert not judge(game, b, L(0), R(2))  # distance 2 is facet ab
+    assert not judge(game, b, L(0), R(3))  # distance 3 is facet bc
+    assert judge(game, b, L(0), R(4))
     # three pieces: illegal already because a pair matches
-    assert not game.legal(b, position(L(0), R(2), L(5)))
+    assert not judge(game, b, L(0), R(2), L(5))
 
 
 def test_gamma_game_degenerate_inputs():
