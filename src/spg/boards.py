@@ -8,11 +8,13 @@ connected graphs owned by one player; a placement is the vertex image of an
 embedding of a piece into a board.
 
 Embeddings are not-necessarily-induced (or, on request, induced) subgraph
-embeddings found by one iterative backtracking search: an explicit stack of
-candidate lists drawn from the board's sorted neighbour tuples, and no
-recursion, so pattern size is not bounded by Python's recursion limit.  What
-the search needs to know about its pattern is a ``_SearchPlan``, made once
-per pattern and memoised on the piece: the static vertex order, the earlier
+embeddings found by one iterative backtracking search, which serves piece
+placements, piece automorphisms and the induced, possibly disconnected,
+patterns of :func:`induced_embeddings` alike: an explicit stack of candidate
+lists drawn from the board's sorted neighbour tuples, and no recursion, so
+pattern size is not bounded by Python's recursion limit.  What the search
+needs to know about its pattern is a ``_SearchPlan``, made once per pattern
+and memoised on the piece: the static vertex order, the earlier
 neighbours, degree needs and symmetry conditions of each position, and two
 look-ahead tables.  With them the search drops, in the spirit of VF2's
 look-ahead (Cordella et al., 2004), candidates that cannot complete:
@@ -46,6 +48,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .complexes import LabeledComplex, has_isolated_vertex
@@ -270,14 +273,13 @@ def disjoint_union(*boards: Board) -> Board:
 
 @dataclass(frozen=True, eq=False)
 class Piece:
-    """A connected graph shape owned by one player.  It memoises the
-    symmetry-breaking conditions and the plan of its placement search."""
+    """A connected graph shape owned by one player.  It memoises the plan of
+    its placement search, which holds its symmetry-breaking conditions."""
 
     player: str
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
     _adj: dict = field(init=False, repr=False)
-    _conditions: Optional[list] = field(init=False, repr=False, default=None)
     _plan: Optional[_SearchPlan] = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
@@ -285,17 +287,9 @@ class Piece:
             raise ValueError(f"unknown player {self.player!r}")
         if not self.vertices:
             raise ValueError("a piece needs at least one vertex")
-        adj = _adjacency(self.vertices, self.edges)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(self.vertices):
+        if len(_components_of(self.vertices, self.edges)) != 1:
             raise ValueError("piece graph is not connected")
-        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_adj", _adjacency(self.vertices, self.edges))
 
     def __repr__(self) -> str:
         return f"Piece({self.player}, n={len(self.vertices)}, m={len(self.edges)})"
@@ -407,6 +401,10 @@ class _SearchPlan:
     * ``rest[i]``: the size of the component of ``order[i]`` among the
       vertices not yet mapped, ``order[i:]``, when the cut-vertex rule is
       checked here (else 0).
+
+    The pattern may be disconnected: the static order takes its components
+    one after another, the root distance of a vertex outside the root's
+    component is ``None``, and ``rest`` counts within one component.
     """
 
     __slots__ = ("order", "earlier", "need", "above", "below", "root_dist", "rest", "reach")
@@ -484,24 +482,6 @@ class _SearchPlan:
         self.rest = rest
 
 
-def _embeddings(
-    p_vertices: Sequence[int],
-    p_adj: Mapping[int, tuple[int, ...]],
-    target: Board,
-    induced: bool = False,
-    deadline: float | None = None,
-    conditions: Iterable[tuple[int, int]] = (),
-) -> Iterator[dict[int, int]]:
-    """Yield every embedding of the pattern into the target board, in the
-    order and under the rules of :func:`_search`, with conditions
-    ``image[a] < image[b]`` for each ``(a, b)`` in ``conditions``.
-
-    The search plan is made for this one call; pieces memoise theirs and
-    ``induced_embeddings`` makes one per pattern component.
-    """
-    return _search(_SearchPlan(p_vertices, p_adj, conditions), target, induced, deadline)
-
-
 def _search(
     plan: _SearchPlan,
     target: Board,
@@ -514,8 +494,15 @@ def _search(
     must map to target non-edges as well.  Each ``(a, b)`` among the plan's
     conditions keeps only the embeddings with ``image[a] < image[b]``; it is
     checked when the later of ``a`` and ``b`` in the search order is mapped.
-    Connected patterns only.  Embeddings come in lexicographic order of their
-    images along the search order.
+    Embeddings come in lexicographic order of their images along the search
+    order.
+
+    Disconnected patterns need no special case: a position with no earlier
+    neighbour draws from every board vertex; the distance rule covers only
+    the root's component, since no other vertex has a root distance; ``rest``
+    is a size within one component, so the cut-vertex rule is per component;
+    and the ``induced`` filter rejects a candidate adjacent to the image of
+    any earlier non-neighbour, in whichever component.
 
     Two look-ahead rules drop candidates that cannot complete, so they change
     nothing that is yielded:
@@ -660,7 +647,6 @@ def piece_placements(target: Board, piece: Piece, deadline: float | None = None)
     canonical (sorted occupied tuple) order."""
     if piece._plan is None:
         conditions = _symmetry_conditions(piece, deadline)
-        object.__setattr__(piece, "_conditions", conditions)
         object.__setattr__(piece, "_plan", _SearchPlan(piece.vertices, piece._adj, conditions))
     images = {frozenset(emb.values()) for emb in _search(piece._plan, target, deadline=deadline)}
     return tuple(placement(piece.player, img) for img in sorted(images, key=sorted))
@@ -674,36 +660,11 @@ def induced_embeddings(
     deadline: float | None = None,
 ) -> list[dict[int, int]]:
     """Embeddings of an induced pattern (vertices plus exact edge set) into the
-    board, non-edges required to stay non-edges.  Disconnected patterns are
-    handled component by component with a cross-component non-adjacency check."""
-    sub_adj = _adjacency(sub_vertices, sub_edges)
-    plans = [
-        _SearchPlan(sorted(comp), {v: tuple(w for w in sub_adj[v] if w in comp) for v in comp})
-        for comp in _components_of(sub_vertices, sub_edges)
-    ]
-    t_adj = target._nbrs
-    results: list[dict[int, int]] = []
-
-    def place(ci: int, acc: dict[int, int]) -> None:
-        if limit is not None and len(results) >= limit:
-            return
-        if ci == len(plans):
-            results.append(dict(acc))
-            return
-        for emb in _search(plans[ci], target, induced=True, deadline=deadline):
-            vals = set(emb.values())
-            if vals & set(acc.values()):
-                continue
-            # components are mutually non-adjacent in the pattern, so their
-            # images must not touch either
-            if any(t_adj[x] & vals for x in acc.values()):
-                continue
-            place(ci + 1, {**acc, **emb})
-            if limit is not None and len(results) >= limit:
-                return
-
-    place(0, {})
-    return results
+    board, non-edges required to stay non-edges, in the order of
+    :func:`_search`; at most ``limit`` of them.  The pattern may be
+    disconnected."""
+    plan = _SearchPlan(sub_vertices, _adjacency(sub_vertices, sub_edges))
+    return list(islice(_search(plan, target, induced=True, deadline=deadline), limit))
 
 
 def _components_of(vertices: Sequence[int], edges: Iterable[Edge]) -> list[set[int]]:

@@ -21,8 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 PARTS = ("L", "R")
 
@@ -33,6 +32,22 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def independent_sets(conflict: Sequence[int], allowed: int) -> Iterator[int]:
+    """Every nonempty set of bits of ``allowed`` holding no bit of another's
+    ``conflict`` mask, each once: a set is extended only above its highest bit.
+    The children of a set are yielded in increasing bit order, then the last
+    child is extended first."""
+    stack = [(0, allowed)]
+    while stack:
+        s, cand = stack.pop()
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            t = s | low
+            yield t
+            stack.append((t, cand & ~conflict[low.bit_length() - 1]))
 
 
 def _norm_faces(faces: Iterable[Iterable[str]]) -> set[frozenset[str]]:
@@ -327,24 +342,18 @@ def independence_complex(
     for e in edge_set:
         if len(e) != 2 or not e <= set(verts):
             raise ValueError(f"bad edge {sorted(e)}")
-    adj: dict[str, set[str]] = {v: set() for v in verts}
-    for a, b in (sorted(e) for e in edge_set):
-        adj[a].add(b)
-        adj[b].add(a)
-
-    def independent(sub: tuple[str, ...]) -> bool:
-        chosen = set(sub)
-        return all(not adj[v] & chosen for v in sub)
-
-    # brute force is fine at the scales this is used at (basic-position graphs)
-    maximal = set()
-    for size in range(len(verts) + 1):
-        for combo in combinations(verts, size):
-            if not independent(combo):
-                continue
-            chosen = set(combo)
-            if all(v in chosen or adj[v] & chosen for v in verts):
-                maximal.add(frozenset(combo))
+    index = {v: i for i, v in enumerate(verts)}
+    conflict = [1 << i for i in range(len(verts))]
+    for a, b in edge_set:
+        conflict[index[a]] |= 1 << index[b]
+        conflict[index[b]] |= 1 << index[a]
+    # each vertex conflicts with itself, so an independent set is maximal
+    # when every vertex, inside it or not, has a conflict inside it
+    maximal = [
+        frozenset(verts[i] for i in bits(t))
+        for t in (0, *independent_sets(conflict, (1 << len(verts)) - 1))
+        if all(c & t for c in conflict)
+    ]
     return from_facets(maximal, part)
 
 

@@ -26,11 +26,11 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import boards
 from .boards import Board, Placement, piece_placements
-from .complexes import LabeledComplex, SquareFreeIdeal, bits, from_facets, ideal
+from .complexes import LabeledComplex, SquareFreeIdeal, bits, from_facets, ideal, independent_sets
 from .rulesets import Predicate, Ruleset
 
 
@@ -52,22 +52,6 @@ class DownwardClosureError(ValueError):
 
 
 DEFAULT_CAP = 24
-
-
-def _independent_sets(conflict: Sequence[int], allowed: int) -> Iterator[int]:
-    """Every nonempty set of bits of ``allowed`` holding no bit of another's
-    ``conflict`` mask, each once: a set is extended only above its highest bit.
-    The children of a set are yielded in increasing bit order, then the last
-    child is extended first."""
-    stack = [(0, allowed)]
-    while stack:
-        s, cand = stack.pop()
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            t = s | low
-            yield t
-            stack.append((t, cand & ~conflict[low.bit_length() - 1]))
 
 
 @dataclass(frozen=True)
@@ -309,7 +293,7 @@ def _pairwise_closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[
             if not predicate(1 << i | 1 << j):
                 conflict[i] |= 1 << j
                 conflict[j] |= 1 << i
-    legal = {0, *_independent_sets(conflict, singles)}
+    legal = {0, *independent_sets(conflict, singles)}
     minimal = [1 << i for i in range(m) if not singles >> i & 1]
     return legal, minimal + _conflicting_pairs(conflict, singles)
 
@@ -392,7 +376,7 @@ def check_condition_iv(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> C
     # reaches each one-smaller subset of a set before the set itself, so one
     # predicate call per set suffices.
     accepted = {0}
-    for t in _independent_sets(index.overlaps, (1 << len(index)) - 1):
+    for t in independent_sets(index.overlaps, (1 << len(index)) - 1):
         if predicate(t):
             accepted.add(t)
             for i in bits(t):

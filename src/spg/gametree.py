@@ -9,9 +9,10 @@ sum-over-faces-of-|F|! nodes.  A :class:`GameTree` holds only the complex and
 the mask of its face.
 
 Everything read off a tree is a fold of it: :func:`fold` walks the face masks
-once, children before parents, without recursion.  The canonical value, the
-node count of the unfolded tree, tree isomorphism and the DOT export are each
-one such fold, so their cost is polynomial in the number of faces.
+once, children before parents, without recursion.  The canonical value, tree
+isomorphism and the DOT export are each one such fold, so their cost is
+polynomial in the number of faces.  The node count of the unfolded tree needs
+no walk: it is a sum of factorials over the faces above the root.
 
 Values use the standard normal-play canonical form: options are simplified by
 removing dominated options and bypassing reversible ones until a fixpoint,
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
+from math import factorial
 from typing import Callable, Iterable, Optional, TypeVar
 
 from .complexes import LabeledComplex, are_isomorphic
@@ -63,8 +65,12 @@ class GameTree:
 
     @cached_property
     def node_count(self) -> int:
-        """Number of nodes of the unfolded move-sequence tree."""
-        return fold(self, lambda _, moves: 1 + sum(n for _, _, n in moves))
+        """Number of nodes of the unfolded move-sequence tree: one per play
+        sequence from this face, that is one per ordering of ``F - face`` for
+        each face ``F`` at or above it, or a lone root when no face lies
+        above (the void complex, or a mask that is not a face)."""
+        mask, k = self.mask, self.mask.bit_count()
+        return sum(factorial(f.bit_count() - k) for f in self.complex.face_masks if f & mask == mask) or 1
 
     def __repr__(self) -> str:
         face = ",".join(sorted(self.face)) or "{}"

@@ -11,7 +11,8 @@ from spg.boards import (
     OUTER_EXTRA,
     BudgetExceeded,
     Piece,
-    _embeddings,
+    _SearchPlan,
+    _search,
     _search_order,
     _symmetry_conditions,
     assembly_board,
@@ -167,17 +168,17 @@ def random_board(rng: random.Random, n: int, p: float = 0.5):
 
 @pytest.mark.parametrize("piece", [STAR, cycle_piece(5, "L"), PATH3], ids=["star", "cycle5", "path3"])
 def test_search_matches_brute_force_on_random_boards(piece):
-    p_adj = piece._adj
-    conditions = _symmetry_conditions(piece)
+    plan = _SearchPlan(piece.vertices, piece._adj)
+    broken_plan = _SearchPlan(piece.vertices, piece._adj, _symmetry_conditions(piece))
     automorphisms = len(embeddings_oracle(board(piece.vertices, piece.edges), piece))
     rng = random.Random(7)
     for _ in range(30):
         b = random_board(rng, rng.randint(3, 7))
         maps = embeddings_oracle(b, piece)
-        got = [tuple(sorted(m.items())) for m in _embeddings(piece.vertices, p_adj, b)]
+        got = [tuple(sorted(m.items())) for m in _search(plan, b)]
         assert len(got) == len(set(got)) == len(maps)
         assert set(got) == {tuple(sorted(m.items())) for m in maps}
-        broken = list(_embeddings(piece.vertices, p_adj, b, conditions=conditions))
+        broken = list(_search(broken_plan, b))
         assert len(broken) * automorphisms == len(maps)
         assert {p.occupied for p in piece_placements(b, piece)} == placements_oracle(b, piece)
         induced = [
@@ -187,26 +188,26 @@ def test_search_matches_brute_force_on_random_boards(piece):
                 for a, c in combinations(piece.vertices, 2)
             )
         ]
-        got_induced = [tuple(sorted(m.items())) for m in _embeddings(piece.vertices, p_adj, b, induced=True)]
+        got_induced = [tuple(sorted(m.items())) for m in _search(plan, b, induced=True)]
         assert sorted(got_induced) == sorted(tuple(sorted(m.items())) for m in induced)
 
 
 @pytest.mark.parametrize("player", ["L", "R"])
 def test_symmetry_breaking_on_gamma_piece(player):
     piece = gamma_piece(2, player)
-    p_adj = piece._adj
-    conditions = _symmetry_conditions(piece)
+    plan = _SearchPlan(piece.vertices, piece._adj)
+    broken_plan = _SearchPlan(piece.vertices, piece._adj, _symmetry_conditions(piece))
     # flipping the inner ring times reflecting the outer cycle through the
     # connection vertex
     automorphisms = 4
-    assert len(list(_embeddings(piece.vertices, p_adj, board(piece.vertices, piece.edges)))) == automorphisms
+    assert len(list(_search(plan, board(piece.vertices, piece.edges)))) == automorphisms
     edge = from_facets([["a", "b"]], {"a": "L", "b": "R"})
     rng = random.Random(11)
     for base in (gamma_board(edge), disjoint_union(assembly_board(player, 2), gamma_board(edge))):
         ids = rng.sample(range(2 * len(base.vertices)), len(base.vertices))
         b = board(ids, [(ids[u], ids[v]) for u, v in base.edges])
-        plain = list(_embeddings(piece.vertices, p_adj, b))
-        broken = list(_embeddings(piece.vertices, p_adj, b, conditions=conditions))
+        plain = list(_search(plan, b))
+        broken = list(_search(broken_plan, b))
         assert plain and len(broken) * automorphisms == len(plain)
         occupied = {frozenset(m.values()) for m in plain}
         assert {frozenset(m.values()) for m in broken} == occupied
@@ -268,7 +269,7 @@ def assert_same_search(piece, b, conditions):
     for induced in (False, True):
         for conds in ((), conditions):
             want = list(reference_embeddings(piece.vertices, piece._adj, b, induced, conds))
-            got = list(_embeddings(piece.vertices, piece._adj, b, induced=induced, conditions=conds))
+            got = list(_search(_SearchPlan(piece.vertices, piece._adj, conds), b, induced))
             assert got == want, (piece, b.edges, induced, conds)
 
 
@@ -316,6 +317,35 @@ def test_search_yields_as_the_reference_on_gamma_boards(gamma):
             assert_same_search(piece, b, _symmetry_conditions(piece))
 
 
+DISCONNECTED_PATTERNS = {
+    "domino+vertex": ([0, 1, 2], [(0, 1)]),
+    "two-dominoes": ([0, 1, 2, 3], [(0, 1), (2, 3)]),
+    "triangle+path": ([0, 1, 2, 3, 4, 5], [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]),
+    "three-vertices": ([0, 1, 2], []),
+}
+
+
+@pytest.mark.parametrize("pattern", DISCONNECTED_PATTERNS.values(), ids=DISCONNECTED_PATTERNS)
+def test_search_yields_as_the_reference_on_disconnected_patterns(pattern):
+    p_vertices, p_edges = pattern
+    p_adj = boards_module._adjacency(p_vertices, p_edges)
+    plan = _SearchPlan(p_vertices, p_adj)
+    rng = random.Random(29)
+    for _ in range(25):
+        dense = random_board(rng, rng.randint(3, 8), rng.choice((0.3, 0.5)))
+        for b in (dense, random_sparse_board(rng, rng.randint(4, 14))):
+            for induced in (False, True):
+                want = list(reference_embeddings(p_vertices, p_adj, b, induced))
+                assert list(_search(plan, b, induced)) == want, (pattern, b.edges, induced)
+            assert induced_embeddings(b, p_vertices, p_edges) == want
+
+
+def test_induced_embeddings_of_a_large_edgeless_pattern():
+    # one search position per pattern vertex, no recursion per component
+    maps = induced_embeddings(board(range(1100), []), list(range(1050)), [], limit=1)
+    assert len(maps) == 1 and len(set(maps[0].values())) == 1050
+
+
 def test_cut_sides_match_brute_force():
     rng = random.Random(5)
     for _ in range(60):
@@ -334,22 +364,22 @@ def test_gamma_piece_is_shared_and_plans_once(monkeypatch):
     assert piece is gamma_piece(3, "L")
     free = assembly_board("L", 3)
     first = piece_placements(free, piece)
-    conditions, plan = piece._conditions, piece._plan
-    assert conditions is not None and plan is not None
+    plan = piece._plan
+    assert plan is not None
 
     def recompute(*args, **kwargs):
         raise AssertionError("symmetry conditions computed twice")
 
     monkeypatch.setattr(boards_module, "_symmetry_conditions", recompute)
     assert piece_placements(free, piece) == first
-    assert piece._conditions is conditions and piece._plan is plan
+    assert piece._plan is plan
 
 
 def test_budget_exceeded_caches_no_conditions():
     piece = ringed_cycle_piece(6, 3, 2, "L")
     with pytest.raises(BudgetExceeded):
         piece_placements(build_cycle(5), piece, deadline=time.monotonic() - 1)
-    assert piece._conditions is None and piece._plan is None
+    assert piece._plan is None
     free = board(piece.vertices, piece.edges)
     assert [p.occupied for p in piece_placements(free, piece)] == [frozenset(piece.vertices)]
 

@@ -209,10 +209,25 @@ def test_flag_and_simplex_predicates():
 
 def test_independence_complex_matches_brute_force():
     # square graph: independent sets are the two diagonals and below
-    part = {v: "L" for v in "abcd"}
+    part = {v: "L" for v in "abcde"}
     square = from_facets([["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]], part)
     ind = independence_complex(list("abcd"), square.facets, part)
     assert ind.facets == frozenset({frozenset("ac"), frozenset("bd")})
+    # every graph on up to five vertices, against plain subset enumeration
+    for n in range(6):
+        verts = "abcde"[:n]
+        pairs = list(combinations(verts, 2))
+        for chosen in range(1 << len(pairs)):
+            edges = [set(e) for i, e in enumerate(pairs) if chosen >> i & 1]
+            independent = [
+                set(sub)
+                for k in range(n + 1)
+                for sub in combinations(verts, k)
+                if not any(e <= set(sub) for e in edges)
+            ]
+            want = [s for s in independent if not any(s < t for t in independent)]
+            ind = independence_complex(verts, edges, part)
+            assert ind.facets == frozenset(map(frozenset, want)), (verts, edges)
 
 
 def test_independence_complex_no_edges_gives_full_simplex():
