@@ -50,6 +50,26 @@ def independent_sets(conflict: Sequence[int], allowed: int) -> Iterator[int]:
             stack.append((t, cand & ~conflict[low.bit_length() - 1]))
 
 
+def maximal_independent_sets(conflict: Sequence[int], allowed: int) -> Iterator[int]:
+    """Every maximal set of bits of ``allowed`` holding no bit of another's
+    ``conflict`` mask (each mask holds its own bit), each once: Bron–Kerbosch
+    with pivoting (Tomita, Tanaka and Takahashi, 2006) on the complement of
+    the conflict graph, over an explicit stack.  ``allowed == 0`` yields 0."""
+    fits = [allowed & ~c for c in conflict]
+    stack = [(0, allowed, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                yield r
+            continue
+        u = max(bits(p | x), key=lambda i: (p & fits[i]).bit_count())
+        for v in bits(p & ~fits[u]):
+            stack.append((r | 1 << v, p & fits[v], x & fits[v]))
+            p ^= 1 << v
+            x |= 1 << v
+
+
 def _norm_faces(faces: Iterable[Iterable[str]]) -> set[frozenset[str]]:
     return {frozenset(f) for f in faces}
 
@@ -317,9 +337,32 @@ def sr_complex(ideal_: SquareFreeIdeal) -> LabeledComplex:
     return from_facets(candidates, ideal_.part)
 
 
+def flag_conflicts(delta: LabeledComplex) -> Optional[list[int]]:
+    """The conflict mask of each vertex of a flag complex, or None when the
+    complex is not flag.
+
+    Vertex i's mask holds i and every vertex that shares no facet with it.
+    The complex is flag (every minimal nonface has two vertices) exactly when
+    its faces are the independent sets of that conflict graph, that is when
+    every maximal independent set is a facet.  The void complex is not flag;
+    the complex whose only face is the empty set is.
+    """
+    full = (1 << len(delta.vertices)) - 1
+    bit = {v: 1 << i for i, v in enumerate(delta.vertices)}
+    facets = {sum(bit[v] for v in f) for f in delta.facets}
+    together = [0] * len(delta.vertices)
+    for f in facets:
+        for i in bits(f):
+            together[i] |= f
+    conflict = [full & ~t | 1 << i for i, t in enumerate(together)]
+    if all(m in facets for m in maximal_independent_sets(conflict, full)):
+        return conflict
+    return None
+
+
 def is_flag(delta: LabeledComplex) -> bool:
     """True when every minimal nonface has exactly two vertices."""
-    return all(len(n) == 2 for n in minimal_nonfaces(delta))
+    return flag_conflicts(delta) is not None
 
 
 def is_simplex(delta: LabeledComplex) -> bool:
@@ -347,14 +390,8 @@ def independence_complex(
     for a, b in edge_set:
         conflict[index[a]] |= 1 << index[b]
         conflict[index[b]] |= 1 << index[a]
-    # each vertex conflicts with itself, so an independent set is maximal
-    # when every vertex, inside it or not, has a conflict inside it
-    maximal = [
-        frozenset(verts[i] for i in bits(t))
-        for t in (0, *independent_sets(conflict, (1 << len(verts)) - 1))
-        if all(c & t for c in conflict)
-    ]
-    return from_facets(maximal, part)
+    maximal = maximal_independent_sets(conflict, (1 << len(verts)) - 1)
+    return from_facets((frozenset(verts[i] for i in bits(t)) for t in maximal), part)
 
 
 def relabel(delta: LabeledComplex, mapping: Mapping[str, str]) -> LabeledComplex:

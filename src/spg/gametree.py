@@ -8,16 +8,24 @@ in which every ordering of a face is a play sequence, so the unfolded tree has
 sum-over-faces-of-|F|! nodes.  A :class:`GameTree` holds only the complex and
 the mask of its face.
 
-Everything read off a tree is a fold of it: :func:`fold` walks the face masks
-once, children before parents, without recursion.  The canonical value, tree
-isomorphism and the DOT export are each one such fold, so their cost is
-polynomial in the number of faces.  The node count of the unfolded tree needs
-no walk: it is a sum of factorials over the faces above the root.
+Tree isomorphism and the DOT export are folds of the tree: :func:`fold` walks
+the face masks once, children before parents, without recursion, so their
+cost is polynomial in the number of faces.  The node count of the unfolded
+tree needs no walk: it is a sum of factorials over the faces above the root.
+
+The canonical value needs no face lattice when the complex is flag (the legal
+complex of every pairwise ruleset): a position is then the set of vertices
+still playable, a move at v removes v's conflicts, and a position whose
+conflict graph is disconnected is the disjunctive sum of its connected
+factors, so values are computed per factor.  Any other complex folds the
+tree.
 
 Values use the standard normal-play canonical form: options are simplified by
 removing dominated options and bypassing reversible ones until a fixpoint,
 and canonical values are interned so that equality of values is object
-identity.
+identity.  Each interned option set keeps the canonical form it reduces to,
+for the life of the process like the intern table; the memos of sums and of
+factor values last one :func:`game_add` or :func:`canonical_value` call.
 """
 from __future__ import annotations
 
@@ -27,7 +35,7 @@ from itertools import count
 from math import factorial
 from typing import Callable, Iterable, Optional, TypeVar
 
-from .complexes import LabeledComplex, are_isomorphic
+from .complexes import LabeledComplex, are_isomorphic, bits, flag_conflicts
 
 T = TypeVar("T")
 
@@ -175,7 +183,7 @@ class CanonicalValue:
     performs no simplification.
     """
 
-    __slots__ = ("left", "right", "_seq")
+    __slots__ = ("left", "right", "_seq", "_canon")
 
     left: tuple["CanonicalValue", ...]
     right: tuple["CanonicalValue", ...]
@@ -205,6 +213,7 @@ def _mk(left: Iterable[CanonicalValue], right: Iterable[CanonicalValue]) -> Cano
     object.__setattr__(g, "left", lt)
     object.__setattr__(g, "right", rt)
     object.__setattr__(g, "_seq", len(_INTERN))
+    object.__setattr__(g, "_canon", None)
     _INTERN[key] = g
     return g
 
@@ -233,16 +242,20 @@ def make_value(
     """Canonical form of the game with the given (already canonical) options.
 
     Alternates two reductions to a fixpoint: drop dominated options, then
-    bypass reversible options through the opponent's reply.
+    bypass reversible options through the opponent's reply.  Each interned
+    option set the fixpoint passes through keeps the form it reached, so a
+    repeated option set skips the fixpoint.
     """
-    lt = list(dict.fromkeys(left))
-    rt = list(dict.fromkeys(right))
+    g = _mk(left, right)
+    if g._canon is not None:
+        return g._canon
+    seen = []
     while True:
-        g = _mk(lt, rt)
+        seen.append(g)
         nl = [a for a in g.left if not any(b is not a and le(a, b) for b in g.left)]
         nr = [a for a in g.right if not any(b is not a and le(b, a) for b in g.right)]
         if len(nl) != len(g.left) or len(nr) != len(g.right):
-            lt, rt = nl, nr
+            g = _mk(nl, nr)
             continue
         changed = False
         lt, rt = [], []
@@ -261,36 +274,101 @@ def make_value(
                 rt.extend(reply.right)
                 changed = True
         if not changed:
-            return g
+            break
+        g = _mk(lt, rt)
+    for raw in seen:
+        object.__setattr__(raw, "_canon", g)
+    return g
+
+
+def _add(a: CanonicalValue, b: CanonicalValue, memo: dict[tuple[int, int], CanonicalValue]) -> CanonicalValue:
+    """Canonical value of ``a + b``, memoised in ``memo`` by the unordered pair."""
+    if a is ZERO:
+        return b
+    if b is ZERO:
+        return a
+    key = (a._seq, b._seq) if a._seq <= b._seq else (b._seq, a._seq)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = make_value(
+            [_add(al, b, memo) for al in a.left] + [_add(a, bl, memo) for bl in b.left],
+            [_add(ar, b, memo) for ar in a.right] + [_add(a, br, memo) for br in b.right],
+        )
+    return out
 
 
 def game_add(g: CanonicalValue, h: CanonicalValue) -> CanonicalValue:
-    """Canonical value of the disjunctive sum: move in one summand per turn."""
-    memo: dict[tuple[int, int], CanonicalValue] = {}
+    """Canonical value of the disjunctive sum: move in one summand per turn.
 
-    def add(a: CanonicalValue, b: CanonicalValue) -> CanonicalValue:
-        key = (a._seq, b._seq)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        left = [add(al, b) for al in a.left] + [add(a, bl) for bl in b.left]
-        right = [add(ar, b) for ar in a.right] + [add(a, br) for br in b.right]
-        out = make_value(left, right)
-        memo[key] = out
-        memo[(b._seq, a._seq) if a is not b else key] = out
-        return out
-
-    return add(g, h)
+    The sums of option pairs are memoised for this call only.
+    """
+    return _add(g, h, {})
 
 
 def canonical_value(delta: LabeledComplex) -> CanonicalValue:
     """Canonical value of the placement game on a legal complex.
 
-    A fold of :func:`build_tree`: one :func:`make_value` per face, from the
-    values of the faces one move further, so evaluation is polynomial in the
-    number of faces.
+    A flag complex (:func:`~spg.complexes.flag_conflicts`) is valued one
+    connected factor at a time: the position with playable vertex set ``S``
+    is the disjunctive sum of the positions on the connected components of
+    ``S`` in the conflict graph, and a move at v on a connected ``S`` leaves
+    ``S`` minus v's conflicts.  Values are memoised by vertex mask and sums
+    by pair of values, both for this call only, and the walk uses an explicit
+    stack.  Any other complex is a fold of :func:`build_tree`: one
+    :func:`make_value` per face, from the values of the faces one move
+    further.
     """
-    return fold(build_tree(delta), _value_of)
+    conflict = flag_conflicts(delta)
+    if conflict is None:
+        return fold(build_tree(delta), _value_of)
+    left = sum(1 << i for i, v in enumerate(delta.vertices) if delta.part[v] == "L")
+    sums: dict[tuple[int, int], CanonicalValue] = {}
+    value: dict[int, CanonicalValue] = {0: ZERO}
+    # the connected components of each mask seen
+    split: dict[int, list[int]] = {}
+    full = (1 << len(conflict)) - 1
+    stack = [full]
+    while stack:
+        s = stack[-1]
+        if s in value:
+            stack.pop()
+            continue
+        if s not in split:
+            split[s] = _components(conflict, s)
+        parts = split[s]
+        kids = parts if len(parts) > 1 else [s & ~conflict[i] for i in bits(s)]
+        todo = [k for k in kids if k not in value]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if len(parts) > 1:
+            total = ZERO
+            for part in parts:
+                total = _add(total, value[part], sums)
+            value[s] = total
+        else:
+            value[s] = make_value(
+                [value[s & ~conflict[i]] for i in bits(s & left)],
+                [value[s & ~conflict[i]] for i in bits(s & ~left)],
+            )
+    return value[full]
+
+
+def _components(conflict: list[int], s: int) -> list[int]:
+    """The connected components of ``s`` in the conflict graph, as masks."""
+    out = []
+    while s:
+        comp = frontier = s & -s
+        while frontier:
+            reach = 0
+            for i in bits(frontier):
+                reach |= conflict[i]
+            frontier = reach & s & ~comp
+            comp |= frontier
+        out.append(comp)
+        s ^= comp
+    return out
 
 
 def _value_of(_: int, moves: list[Move]) -> CanonicalValue:

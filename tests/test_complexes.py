@@ -22,6 +22,7 @@ from spg.complexes import (
     faces,
     facet_complex,
     facet_ideal,
+    flag_conflicts,
     from_facets,
     has_isolated_vertex,
     ideal,
@@ -205,6 +206,23 @@ def test_flag_and_simplex_predicates():
     assert not is_simplex(AB_BC)
     assert has_isolated_vertex(from_facets([["a"], ["b", "c"]], {"a": "L", "b": "L", "c": "L"}))
     assert not has_isolated_vertex(AB_BC)
+
+
+def test_flag_test_matches_minimal_nonfaces():
+    """The clique test agrees with "every minimal nonface has two vertices"
+    on every labeled complex on at most four vertices."""
+    for delta in all_labeled_complexes("abcd"):
+        want = all(len(n) == 2 for n in minimal_nonfaces(delta))
+        assert is_flag(delta) == want, delta
+        conflict = flag_conflicts(delta)
+        assert (conflict is not None) == want, delta
+        if want:
+            # the faces are the independent sets of the conflict graph
+            n = len(delta.vertices)
+            indep = {m for m in range(1 << n) if all(conflict[i] & m == 1 << i for i in range(n) if m >> i & 1)}
+            assert indep == delta.face_masks, delta
+    assert not is_flag(void_complex())
+    assert is_flag(empty_face_complex())
 
 
 def test_independence_complex_matches_brute_force():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,13 +16,17 @@ from spg.boards import build_path, disjoint_union
 from spg.complexes import (
     empty_face_complex,
     faces,
+    flag_conflicts,
     from_facets,
+    independence_complex,
     relabel,
     void_complex,
 )
 from spg.engine import legal_complex
 from spg.gametree import (
     ZERO,
+    _components,
+    _value_of,
     build_tree,
     canonical_value,
     fold,
@@ -35,8 +40,8 @@ from spg.gametree import (
     trees_isomorphic,
     value_str,
 )
-from spg.rulesets import snort
-from conftest import all_labeled_complexes, random_complex
+from spg.rulesets import col, snort
+from conftest import all_labeled_complexes, connected_boards, part_assignments, random_complex
 
 
 LSHAPE_DELTA = from_facets(
@@ -280,6 +285,64 @@ def test_canonical_value_matches_face_walk():
         got = canonical_value(delta)
         assert got is want, delta
         assert value_str(got) == value_str(want)
+
+
+def graph_complexes(vertices, edges):
+    """The independence complex of a graph under every L/R split."""
+    for part in part_assignments(vertices):
+        yield independence_complex(vertices, edges, part)
+
+
+def assert_factor_path_matches(delta) -> None:
+    assert flag_conflicts(delta) is not None, delta
+    got = canonical_value(delta)
+    assert got is fold(build_tree(delta), _value_of), delta
+    assert got is reference_value(delta), delta
+
+
+def test_factor_path_matches_fold_on_small_graphs():
+    for n in range(5):
+        verts = "abcd"[:n]
+        pairs = list(combinations(verts, 2))
+        for chosen in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if chosen >> i & 1]
+            for delta in graph_complexes(verts, edges):
+                assert_factor_path_matches(delta)
+
+
+def test_factor_path_matches_fold_on_random_graphs():
+    rng = random.Random(13)
+    disconnected = 0
+    for _ in range(60):
+        n = rng.randint(5, 10)
+        verts = [f"v{i}" for i in range(n)]
+        p = rng.choice((0.15, 0.3, 0.5))
+        edges = [e for e in combinations(verts, 2) if rng.random() < p]
+        part = {v: rng.choice("LR") for v in verts}
+        delta = independence_complex(verts, edges, part)
+        conflict = flag_conflicts(delta)
+        disconnected += len(_components(conflict, (1 << n) - 1)) > 1
+        assert_factor_path_matches(delta)
+    assert disconnected >= 10
+
+
+def test_non_flag_complex_takes_the_fold():
+    hollow = from_facets([["a", "b"], ["b", "c"], ["a", "c"]], {"a": "L", "b": "R", "c": "L"})
+    assert flag_conflicts(hollow) is None
+    got = canonical_value(hollow)
+    assert got is fold(build_tree(hollow), _value_of)
+    assert got is reference_value(hollow)
+
+
+@pytest.mark.parametrize("game", [snort(), col()], ids=lambda g: g.name)
+def test_self_dual_games_cancel(game):
+    """Snort and col are their own colour swap, so every position G equals
+    -G: G + G is 0, and so is the game on two copies of one board."""
+    for n in range(1, 5):
+        for b in connected_boards(n):
+            v = canonical_value(legal_complex(game, b))
+            assert game_add(v, v) is ZERO, b
+            assert canonical_value(legal_complex(game, disjoint_union(b, b))) is ZERO, b
 
 
 def test_canonical_value_ignores_vertex_names():
