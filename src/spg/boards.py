@@ -181,10 +181,6 @@ class Board:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Board):
             return NotImplemented

@@ -16,7 +16,8 @@ one place that loads and validates the inputs, stops there under
 exceptions to exit codes.
 
 Exit codes: 0 success or PASS, 1 failure or FAIL, 2 usage error (bad
-arguments, unreadable input, unwritable output), 3 budget INCONCLUSIVE.
+arguments, unreadable input, unwritable output), 3 INCONCLUSIVE: over
+budget, or a computation nested past Python's recursion limit.
 """
 from __future__ import annotations
 
@@ -729,6 +730,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (BoardTooLarge, BudgetExceeded) as exc:
         print(f"INCONCLUSIVE: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("INCONCLUSIVE: the computation nested past Python's recursion limit", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -225,24 +225,18 @@ def _closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[set[int],
 
     Each disjoint one-element extension of a legal set gets one predicate
     call, then a lookup of its other one-smaller subsets.  A level's sets are
-    walked in the order of their sorted name lists, and the extensions of a
-    set in index order; the violation of downward closure reported is the
-    first in that walk.
+    walked in the order they were found, and the extensions of a set in index
+    order.
     """
     m, names, over = len(index), index.names, index.overlaps
     full = (1 << m) - 1
-    # a set's walk key has the bit m-1-r for each member of name rank r, so
-    # descending keys order a level like its sorted name lists
-    key_bit = [0] * m
-    for rank, i in enumerate(sorted(range(m), key=names.__getitem__)):
-        key_bit[i] = 1 << (m - 1 - rank)
     legal: set[int] = {0}
     minimal: list[int] = []
-    level = [(0, 0, 0)]  # (walk key, legal set, basic positions it blocks)
+    level = {0: 0}  # legal set -> the basic positions it blocks
     while level:
-        nxt: dict[int, tuple[int, int, int]] = {}
+        nxt: dict[int, int] = {}
         tried: set[int] = set()
-        for key, s, blocked in level:
+        for s, blocked in level.items():
             free = full & ~blocked
             while free:
                 low = free & -free
@@ -262,12 +256,11 @@ def _closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[set[int],
                     if accepted:
                         raise _closure_error(t, legal, names)
                 elif accepted:
-                    b = low.bit_length() - 1
-                    nxt[t] = (key | key_bit[b], t, blocked | over[b])
+                    nxt[t] = blocked | over[low.bit_length() - 1]
                 else:
                     minimal.append(t)
         legal.update(nxt)
-        level = sorted(nxt.values(), reverse=True)
+        level = nxt
     singles = sum(1 << i for i in range(m) if 1 << i in legal)
     return legal, minimal + _conflicting_pairs(over, singles)
 

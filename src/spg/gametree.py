@@ -8,17 +8,18 @@ in which every ordering of a face is a play sequence, so the unfolded tree has
 sum-over-faces-of-|F|! nodes.  A :class:`GameTree` holds only the complex and
 the mask of its face.
 
-Tree isomorphism and the DOT export are folds of the tree: :func:`fold` walks
-the face masks once, children before parents, without recursion, so their
-cost is polynomial in the number of faces.  The node count of the unfolded
-tree needs no walk: it is a sum of factorials over the faces above the root.
+Tree isomorphism and the DOT export are folds of the tree: :func:`fold`
+combines the faces once each, largest first, so children come before parents
+and the cost is polynomial in the number of faces.  The node count of the
+unfolded tree needs no walk: it is a sum of factorials over the faces above
+the root.
 
 The canonical value needs no face lattice when the complex is flag (the legal
 complex of every pairwise ruleset): a position is then the set of vertices
 still playable, a move at v removes v's conflicts, and a position whose
 conflict graph is disconnected is the disjunctive sum of its connected
-factors, so values are computed per factor.  Any other complex folds the
-tree.
+factors, so values are computed per factor, smallest playable set first.
+Any other complex folds the tree.
 
 Values use the standard normal-play canonical form: options are simplified by
 removing dominated options and bypassing reversible ones until a fixpoint,
@@ -26,6 +27,8 @@ and canonical values are interned so that equality of values is object
 identity.  Each interned option set keeps the canonical form it reduces to,
 for the life of the process like the intern table; the memos of sums and of
 factor values last one :func:`game_add` or :func:`canonical_value` call.
+:func:`value_str` prints each side's options sorted by their printed form, so
+a printed value does not depend on the order values were interned in.
 """
 from __future__ import annotations
 
@@ -98,37 +101,19 @@ def fold(tree: GameTree, combine: Callable[[int, list[Move]], T]) -> T:
     """``combine(mask, moves)`` over the faces at and above ``tree``'s face,
     where ``moves`` lists ``(label, vertex, result)`` per child in move order.
 
-    The cover relation is derived once: faces in ascending mask order, each
-    appended to the child list of every face one vertex smaller, so every
-    child list comes out in vertex order.  Each face is combined once, after
-    its children.  An explicit stack walks the children in move order and
-    finishes each child's subtree before the next, so the combines run in the
-    order of a recursive depth-first walk.
+    The faces are combined in descending mask order, largest first: every
+    face one vertex larger is a larger mask, so each face is combined once,
+    after its children, and reads its moves, in vertex order, from faces
+    already combined.
     """
-    delta = tree.complex
-    move_of = {1 << i: (delta.part[v], v) for i, v in enumerate(delta.vertices)}
-    up: dict[int, list[int]] = {face: [] for face in delta.face_masks}
-    for face in sorted(up):
-        rest = face
-        while rest:
-            low = rest & -rest
-            up[face ^ low].append(face)
-            rest ^= low
+    delta, root = tree.complex, tree.mask
+    moves = [(1 << i, delta.part[v], v) for i, v in enumerate(delta.vertices)]
     done: dict[int, T] = {}
-    stack = [tree.mask]
-    while stack:
-        mask = stack[-1]
-        if mask in done:
-            stack.pop()
-            continue
-        kids = up.get(mask, ())
-        todo = [child for child in reversed(kids) if child not in done]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        done[mask] = combine(mask, [(*move_of[child ^ mask], done[child]) for child in kids])
-    return done[tree.mask]
+    # a mask that is not a face has no face above it and is combined alone
+    above = [f for f in delta.face_masks if f & root == root] or [root]
+    for face in sorted(above, reverse=True):
+        done[face] = combine(face, [(label, v, done[face | b]) for b, label, v in moves if face | b in done])
+    return done[root]
 
 
 def trees_isomorphic(t1: GameTree, t2: GameTree) -> bool:
@@ -312,36 +297,31 @@ def canonical_value(delta: LabeledComplex) -> CanonicalValue:
     connected factor at a time: the position with playable vertex set ``S``
     is the disjunctive sum of the positions on the connected components of
     ``S`` in the conflict graph, and a move at v on a connected ``S`` leaves
-    ``S`` minus v's conflicts.  Values are memoised by vertex mask and sums
-    by pair of values, both for this call only, and the walk uses an explicit
-    stack.  Any other complex is a fold of :func:`build_tree`: one
-    :func:`make_value` per face, from the values of the faces one move
-    further.
+    ``S`` minus v's conflicts.  The walk first collects every reachable
+    playable set with its components, then values them smallest first, each
+    from values already computed; values are kept by vertex mask and sums by
+    pair of values, both for this call only.  Any other complex is a fold of
+    :func:`build_tree`: one :func:`make_value` per face, from the values of
+    the faces one move further.
     """
     conflict = flag_conflicts(delta)
     if conflict is None:
         return fold(build_tree(delta), _value_of)
     left = sum(1 << i for i, v in enumerate(delta.vertices) if delta.part[v] == "L")
-    sums: dict[tuple[int, int], CanonicalValue] = {}
-    value: dict[int, CanonicalValue] = {0: ZERO}
-    # the connected components of each mask seen
-    split: dict[int, list[int]] = {}
     full = (1 << len(conflict)) - 1
-    stack = [full]
-    while stack:
-        s = stack[-1]
-        if s in value:
-            stack.pop()
-            continue
+    # every reachable playable set, with its connected components
+    split: dict[int, list[int]] = {}
+    todo = [full]
+    while todo:
+        s = todo.pop()
         if s not in split:
-            split[s] = _components(conflict, s)
+            parts = split[s] = _components(conflict, s)
+            todo.extend(parts if len(parts) > 1 else [s & ~conflict[i] for i in bits(s)])
+    sums: dict[tuple[int, int], CanonicalValue] = {}
+    value: dict[int, CanonicalValue] = {}
+    # a component or a move leaves a proper subset, which is a smaller mask
+    for s in sorted(split):
         parts = split[s]
-        kids = parts if len(parts) > 1 else [s & ~conflict[i] for i in bits(s)]
-        todo = [k for k in kids if k not in value]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
         if len(parts) > 1:
             total = ZERO
             for part in parts:
@@ -395,19 +375,24 @@ def outcome_of_value(g: CanonicalValue) -> str:
 
 
 def _as_int(g: CanonicalValue) -> Optional[int]:
-    if g is ZERO:
-        return 0
-    if not g.right and len(g.left) == 1:
-        n = _as_int(g.left[0])
-        return n + 1 if n is not None and n >= 0 else None
-    if not g.left and len(g.right) == 1:
-        n = _as_int(g.right[0])
-        return n - 1 if n is not None and n <= 0 else None
-    return None
+    """The integer ``g`` is, read down its chain of lone options, or None."""
+    n = 0
+    while g is not ZERO:
+        if not g.right and len(g.left) == 1 and n >= 0:
+            n, g = n + 1, g.left[0]
+        elif not g.left and len(g.right) == 1 and n <= 0:
+            n, g = n - 1, g.right[0]
+        else:
+            return None
+    return n
 
 
 def value_str(g: CanonicalValue) -> str:
-    """Bracket notation with shorthand for integers, star and switches."""
+    """Bracket notation with shorthand for integers, star and switches.
+
+    Each side's options are printed sorted by their printed form, so the
+    string depends on the value alone, not on the order values were made in.
+    """
     n = _as_int(g)
     if n is not None:
         return str(n)
@@ -417,8 +402,8 @@ def value_str(g: CanonicalValue) -> str:
         a, b = _as_int(g.left[0]), _as_int(g.right[0])
         if a is not None and b is not None and a == -b and a > 0:
             return f"+-{a}"
-    left = ",".join(value_str(x) for x in g.left)
-    right = ",".join(value_str(x) for x in g.right)
+    left = ",".join(sorted(value_str(x) for x in g.left))
+    right = ",".join(sorted(value_str(x) for x in g.right))
     return f"{{{left}|{right}}}"
 
 

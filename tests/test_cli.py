@@ -443,3 +443,20 @@ def test_python_dash_m_spg_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: spg")
+
+
+def _simplex_file(path, parts: str) -> str:
+    """One facet on ``len(parts)`` vertices, vertex i in part ``parts[i]``."""
+    names = [f"v{i}" for i in range(len(parts))]
+    return write_complex(path, from_facets([names], dict(zip(names, parts))))
+
+
+def test_long_integer_game_prints_its_value(run, tmp_path):
+    code, out, err = run("game", "value", "--complex", _simplex_file(tmp_path / "s.json", "L" * 1200))
+    assert (code, out, err) == (0, "value: 1200\n", "")
+
+
+def test_too_deep_game_is_inconclusive(run, tmp_path):
+    code, out, err = run("game", "value", "--complex", _simplex_file(tmp_path / "s.json", "LR" * 600))
+    assert code == 3 and out == ""
+    assert err.startswith("INCONCLUSIVE: ") and len(err.splitlines()) == 1

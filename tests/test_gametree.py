@@ -123,32 +123,33 @@ def node_tree(delta) -> NodeTree:
 def assert_view_matches_nodes(delta) -> None:
     """At every face: the same face, the same moves in order, the same count
     of the unfolded subtree."""
-    stack, seen = [(build_tree(delta), node_tree(delta))], set()
+    stack, seen = [(build_tree(delta), node_tree(delta))], {}
     while stack:
         view, node = stack.pop()
         if node.face in seen:
             continue
-        seen.add(node.face)
+        seen[node.face] = node
         assert view.face == node.face, delta
         assert [m[:2] for m in view.children] == [m[:2] for m in node.children], delta
         assert view.node_count == node.node_count, delta
         stack.extend((v, n) for (_, _, v), (_, _, n) in zip(view.children, node.children))
     assert len(seen) == max(len(delta.face_masks), 1)
-    # the fold combines in the post-order of a recursive walk of the node tree
-    want: list = []
-    done: set = set()
+    # the fold combines every face at or above the root exactly once, after
+    # every face one vertex larger, with its moves in vertex order
+    combined: set = set()
 
-    def post_order(node: NodeTree) -> None:
-        for _, _, child in node.children:
-            if child.face not in done:
-                post_order(child)
-        done.add(node.face)
-        want.append((node.face, [m[:2] for m in node.children]))
+    def record(mask: int, moves: list) -> frozenset:
+        face = delta.face_names(mask)
+        assert face not in combined, delta
+        node = seen[face]
+        assert [m[:2] for m in moves] == [m[:2] for m in node.children], delta
+        assert [m[2] for m in moves] == [child.face for _, _, child in node.children], delta
+        assert all(child.face in combined for _, _, child in node.children), delta
+        combined.add(face)
+        return face
 
-    post_order(node_tree(delta))
-    got: list = []
-    fold(build_tree(delta), lambda mask, moves: got.append((delta.face_names(mask), [m[:2] for m in moves])))
-    assert got == want, delta
+    assert fold(build_tree(delta), record) == frozenset()
+    assert combined == set(seen), delta
 
 
 def test_tree_views_match_node_trees():
@@ -206,6 +207,42 @@ def test_value_str_shorthands():
     assert value_str(make_value([one], [neg_one])) == "+-1"
     assert value_str(make_value([two], [neg_two])) == "+-2"
     assert value_str(make_value([zero], [one])) == "{0|1}"
+
+
+def test_value_str_sorts_options_by_printed_form():
+    # ZERO is interned first of all values, so its options list it before *,
+    # which prints first
+    star = make_value([ZERO], [ZERO])
+    up_star = make_value([ZERO, star], [ZERO])
+    assert up_star.left == (ZERO, star)
+    assert value_str(up_star) == "{*,0|0}"
+
+
+_SNORT_PATH10 = """
+from spg.boards import build_path
+from spg.engine import legal_complex
+from spg.gametree import _value_of, build_tree, canonical_value, fold, value_str
+from spg.rulesets import snort
+delta = legal_complex(snort(), build_path(10))
+if {fold_first}:
+    fold(build_tree(delta), _value_of)
+print(value_str(canonical_value(delta)))
+"""
+
+
+def test_printed_value_does_not_depend_on_history():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    printed = []
+    for fold_first in (False, True):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SNORT_PATH10.format(fold_first=fold_first)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    assert printed[0] == printed[1]
 
 
 def test_le_basic_order():
