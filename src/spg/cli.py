@@ -17,7 +17,8 @@ exceptions to exit codes.
 
 Exit codes: 0 success or PASS, 1 failure or FAIL, 2 usage error (bad
 arguments, unreadable input, unwritable output), 3 INCONCLUSIVE: over
-budget, or a computation nested past Python's recursion limit.
+budget, a computation nested past Python's recursion limit, or one that ran
+out of memory.
 """
 from __future__ import annotations
 
@@ -733,6 +734,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except RecursionError:
         print("INCONCLUSIVE: the computation nested past Python's recursion limit", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("INCONCLUSIVE: the computation ran out of memory", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -212,16 +212,6 @@ def is_pure(delta: LabeledComplex) -> bool:
     return len({len(f) for f in delta.facets}) <= 1
 
 
-def k_skeleton(delta: LabeledComplex, k: int) -> LabeledComplex:
-    """The complex generated by all k-dimensional faces."""
-    if delta.is_void:
-        raise ValueError("the void complex has no skeleton")
-    if not 0 <= k <= dimension(delta):
-        raise ValueError(f"k={k} out of range for a complex of dimension {dimension(delta)}")
-    wanted = [delta.face_names(m) for m in delta.face_masks if m.bit_count() == k + 1]
-    return from_facets(wanted, delta.part)
-
-
 def minimal_nonfaces(delta: LabeledComplex) -> frozenset[frozenset[str]]:
     """Inclusion-minimal subsets of the vertex set that are not faces.
 
@@ -337,6 +327,16 @@ def sr_complex(ideal_: SquareFreeIdeal) -> LabeledComplex:
     return from_facets(candidates, ideal_.part)
 
 
+def _cofacets(delta: LabeledComplex, bit: Mapping[str, int]) -> dict[str, int]:
+    """Per vertex, the mask (over ``bit``) of the vertices sharing a facet with it."""
+    together = dict.fromkeys(delta.vertices, 0)
+    for f in delta.facets:
+        mask = sum(bit[v] for v in f)
+        for v in f:
+            together[v] |= mask
+    return together
+
+
 def flag_conflicts(delta: LabeledComplex) -> Optional[list[int]]:
     """The conflict mask of each vertex of a flag complex, or None when the
     complex is not flag.
@@ -349,12 +349,9 @@ def flag_conflicts(delta: LabeledComplex) -> Optional[list[int]]:
     """
     full = (1 << len(delta.vertices)) - 1
     bit = {v: 1 << i for i, v in enumerate(delta.vertices)}
+    together = _cofacets(delta, bit)
+    conflict = [full & ~together[v] | bit[v] for v in delta.vertices]
     facets = {sum(bit[v] for v in f) for f in delta.facets}
-    together = [0] * len(delta.vertices)
-    for f in facets:
-        for i in bits(f):
-            together[i] |= f
-    conflict = [full & ~t | 1 << i for i, t in enumerate(together)]
     if all(m in facets for m in maximal_independent_sets(conflict, full)):
         return conflict
     return None
@@ -429,44 +426,43 @@ def are_isomorphic(a: LabeledComplex, b: LabeledComplex) -> Optional[dict[str, s
     if sorted(sig_a.values()) != sorted(sig_b.values()):
         return None
 
-    b_facets = b.facets
-    cofacet_a = {
-        (u, v): any(u in f and v in f for f in a.facets)
-        for u in a.vertices
-        for v in a.vertices
-    }
-
-    order = a.vertices
+    bit_a = {v: 1 << i for i, v in enumerate(a.vertices)}
+    bit_b = {w: 1 << i for i, w in enumerate(b.vertices)}
+    co_a, co_b = _cofacets(a, bit_a), _cofacets(b, bit_b)
+    order, targets = a.vertices, b.vertices
     assignment: dict[str, str] = {}
     used: set[str] = set()
 
     def consistent(v: str, w: str) -> bool:
+        """Whether ``v -> w`` keeps every assigned pair's sharing of a facet."""
         if sig_a[v] != sig_b[w]:
             return False
-        for u, x in assignment.items():
-            share = any(x in f and w in f for f in b_facets)
-            if cofacet_a[(u, v)] != share:
-                return False
-        return True
+        cv, cw = co_a[v], co_b[w]
+        return all(bool(cv & bit_a[u]) == bool(cw & bit_b[x]) for u, x in assignment.items())
 
-    def extend(i: int) -> bool:
+    # Depth-first over an explicit stack: tried[i] counts the candidates in
+    # ``targets`` already tried for order[i], so backtracking resumes there.
+    tried = [0]
+    while tried:
+        i = len(tried) - 1
         if i == len(order):
-            mapped = frozenset(frozenset(assignment[v] for v in f) for f in a.facets)
-            return mapped == b_facets
+            if frozenset(frozenset(assignment[v] for v in f) for f in a.facets) == b.facets:
+                return dict(assignment)
+            tried.pop()
+            continue
         v = order[i]
-        for w in b.vertices:
-            if w in used or not consistent(v, w):
-                continue
-            assignment[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del assignment[v]
-            used.remove(w)
-        return False
-
-    if extend(0):
-        return dict(assignment)
+        if v in assignment:  # back from a failed extension: undo it
+            used.remove(assignment.pop(v))
+        for k in range(tried[i], len(targets)):
+            w = targets[k]
+            if w not in used and consistent(v, w):
+                assignment[v] = w
+                used.add(w)
+                tried[i] = k + 1
+                tried.append(0)
+                break
+        else:
+            tried.pop()
     return None
 
 

@@ -5,9 +5,12 @@ and y1..yn for Right in canonical occupied-set order.  A set of basic
 positions is treated at the monomial level: supports that overlap make the
 set illegal outright (pieces are placed on empty spaces), otherwise legality
 is the ruleset predicate plus reachability, i.e. every one-smaller subset
-must be legal as well.  The legal sets form a downward-closed family computed
-by breadth-first closure from the empty position; the minimal illegal sets
-are found among one-placement extensions of legal sets.
+must be legal as well.  The legal sets form a downward-closed family, so
+they are fixed by their maximal members, the facets of the legal complex.
+A breadth-first closure from the empty position walks the legal sets one
+level of equal-size sets at a time and keeps only the current level: it
+returns the maximal legal sets and the minimal illegal sets, found among
+one-placement extensions of legal sets.
 
 The closure works on ints: basic position i is bit i, a set of basic
 positions is the int of its bits, and names are produced only when an
@@ -17,7 +20,7 @@ ruleset that declares ``pairwise`` promises that a position is legal exactly
 when each of its placements and each pair of them is legal.  Its legal
 complex is then a flag complex (the independence complex of its conflict
 graph), so :func:`analyze` consults the predicate once per basic position
-and once per disjoint pair, and enumerates the legal sets as the independent
+and once per disjoint pair, and lists the facets as the maximal independent
 sets of the conflict graph without consulting it again.
 """
 from __future__ import annotations
@@ -30,7 +33,10 @@ from typing import Mapping, Optional, Sequence
 
 from . import boards
 from .boards import Board, Placement, piece_placements
-from .complexes import LabeledComplex, SquareFreeIdeal, bits, from_facets, ideal, independent_sets
+from .complexes import (
+    LabeledComplex, SquareFreeIdeal, bits, faces, from_facets, ideal, independent_sets,
+    maximal_independent_sets,
+)
 from .rulesets import Predicate, Ruleset
 
 
@@ -65,10 +71,6 @@ class BasicPositionIndex:
         return tuple(name for name, _ in self.entries)
 
     @cached_property
-    def left_names(self) -> tuple[str, ...]:
-        return tuple(n for n, p in self.entries if p.player == "L")
-
-    @cached_property
     def by_name(self) -> dict[str, Placement]:
         return dict(self.entries)
 
@@ -93,9 +95,6 @@ class BasicPositionIndex:
         return tuple(
             sum(1 << j for j, other in enumerate(supports) if sup & other) for sup in supports
         )
-
-    def placement(self, name: str) -> Placement:
-        return self.by_name[name]
 
     def part_map(self) -> Mapping[str, str]:
         return self._parts
@@ -127,17 +126,20 @@ def basic_positions(game: Ruleset, board: Board, deadline: float | None = None) 
 
 @dataclass
 class GameAnalysis:
-    """The legal sets of a game on a board, its minimal illegal sets, and the
-    complexes and ideals they generate.
+    """The maximal legal sets of a game on a board, its minimal illegal sets,
+    and the complexes and ideals they generate.
 
+    The legal sets are downward closed, so the maximal ones (the facets of
+    the legal complex) fix them all; no analysis holds every legal set.
     Sets of basic positions are kept as ints (bit i is basic position i);
-    ``legal``, ``minimal_illegal`` and ``maximal_legal`` name them when read.
-    The complex and ideal methods name the sets they need without caching
-    the names, so an analysis kept on a board holds masks only.
+    ``legal`` and ``minimal_illegal`` name them when read, ``legal`` by
+    expanding the facets.  The complex and ideal methods name the sets they
+    need without caching the names, so an analysis kept on a board holds
+    masks only.
     """
 
     index: BasicPositionIndex
-    legal_masks: frozenset[int]
+    maximal_masks: frozenset[int]
     minimal_masks: frozenset[int]
 
     def _named(self, masks: frozenset[int]) -> frozenset[frozenset[str]]:
@@ -145,24 +147,11 @@ class GameAnalysis:
 
     @cached_property
     def legal(self) -> frozenset[frozenset[str]]:
-        return self._named(self.legal_masks)
+        return faces(self.legal_complex())
 
     @cached_property
     def minimal_illegal(self) -> frozenset[frozenset[str]]:
         return self._named(self.minimal_masks)
-
-    @cached_property
-    def maximal_masks(self) -> frozenset[int]:
-        """Legal sets that no one more placement keeps legal.  Checking the
-        one-element extensions suffices because the legal sets are downward
-        closed."""
-        legal = self.legal_masks
-        full = (1 << len(self.index)) - 1
-        return frozenset(s for s in legal if not _extends(s, full ^ s, legal))
-
-    @cached_property
-    def maximal_legal(self) -> frozenset[frozenset[str]]:
-        return self._named(self.maximal_masks)
 
     def legal_complex(self) -> LabeledComplex:
         """Faces are the legal positions.  Always contains the empty position."""
@@ -181,16 +170,6 @@ class GameAnalysis:
         return ideal(self.index.names, self.index.part_map(), self._named(self.minimal_masks))
 
 
-def _extends(s: int, free: int, family: frozenset[int]) -> bool:
-    """Whether adding one bit of ``free`` to ``s`` gives a set of ``family``."""
-    while free:
-        low = free & -free
-        if s | low in family:
-            return True
-        free ^= low
-    return False
-
-
 def _check_cap(index: BasicPositionIndex, cap: int) -> None:
     if len(index) > cap:
         raise BoardTooLarge(
@@ -206,7 +185,7 @@ def analyze(
     deadline: float | None = None,
     index: BasicPositionIndex | None = None,
 ) -> GameAnalysis:
-    """Closure of legal positions plus the minimal illegal sets.
+    """Maximal legal positions plus the minimal illegal sets.
 
     Raises :class:`DownwardClosureError` when a position satisfies the
     predicate while one of its one-smaller subpositions is illegal.  A
@@ -216,21 +195,25 @@ def analyze(
         index = basic_positions(game, board, deadline=deadline)
     _check_cap(index, cap)
     closure = _pairwise_closure if game.pairwise else _closure
-    legal, minimal = closure(index, game.legal(board, index.placements))
-    return GameAnalysis(index, frozenset(legal), frozenset(minimal))
+    maximal, minimal = closure(index, game.legal(board, index.placements))
+    return GameAnalysis(index, frozenset(maximal), frozenset(minimal))
 
 
-def _closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[set[int], list[int]]:
-    """Breadth-first closure, one level of equal-size sets at a time.
+def _closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[list[int], list[int]]:
+    """Breadth-first closure, one level of equal-size legal sets at a time,
+    returning the maximal legal sets and the minimal illegal sets.
 
     Each disjoint one-element extension of a legal set gets one predicate
-    call, then a lookup of its other one-smaller subsets.  A level's sets are
-    walked in the order they were found, and the extensions of a set in index
-    order.
+    call, then a lookup of its other one-smaller subsets in the current
+    level.  A legal set none of whose extensions is legal is maximal, since
+    the legal sets are downward closed; an extension already tried from
+    another set is legal when the next level holds it.  A level's sets are
+    walked in the order they were found, and the extensions of a set in
+    index order.
     """
     m, names, over = len(index), index.names, index.overlaps
     full = (1 << m) - 1
-    legal: set[int] = {0}
+    maximal: list[int] = []
     minimal: list[int] = []
     level = {0: 0}  # legal set -> the basic positions it blocks
     while level:
@@ -238,46 +221,55 @@ def _closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[set[int],
         tried: set[int] = set()
         for s, blocked in level.items():
             free = full & ~blocked
+            extended = False
             while free:
                 low = free & -free
                 free ^= low
                 t = s | low
                 if t in tried:
+                    extended = extended or t in nxt
                     continue
                 tried.add(t)
                 accepted = predicate(t)
                 rest = s  # members whose removal from t is still to be looked up
                 while rest:
                     c = rest & -rest
-                    if t ^ c not in legal:
+                    if t ^ c not in level:
                         break
                     rest ^= c
                 if rest:
                     if accepted:
-                        raise _closure_error(t, legal, names)
+                        raise _closure_error(t, level, names)
                 elif accepted:
                     nxt[t] = blocked | over[low.bit_length() - 1]
+                    extended = True
                 else:
                     minimal.append(t)
-        legal.update(nxt)
+            if not extended:
+                maximal.append(s)
         level = nxt
-    singles = sum(1 << i for i in range(m) if 1 << i in legal)
-    return legal, minimal + _conflicting_pairs(over, singles)
+    singles = 0
+    for s in maximal:
+        singles |= s
+    return maximal, minimal + _conflicting_pairs(over, singles)
 
 
-def _closure_error(t: int, legal: set[int], names: tuple[str, ...]) -> DownwardClosureError:
+def _closure_error(t: int, level: Mapping[int, int], names: tuple[str, ...]) -> DownwardClosureError:
+    """The error for ``t``, accepted with a one-smaller subset missing from
+    ``level``, the legal sets of that size."""
     members = sorted(bits(t), key=names.__getitem__)
-    missing = next(i for i in members if t ^ 1 << i not in legal)
+    missing = next(i for i in members if t ^ 1 << i not in level)
     return DownwardClosureError(
         tuple(names[i] for i in members), tuple(names[i] for i in members if i != missing)
     )
 
 
-def _pairwise_closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[set[int], list[int]]:
+def _pairwise_closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[list[int], list[int]]:
     """The closure of a ``pairwise`` ruleset: one predicate call per basic
     position and per disjoint pair of legal ones gives a conflict mask per
-    basic position, and the legal sets are the independent sets of that
-    conflict graph."""
+    basic position.  The maximal legal sets are the maximal independent sets
+    of that conflict graph, listed by Bron–Kerbosch; the minimal illegal sets
+    are the illegal singles and the conflicting pairs."""
     m = len(index)
     singles = sum(1 << i for i in range(m) if predicate(1 << i))
     conflict = list(index.overlaps)
@@ -286,9 +278,9 @@ def _pairwise_closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[
             if not predicate(1 << i | 1 << j):
                 conflict[i] |= 1 << j
                 conflict[j] |= 1 << i
-    legal = {0, *independent_sets(conflict, singles)}
+    maximal = list(maximal_independent_sets(conflict, singles))
     minimal = [1 << i for i in range(m) if not singles >> i & 1]
-    return legal, minimal + _conflicting_pairs(conflict, singles)
+    return maximal, minimal + _conflicting_pairs(conflict, singles)
 
 
 def _conflicting_pairs(conflict: Sequence[int], singles: int) -> list[int]:

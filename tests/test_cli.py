@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -460,3 +461,22 @@ def test_too_deep_game_is_inconclusive(run, tmp_path):
     code, out, err = run("game", "value", "--complex", _simplex_file(tmp_path / "s.json", "LR" * 600))
     assert code == 3 and out == ""
     assert err.startswith("INCONCLUSIVE: ") and len(err.splitlines()) == 1
+
+
+def test_out_of_memory_is_inconclusive(tmp_path):
+    # every face of a 30-vertex simplex does not fit in 400 MB of address space
+    src = Path(__file__).resolve().parent.parent / "src"
+    limit = 400 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "spg", "complex", "info", "--complex",
+         _simplex_file(tmp_path / "s.json", "L" * 30)],
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path, capture_output=True,
+        text=True, timeout=60, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("INCONCLUSIVE: ") and len(proc.stderr.splitlines()) == 1

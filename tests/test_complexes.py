@@ -30,7 +30,6 @@ from spg.complexes import (
     is_flag,
     is_pure,
     is_simplex,
-    k_skeleton,
     minimal_nonfaces,
     relabel,
     sr_complex,
@@ -96,15 +95,6 @@ def test_faces_and_dimension():
     assert dimension(AB_BC) == 1
     assert is_pure(AB_BC)
     assert not is_pure(from_facets([["a", "b"], ["c"]], {"a": "L", "b": "L", "c": "L"}))
-
-
-def test_k_skeleton():
-    tri = from_facets([["a", "b", "c"]], {"a": "L", "b": "L", "c": "L"})
-    edges = k_skeleton(tri, 1)
-    assert edges.facets == frozenset(
-        {frozenset("ab"), frozenset("ac"), frozenset("bc")}
-    )
-    assert k_skeleton(tri, 0).facets == frozenset({frozenset("a"), frozenset("b"), frozenset("c")})
 
 
 def test_minimal_nonfaces_matches_oracle_on_small_corpus():
@@ -278,6 +268,15 @@ def test_are_isomorphic_negative_cases():
     assert are_isomorphic(path, disjoint) is None
     assert are_isomorphic(void_complex(), empty_face_complex()) is None
     assert are_isomorphic(void_complex(), void_complex()) == {}
+
+
+def test_are_isomorphic_needs_no_recursion_per_vertex():
+    # one search step per vertex: 1,200 of them nest past the recursion limit
+    names = [f"{i:04d}" for i in range(1200)]
+    parts = ["LR"[i % 2] for i in range(1200)]
+    a = from_facets([["a" + n for n in names]], {"a" + n: p for n, p in zip(names, parts)})
+    b = from_facets([["b" + n for n in names]], {"b" + n: p for n, p in zip(names, parts)})
+    assert are_isomorphic(a, b) == {"a" + n: "b" + n for n in names}
 
 
 def test_json_roundtrip_on_corpus():

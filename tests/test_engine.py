@@ -50,11 +50,12 @@ def _single_vertex_rules(name, predicate, invariant=False) -> Ruleset:
 def test_basic_positions_canonical_index(lshape_board):
     idx = basic_positions(domineering(), lshape_board)
     assert idx.names == ("x1", "x2", "x3", "y1", "y2", "y3")
-    assert [sorted(idx.placement(n).occupied) for n in idx.names] == [
+    assert [sorted(idx.by_name[n].occupied) for n in idx.names] == [
         [0, 1], [1, 2], [2, 3], [0, 1], [1, 2], [2, 3],
     ]
-    assert idx.left_names == ("x1", "x2", "x3")
-    assert idx.part_map()["y2"] == "R"
+    parts = idx.part_map()
+    assert [n for n in idx.names if parts[n] == "L"] == ["x1", "x2", "x3"]
+    assert parts["y2"] == "R"
 
 
 def test_analyze_free_placement_on_p2():
@@ -93,6 +94,16 @@ def test_legal_complex_is_sr_complex_of_illegal_ideal():
         assert legal_complex(game, board) == sr_complex(illegal_ideal(game, board))
 
 
+def _maximal(family):
+    """The inclusion-maximal sets of ``family``, each compared with every other."""
+    return frozenset(s for s in family if not any(s < t for t in family))
+
+
+def _maximal_named(a):
+    """The maximal legal sets an analysis holds, by name."""
+    return frozenset(frozenset(a.index.names_of(s)) for s in a.maximal_masks)
+
+
 def test_maximal_legal_matches_pairwise_scan(lshape_board):
     cases = [
         (game, board)
@@ -103,9 +114,9 @@ def test_maximal_legal_matches_pairwise_scan(lshape_board):
     cases += [(domineering(), lshape_board), (domineering(), build_grid(2, 3))]
     for game, board in cases:
         a = analyze(game, board)
-        # reference: every legal set compared with every other
-        maximal = [s for s in a.legal if not any(s < t for t in a.legal)]
-        assert a.maximal_legal == frozenset(maximal), (game.name, board)
+        # reference: the brute-force closure's legal sets, each compared with every other
+        legal = closure_oracle(game, board)[0]
+        assert _maximal_named(a) == _maximal(legal), (game.name, board)
         assert a.legal_complex() == legal_complex(game, board)
         assert a.legal_ideal() == legal_ideal(game, board)
         assert a.illegal_complex() == illegal_complex(game, board)
@@ -275,9 +286,10 @@ def test_analysis_kept_on_the_board_holds_no_name_sets():
     legal = legal_complex(game, brd)
     illegal = illegal_complex(game, brd)
     kept = brd._analysis[2]
-    assert not {"legal", "minimal_illegal", "maximal_legal"} & set(vars(kept))
-    # the names are still there when asked for
-    assert from_facets(kept.maximal_legal, kept.index.part_map()) == legal
+    assert not {"legal", "minimal_illegal"} & set(vars(kept))
+    # it keeps the facets, and the names are still there when asked for
+    assert _maximal_named(kept) == legal.facets
+    assert kept.legal_complex() == legal
     assert from_facets(kept.minimal_illegal, kept.index.part_map()) == illegal
 
 
@@ -386,6 +398,7 @@ def test_analyze_matches_brute_force(case):
             assert frozenset(exc.missing) not in legal
             continue
         assert not violated
+        assert _maximal_named(a) == _maximal(legal)
         assert a.legal == legal
         assert a.minimal_illegal == minimal
 
