@@ -328,15 +328,16 @@ def _complex_info(args: Args, delta: LabeledComplex) -> int:
     if delta.is_void:
         print("void complex: no faces at all")
         return 0
-    print("vertices: " + " ".join(f"{v}({delta.part[v]})" for v in delta.vertices))
-    print("facets: " + _facet_list(delta))
+    # every line is computed before any is printed, so a run that fails prints none
+    lines = ["vertices: " + " ".join(f"{v}({delta.part[v]})" for v in delta.vertices)]
+    lines.append("facets: " + _facet_list(delta))
     if delta.is_empty:
-        print("dimension: -1 (only the empty face)")
+        lines.append("dimension: -1 (only the empty face)")
     else:
-        print(f"dimension: {dimension(delta)}")
-        print(f"faces: {len(delta.face_masks)}")
+        lines += [f"dimension: {dimension(delta)}", f"faces: {len(delta.face_masks)}"]
         for name, test in (("pure", is_pure), ("flag", is_flag), ("simplex", is_simplex)):
-            print(f"{name}: {'yes' if test(delta) else 'no'}")
+            lines.append(f"{name}: {'yes' if test(delta) else 'no'}")
+    print("\n".join(lines))
     return 0
 
 

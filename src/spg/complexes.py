@@ -75,11 +75,18 @@ def _norm_faces(faces: Iterable[Iterable[str]]) -> set[frozenset[str]]:
 
 
 def _maximal(sets: set[frozenset[str]]) -> frozenset[frozenset[str]]:
-    """Largest first, so each set is compared only with the maximal sets kept
-    so far, not with the whole family."""
+    """Largest first, so a set is dropped exactly when a set kept so far
+    holds it: bit k of ``within[v]`` says that the k-th kept set holds v, and
+    the kept sets holding all of a set are the AND over its members."""
     kept: list[frozenset[str]] = []
+    within: dict[str, int] = {}
     for s in sorted(sets, key=len, reverse=True):
-        if not any(s <= t for t in kept):
+        common = (1 << len(kept)) - 1
+        for v in s:
+            common &= within.get(v, 0)
+        if not common:
+            for v in s:
+                within[v] = within.get(v, 0) | 1 << len(kept)
             kept.append(s)
     return frozenset(kept)
 
@@ -470,21 +477,12 @@ def are_isomorphic(a: LabeledComplex, b: LabeledComplex) -> Optional[dict[str, s
 # JSON interchange
 
 
-def _facet_sort_key(delta: LabeledComplex):
-    index = {v: i for i, v in enumerate(delta.vertices)}
-
-    def key(f: frozenset[str]) -> tuple:
-        return tuple(sorted(index[v] for v in f))
-
-    return key
-
-
 def complex_to_obj(delta: LabeledComplex) -> dict:
-    key = _facet_sort_key(delta)
-    facets = [f for f in delta.facets if f]
+    index = {v: i for i, v in enumerate(delta.vertices)}
+    facets = [sorted(f, key=index.__getitem__) for f in delta.facets if f]
     return {
         "vertices": [{"id": v, "part": delta.part[v]} for v in delta.vertices],
-        "facets": [sorted(f, key=lambda v: delta.vertices.index(v)) for f in sorted(facets, key=key)],
+        "facets": sorted(facets, key=lambda f: [index[v] for v in f]),
         "void": delta.is_void,
     }
 
@@ -537,8 +535,5 @@ def complex_from_json(text: str) -> LabeledComplex:
 
 def ideal_to_obj(ideal_: SquareFreeIdeal) -> dict:
     index = {v: i for i, v in enumerate(ideal_.variables)}
-    gens = sorted(ideal_.generators, key=lambda g: tuple(sorted(index[v] for v in g)))
-    return {
-        "variables": list(ideal_.variables),
-        "generators": [sorted(g, key=lambda v: index[v]) for g in gens],
-    }
+    gens = [sorted(g, key=index.__getitem__) for g in ideal_.generators]
+    return {"variables": list(ideal_.variables), "generators": sorted(gens, key=lambda g: [index[v] for v in g])}

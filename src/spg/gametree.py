@@ -10,9 +10,9 @@ the mask of its face.
 
 Tree isomorphism and the DOT export are folds of the tree: :func:`fold`
 combines the faces once each, largest first, so children come before parents
-and the cost is polynomial in the number of faces.  The node count of the
-unfolded tree needs no walk: it is a sum of factorials over the faces above
-the root.
+and the cost is polynomial in the number of faces; a move whose vertex is in
+the face already is skipped before its child is looked up.  The node count of
+the unfolded tree is a sum of factorials over the faces above the root.
 
 The canonical value needs no face lattice when the complex is flag (the legal
 complex of every pairwise ruleset): a position is then the set of vertices
@@ -24,11 +24,12 @@ Any other complex folds the tree.
 Values use the standard normal-play canonical form: options are simplified by
 removing dominated options and bypassing reversible ones until a fixpoint,
 and canonical values are interned so that equality of values is object
-identity.  Each interned option set keeps the canonical form it reduces to,
-for the life of the process like the intern table; the memos of sums and of
-factor values last one :func:`game_add` or :func:`canonical_value` call.
-:func:`value_str` prints each side's options sorted by their printed form, so
-a printed value does not depend on the order values were interned in.
+identity.  The intern table is keyed by the sorted creation numbers (``_seq``)
+of each side's options.  Each interned option set keeps the canonical form it
+reduces to, for the life of the process like the intern table; the memos of
+sums and of factor values last one :func:`game_add` or :func:`canonical_value`
+call.  :func:`value_str` prints each side's options sorted by their printed
+form, so a printed value does not depend on the order values were interned in.
 """
 from __future__ import annotations
 
@@ -112,7 +113,8 @@ def fold(tree: GameTree, combine: Callable[[int, list[Move]], T]) -> T:
     # a mask that is not a face has no face above it and is combined alone
     above = [f for f in delta.face_masks if f & root == root] or [root]
     for face in sorted(above, reverse=True):
-        done[face] = combine(face, [(label, v, done[face | b]) for b, label, v in moves if face | b in done])
+        kids = [(label, v, done[face | b]) for b, label, v in moves if not face & b and face | b in done]
+        done[face] = combine(face, kids)
     return done[root]
 
 
@@ -188,15 +190,15 @@ _LE_MEMO: dict[tuple[int, int], bool] = {}
 
 
 def _mk(left: Iterable[CanonicalValue], right: Iterable[CanonicalValue]) -> CanonicalValue:
-    lt = tuple(sorted(set(left), key=lambda g: g._seq))
-    rt = tuple(sorted(set(right), key=lambda g: g._seq))
-    key = (tuple(g._seq for g in lt), tuple(g._seq for g in rt))
+    lseq = {g._seq: g for g in left}
+    rseq = {g._seq: g for g in right}
+    key = (tuple(sorted(lseq)), tuple(sorted(rseq)))
     hit = _INTERN.get(key)
     if hit is not None:
         return hit
     g = CanonicalValue()
-    object.__setattr__(g, "left", lt)
-    object.__setattr__(g, "right", rt)
+    object.__setattr__(g, "left", tuple(lseq[i] for i in key[0]))
+    object.__setattr__(g, "right", tuple(rseq[i] for i in key[1]))
     object.__setattr__(g, "_seq", len(_INTERN))
     object.__setattr__(g, "_canon", None)
     _INTERN[key] = g
@@ -392,19 +394,27 @@ def value_str(g: CanonicalValue) -> str:
 
     Each side's options are printed sorted by their printed form, so the
     string depends on the value alone, not on the order values were made in.
+    A bracketed value is printed once per call, however many options share it.
     """
-    n = _as_int(g)
-    if n is not None:
-        return str(n)
-    if g.left == (ZERO,) and g.right == (ZERO,):
-        return "*"
-    if len(g.left) == 1 and len(g.right) == 1:
-        a, b = _as_int(g.left[0]), _as_int(g.right[0])
-        if a is not None and b is not None and a == -b and a > 0:
-            return f"+-{a}"
-    left = ",".join(sorted(value_str(x) for x in g.left))
-    right = ",".join(sorted(value_str(x) for x in g.right))
-    return f"{{{left}|{right}}}"
+    memo: dict[CanonicalValue, str] = {}  # the bracketed values printed so far
+
+    def text(g: CanonicalValue) -> str:
+        if g in memo:
+            return memo[g]
+        n = _as_int(g)
+        if n is not None:
+            return str(n)
+        if g.left == (ZERO,) and g.right == (ZERO,):
+            return "*"
+        if len(g.left) == 1 and len(g.right) == 1:
+            a, b = _as_int(g.left[0]), _as_int(g.right[0])
+            if a is not None and b is not None and a == -b and a > 0:
+                return f"+-{a}"
+        left = ",".join(sorted(text(x) for x in g.left))
+        right = ",".join(sorted(text(x) for x in g.right))
+        return memo.setdefault(g, f"{{{left}|{right}}}")
+
+    return text(g)
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ _DOMINO_PIECES = {"L": (boards.domino_piece("L"),), "R": (boards.domino_piece("R
 _TABLE_PIECES = {"L": (boards.cycle_piece(3, "L"),), "R": (boards.cycle_piece(4, "R"),)}
 
 
-def _single_vertex_pieces() -> dict[str, tuple[Piece, ...]]:
-    return dict(_VERTEX_PIECES)
-
-
 def _anything(b: Board, placements: Sequence[Placement]) -> Predicate:
     return lambda mask: True
 
@@ -60,7 +56,7 @@ def _anything(b: Board, placements: Sequence[Placement]) -> Predicate:
 def free_placement() -> Ruleset:
     """Single-vertex pieces, every position legal."""
     return Ruleset(
-        "free", _single_vertex_pieces(), _anything, claims_invariant=True, pairwise=True
+        "free", dict(_VERTEX_PIECES), _anything, claims_invariant=True, pairwise=True
     )
 
 
@@ -91,14 +87,14 @@ def _no_touching(same: bool) -> Callable[[Board, Sequence[Placement]], Predicate
 def snort() -> Ruleset:
     """No piece may be orthogonally adjacent to an opposing piece."""
     return Ruleset(
-        "snort", _single_vertex_pieces(), _no_touching(False), claims_invariant=True, pairwise=True
+        "snort", dict(_VERTEX_PIECES), _no_touching(False), claims_invariant=True, pairwise=True
     )
 
 
 def col() -> Ruleset:
     """No piece may be adjacent to a piece of the same player."""
     return Ruleset(
-        "col", _single_vertex_pieces(), _no_touching(True), claims_invariant=True, pairwise=True
+        "col", dict(_VERTEX_PIECES), _no_touching(True), claims_invariant=True, pairwise=True
     )
 
 
@@ -106,36 +102,37 @@ def nogo() -> Ruleset:
     """Every maximal same-player connected group needs an adjacent empty vertex."""
 
     def legal(b: Board, placements: Sequence[Placement]) -> Predicate:
-        dense = {v: i for i, v in enumerate(b.vertices)}
-        nbrs = [sum(1 << dense[w] for w in b.neighbors(v)) for v in b.vertices]
-        occ = [sum(1 << dense[v] for v in p.occupied) for p in placements]
-        right = [p.player == "R" for p in placements]
-        everything = (1 << len(dense)) - 1
-
-        def near(vs: int) -> int:
-            out = 0
-            for v in bits(vs):
-                out |= nbrs[v]
-            return out
+        n = len(b.vertices)
+        dense = {v: 1 << i for i, v in enumerate(b.vertices)}
+        # keyed by a single bit; Right's stones are shifted past the board's n bits
+        near = {dense[v]: sum(dense[w] for w in b.neighbors(v)) for v in b.vertices}
+        occ = {1 << i: sum(dense[v] for v in p.occupied) << n * (p.player == "R") for i, p in enumerate(placements)}
+        everything = (1 << n) - 1
 
         def predicate(mask: int) -> bool:
-            stones = [0, 0]
-            for i in bits(mask):
-                stones[right[i]] |= occ[i]
-            breathing = near(everything & ~(stones[0] | stones[1]))
-            for own in stones:
-                # a group breathes when one of its stones does: flood out from those
-                reached = frontier = own & breathing
-                while frontier:
-                    frontier = near(frontier) & own & ~reached
-                    reached |= frontier
-                if reached != own:
+            stones = 0
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                stones |= occ[low]
+            empty = everything & ~(stones | stones >> n)
+            for own in (stones & everything, stones >> n):
+                # a stone breathes when a neighbour is empty or a breathing own stone
+                air, rest, grew = empty, own, True
+                while rest and grew:
+                    grew, todo = False, rest
+                    while todo:
+                        low = todo & -todo
+                        todo ^= low
+                        if near[low] & air:
+                            air, rest, grew = air | low, rest ^ low, True
+                if rest:
                     return False
             return True
 
         return predicate
 
-    return Ruleset("nogo", _single_vertex_pieces(), legal, claims_invariant=False)
+    return Ruleset("nogo", dict(_VERTEX_PIECES), legal, claims_invariant=False)
 
 
 def domineering() -> Ruleset:
@@ -175,10 +172,6 @@ def _covered_names(b: Board, placements: Sequence[Placement], delta: LabeledComp
     return [names.get(p.occupied) for p in placements]
 
 
-def _table_pieces() -> dict[str, tuple[Piece, ...]]:
-    return dict(_TABLE_PIECES)
-
-
 def table_game_legal(delta: LabeledComplex) -> Ruleset:
     """Legal exactly when the set of covered cycles names a face of ``delta``."""
     face_set = faces(delta)
@@ -187,7 +180,7 @@ def table_game_legal(delta: LabeledComplex) -> Ruleset:
         names = _covered_names(b, placements, delta)
         return lambda mask: not mask or frozenset(names[i] for i in bits(mask)) in face_set
 
-    return Ruleset("table-legal", _table_pieces(), legal, claims_invariant=False)
+    return Ruleset("table-legal", dict(_TABLE_PIECES), legal, claims_invariant=False)
 
 
 def table_game_illegal(delta: LabeledComplex) -> Ruleset:
@@ -202,7 +195,7 @@ def table_game_illegal(delta: LabeledComplex) -> Ruleset:
 
         return predicate
 
-    return Ruleset("table-illegal", _table_pieces(), legal, claims_invariant=False)
+    return Ruleset("table-illegal", dict(_TABLE_PIECES), legal, claims_invariant=False)
 
 
 def cycle_placement_game(delta: LabeledComplex) -> Ruleset:
@@ -212,7 +205,7 @@ def cycle_placement_game(delta: LabeledComplex) -> Ruleset:
     cycles: every disjoint collection of covered cycles is allowed.
     """
     return Ruleset(
-        "cycle-placement", _table_pieces(), _anything, claims_invariant=True,
+        "cycle-placement", dict(_TABLE_PIECES), _anything, claims_invariant=True,
         pairwise=True,
     )
 

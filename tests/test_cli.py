@@ -480,3 +480,4 @@ def test_out_of_memory_is_inconclusive(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("INCONCLUSIVE: ") and len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""

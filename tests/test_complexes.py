@@ -35,6 +35,7 @@ from spg.complexes import (
     sr_complex,
     sr_ideal,
     void_complex,
+    _maximal,
     _minimal,
 )
 from conftest import all_labeled_complexes, random_complex
@@ -143,6 +144,21 @@ def test_minimal_matches_the_pairwise_rule_on_random_families():
     for _ in range(300):
         family = {frozenset(rng.sample("abcdef", rng.randint(0, 4))) for _ in range(rng.randint(0, 12))}
         assert _minimal(family) == frozenset(s for s in family if not any(t < s for t in family))
+
+
+def test_maximal_matches_the_pairwise_rule_on_random_families():
+    assert _maximal(set()) == frozenset()
+    assert _maximal({frozenset()}) == {frozenset()}
+    assert _maximal({frozenset(), frozenset("a")}) == {frozenset("a")}
+    rng = random.Random(7)
+    for _ in range(300):
+        # sizes from 0, so the empty set comes up, and some sets listed twice
+        listed = [frozenset(rng.sample("abcdef", rng.randint(0, 4))) for _ in range(rng.randint(0, 12))]
+        listed += rng.sample(listed, len(listed) // 3)
+        family = set(listed)
+        want = frozenset(s for s in family if not any(s < t for t in family))
+        assert _maximal(family) == want
+        assert _maximal(listed) == want
 
 
 # the four correspondences, pinned on the degenerate corners

@@ -25,7 +25,9 @@ from spg.complexes import (
 from spg.engine import legal_complex
 from spg.gametree import (
     ZERO,
+    _as_int,
     _components,
+    _mk,
     _value_of,
     build_tree,
     canonical_value,
@@ -209,6 +211,34 @@ def test_value_str_shorthands():
     assert value_str(make_value([zero], [one])) == "{0|1}"
 
 
+def unmemoised_value_str(g):
+    """The printing rule of ``value_str``, recursing into every option anew."""
+    n = _as_int(g)
+    if n is not None:
+        return str(n)
+    if g.left == (ZERO,) and g.right == (ZERO,):
+        return "*"
+    if len(g.left) == 1 and len(g.right) == 1:
+        a, b = _as_int(g.left[0]), _as_int(g.right[0])
+        if a is not None and b is not None and a == -b and a > 0:
+            return f"+-{a}"
+    left = ",".join(sorted(unmemoised_value_str(x) for x in g.left))
+    right = ",".join(sorted(unmemoised_value_str(x) for x in g.right))
+    return f"{{{left}|{right}}}"
+
+
+def test_value_str_of_shared_options_matches_unmemoised_printing():
+    # each value's options are the two values before it: 20 values, but
+    # thousands of paths from the last one down to 0
+    chain = [ZERO, make_value([ZERO], [])]
+    for _ in range(18):
+        chain.append(_mk([chain[-1], chain[-2]], [chain[-2]]))
+    assert value_str(chain[-1]) == unmemoised_value_str(chain[-1])
+    for n in range(2, 9):
+        g = canonical_value(legal_complex(snort(), build_path(n)))
+        assert value_str(g) == unmemoised_value_str(g)
+
+
 def test_value_str_sorts_options_by_printed_form():
     # ZERO is interned first of all values, so its options list it before *,
     # which prints first
@@ -369,6 +399,16 @@ def test_non_flag_complex_takes_the_fold():
     got = canonical_value(hollow)
     assert got is fold(build_tree(hollow), _value_of)
     assert got is reference_value(hollow)
+    # seeded random complexes on up to 6 vertices, kept when not flag
+    rng = random.Random(17)
+    checked = 0
+    while checked < 150:
+        vs = [f"v{i}" for i in range(rng.randint(3, 6))]
+        family = [rng.sample(vs, rng.randint(2, len(vs) - 1)) for _ in range(rng.randint(2, 2 * len(vs)))]
+        delta = from_facets(family, {v: rng.choice("LR") for v in vs})
+        if flag_conflicts(delta) is None:
+            assert canonical_value(delta) is reference_value(delta), delta
+            checked += 1
 
 
 @pytest.mark.parametrize("game", [snort(), col()], ids=lambda g: g.name)

@@ -119,14 +119,21 @@ def _colourings():
     ids=["snort", "col", "nogo"],
 )
 def test_matches_reference_rule(game, rule):
-    compiled = {}  # per board: one predicate over a stone of each player on each vertex
+    """One predicate per board over a stone of each player on each vertex,
+    compiled over Left's stones then Right's, and again over a seeded shuffle
+    of them, so no predicate may rely on where a player's placements sit."""
+    rng = random.Random(11)
+    compiled = {}  # per board: (placements, predicate over them) per order
     for b, colours in _colourings():
         if b not in compiled:
-            compiled[b] = game().legal(b, [placement(c, [v]) for c in "LR" for v in b.vertices])
-        n = len(b.vertices)
-        mask = sum(1 << i + n * (c == "R") for i, c in enumerate(colours) if c != ".")
+            blocks = [placement(c, [v]) for c in "LR" for v in b.vertices]
+            shuffled = rng.sample(blocks, len(blocks))
+            compiled[b] = [(order, game().legal(b, order)) for order in (blocks, shuffled)]
+        at = dict(zip(b.vertices, colours))
         stones = {p: {v for v, c in zip(b.vertices, colours) if c == p} for p in "LR"}
-        assert compiled[b](mask) == rule(b, stones), (b.edges, colours)
+        for order, predicate in compiled[b]:
+            mask = sum(1 << i for i, p in enumerate(order) if all(at[v] == p.player for v in p.occupied))
+            assert predicate(mask) == rule(b, stones), (b.edges, colours, order)
 
 
 def test_domineering_orientations():
