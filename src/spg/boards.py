@@ -55,7 +55,8 @@ from .complexes import LabeledComplex, has_isolated_vertex
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a search runs past its deadline."""
+    """The one over-budget exception, for the time cap, the basic-position
+    cap and the construction size alike; its message names the budget."""
 
 
 Edge = tuple[int, int]
@@ -519,7 +520,7 @@ def _search(
     order = plan.order
     k = len(order)
     if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded("embedding search ran past its deadline")
+        raise BudgetExceeded("time budget exhausted: embedding search ran past its deadline")
     if not k:
         yield {}
         return
@@ -590,7 +591,7 @@ def _search(
             continue
         ticks += 1
         if deadline is not None and ticks % 2048 == 0 and time.monotonic() > deadline:
-            raise BudgetExceeded("embedding search ran past its deadline")
+            raise BudgetExceeded("time budget exhausted: embedding search ran past its deadline")
         image[i] = w
         if i + 1 == k:
             yield dict(zip(order, image))
@@ -653,14 +654,13 @@ def induced_embeddings(
     sub_vertices: Sequence[int],
     sub_edges: Iterable[Edge],
     limit: int | None = None,
-    deadline: float | None = None,
 ) -> list[dict[int, int]]:
     """Embeddings of an induced pattern (vertices plus exact edge set) into the
     board, non-edges required to stay non-edges, in the order of
     :func:`_search`; at most ``limit`` of them.  The pattern may be
     disconnected."""
     plan = _SearchPlan(sub_vertices, _adjacency(sub_vertices, sub_edges))
-    return list(islice(_search(plan, target, induced=True, deadline=deadline), limit))
+    return list(islice(_search(plan, target, induced=True), limit))
 
 
 def _components_of(vertices: Sequence[int], edges: Iterable[Edge]) -> list[set[int]]:
@@ -866,8 +866,8 @@ def board_from_obj(obj: Mapping) -> Board:
     return board(vertices, edges, coords=coords)
 
 
-def board_to_dot(b: Board, name: str = "board") -> str:
-    lines = [f"graph {name} {{"]
+def board_to_dot(b: Board) -> str:
+    lines = ["graph board {"]
     for v in b.vertices:
         attrs = ""
         if b.coords is not None and v in b.coords:

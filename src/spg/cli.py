@@ -43,7 +43,7 @@ from .construct import (
     Realization, VerifyReport, realize_both, realize_illegal, realize_legal, to_independence,
     to_invariant, verify_roundtrip,
 )
-from .engine import DEFAULT_CAP, BoardTooLarge, analyze, check_condition_iv, check_invariance
+from .engine import DEFAULT_CAP, analyze, check_condition_iv, check_invariance
 from .gametree import (
     GameTree, build_tree, canonical_value, outcome_of_value, tree_to_dot, trees_isomorphic,
     value_str,
@@ -730,7 +730,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 2
-    except (BoardTooLarge, BudgetExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"INCONCLUSIVE: {exc}", file=sys.stderr)
         return 3
     except RecursionError:

@@ -222,13 +222,17 @@ def is_pure(delta: LabeledComplex) -> bool:
 def minimal_nonfaces(delta: LabeledComplex) -> frozenset[frozenset[str]]:
     """Inclusion-minimal subsets of the vertex set that are not faces.
 
-    A simplex has none.  The void complex has exactly the empty set: nothing at
-    all is a face of it.  Any other minimal nonface is a face plus a vertex
-    above all of that face's vertices (drop its last vertex in ``vertices``
-    order), so only those extensions are tried, each once.
+    The void complex has exactly the empty set: nothing at all is a face of
+    it.  A vertex in every facet is in no minimal nonface, so those are
+    dropped first and a simplex has none.  Any other minimal nonface is a face
+    plus a vertex above all of that face's vertices (drop its last vertex in
+    ``vertices`` order), so only those extensions are tried, each once.
     """
     if delta.is_void:
         return frozenset({frozenset()})
+    common = frozenset.intersection(*delta.facets)
+    if common:
+        delta = from_facets([f - common for f in delta.facets], delta.part)
     masks = delta.face_masks
     out: set[int] = set()
     for f in masks:

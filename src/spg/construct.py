@@ -280,29 +280,23 @@ def verify_roundtrip(
     engine, demanding exact recovery.
 
     kind "legal" uses the invariant legal-complex construction, "illegal" the
-    distance game, and "both" the two table games.  Distance-game inputs
-    beyond ``max_construction_vertices`` or the time cap come back
-    INCONCLUSIVE: boards grow as the fourth power of the vertex count.
+    distance game, and "both" the two table games.  Every budget ends in one
+    INCONCLUSIVE report that names it: a distance game beyond
+    ``max_construction_vertices`` assemblies (boards grow as the fourth power
+    of the vertex count), a replay past ``time_cap_s`` or a board with more
+    than ``cap`` basic positions.
     """
     if kind not in ("legal", "illegal", "both"):
         raise ValueError(f"unknown round-trip kind {kind!r}")
     deadline = time.monotonic() + time_cap_s
-    if kind == "both":
-        assemblies = 0
-    elif kind == "illegal":
-        assemblies = len(complex_.vertices)
-    else:  # the distance game runs on the minimal nonfaces; a simplex has none
-        assemblies = len(facet_complex(sr_ideal(complex_)).vertices)
-    if assemblies > max_construction_vertices:
-        return VerifyReport(
-            "INCONCLUSIVE",
-            kind,
-            f"the distance-game board needs {assemblies} assemblies, over the budget of "
-            f"{max_construction_vertices}; raise max_construction_vertices to run it",
-            complex_,
-            None,
-        )
     try:
+        if kind != "both":  # "legal" runs the distance game on the minimal nonfaces
+            assemblies = len((complex_ if kind == "illegal" else facet_complex(sr_ideal(complex_))).vertices)
+            if assemblies > max_construction_vertices:
+                raise BudgetExceeded(
+                    f"the distance-game board needs {assemblies} assemblies, over the budget of "
+                    f"{max_construction_vertices}; raise max_construction_vertices to run it"
+                )
         if kind == "both":
             legal_r, illegal_r = realize_both(complex_)
             runs = [
@@ -323,6 +317,6 @@ def verify_roundtrip(
                 return VerifyReport("FAIL", kind, f"{what}: {wrong}", complex_, got)
             recovered.append(got)
     except BudgetExceeded as exc:
-        return VerifyReport("INCONCLUSIVE", kind, f"time budget exhausted: {exc}", complex_, None)
+        return VerifyReport("INCONCLUSIVE", kind, str(exc), complex_, None)
     done = "; ".join(what for _, _, what in runs)
     return VerifyReport("PASS", kind, f"recovered complex matches; {done}", complex_, recovered[0])

@@ -32,16 +32,12 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from . import boards
-from .boards import Board, Placement, piece_placements
+from .boards import Board, BudgetExceeded, Placement, piece_placements
 from .complexes import (
     LabeledComplex, SquareFreeIdeal, bits, faces, from_facets, ideal, independent_sets,
     maximal_independent_sets,
 )
 from .rulesets import Predicate, Ruleset
-
-
-class BoardTooLarge(ValueError):
-    """The board produced more basic positions than the configured cap."""
 
 
 class DownwardClosureError(ValueError):
@@ -170,32 +166,37 @@ class GameAnalysis:
         return ideal(self.index.names, self.index.part_map(), self._named(self.minimal_masks))
 
 
-def _check_cap(index: BasicPositionIndex, cap: int) -> None:
+def _compiled(
+    game: Ruleset, board: Board, cap: int, index: BasicPositionIndex | None = None
+) -> tuple[BasicPositionIndex, Predicate]:
+    """The basic positions (``index`` when given) and the predicate compiled
+    over them; :class:`BudgetExceeded` when they number more than ``cap``."""
+    if index is None:
+        index = basic_positions(game, board)
     if len(index) > cap:
-        raise BoardTooLarge(
+        raise BudgetExceeded(
             f"{len(index)} basic positions exceed the cap of {cap}; "
             "raise the cap explicitly to analyse this board"
         )
+    return index, game.legal(board, index.placements)
 
 
 def analyze(
     game: Ruleset,
     board: Board,
     cap: int = DEFAULT_CAP,
-    deadline: float | None = None,
     index: BasicPositionIndex | None = None,
 ) -> GameAnalysis:
     """Maximal legal positions plus the minimal illegal sets.
 
-    Raises :class:`DownwardClosureError` when a position satisfies the
-    predicate while one of its one-smaller subpositions is illegal.  A
-    ``pairwise`` ruleset is taken at its word and never raises it.
+    Raises :class:`BudgetExceeded` past ``cap`` basic positions (``index``
+    when given), and :class:`DownwardClosureError` when a position satisfies
+    the predicate while one of its one-smaller subpositions is illegal.  A
+    ``pairwise`` ruleset is taken at its word and never raises the latter.
     """
-    if index is None:
-        index = basic_positions(game, board, deadline=deadline)
-    _check_cap(index, cap)
+    index, predicate = _compiled(game, board, cap, index)
     closure = _pairwise_closure if game.pairwise else _closure
-    maximal, minimal = closure(index, game.legal(board, index.placements))
+    maximal, minimal = closure(index, predicate)
     return GameAnalysis(index, frozenset(maximal), frozenset(minimal))
 
 
@@ -351,9 +352,7 @@ def check_condition_iv(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> C
     accepts some pair while rejecting its singletons never exposes the pair
     through legal play, but it still violates order independence.
     """
-    index = basic_positions(game, board)
-    _check_cap(index, cap)
-    predicate = game.legal(board, index.placements)
+    index, predicate = _compiled(game, board, cap)
     if not predicate(0):
         return ConditionReport(False, ((), ()), "the empty position must be legal")
 
@@ -400,10 +399,8 @@ def check_invariance(
     A full invariance proof would quantify over all boards; this verifier can
     only refute.
     """
-    index = basic_positions(game, board)
-    _check_cap(index, cap)
+    index, predicate = _compiled(game, board, cap)
     by_name = index.by_name
-    predicate = game.legal(board, index.placements)
     for i, (name, pl) in enumerate(index.entries):
         if not predicate(1 << i):
             return InvarianceReport(

@@ -134,14 +134,14 @@ def trees_isomorphic(t1: GameTree, t2: GameTree) -> bool:
     return fold(t1, code) == fold(t2, code)
 
 
-def tree_to_dot(t: GameTree, name: str = "tree") -> str:
+def tree_to_dot(t: GameTree) -> str:
     """DOT export of the shared DAG: one node per face, whose tooltip names
     the face, and one edge per move.
 
     Edge colour encodes the mover (L blue, R red).  Nodes are numbered
     children first, so the root is the last node.
     """
-    lines = [f"digraph {name} {{", "  node [shape=circle, label=\"\"];"]
+    lines = ["digraph tree {", "  node [shape=circle, label=\"\"];"]
     ids = count()
 
     def emit(mask: int, moves: list[Move]) -> int:

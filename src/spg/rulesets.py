@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from . import boards
-from .complexes import LabeledComplex, bits, faces
+from .complexes import LabeledComplex, bits
 from .boards import Board, Piece, Placement, distance
 
 Predicate = Callable[[int], bool]
@@ -172,30 +172,28 @@ def _covered_names(b: Board, placements: Sequence[Placement], delta: LabeledComp
     return [names.get(p.occupied) for p in placements]
 
 
-def table_game_legal(delta: LabeledComplex) -> Ruleset:
-    """Legal exactly when the set of covered cycles names a face of ``delta``."""
-    face_set = faces(delta)
+def _table_game(name: str, delta: LabeledComplex, accepts: Callable[[set], bool]) -> Ruleset:
+    """A position is legal when it is empty or ``accepts`` the set of complex
+    vertices its placements name (None for a placement that names none)."""
 
     def legal(b: Board, placements: Sequence[Placement]) -> Predicate:
         names = _covered_names(b, placements, delta)
-        return lambda mask: not mask or frozenset(names[i] for i in bits(mask)) in face_set
+        return lambda mask: not mask or accepts({names[i] for i in bits(mask)})
 
-    return Ruleset("table-legal", dict(_TABLE_PIECES), legal, claims_invariant=False)
+    return Ruleset(name, dict(_TABLE_PIECES), legal, claims_invariant=False)
+
+
+def table_game_legal(delta: LabeledComplex) -> Ruleset:
+    """Legal exactly when the covered cycles lie in a facet of ``delta``."""
+    return _table_game("table-legal", delta, lambda covered: any(covered <= f for f in delta.facets))
 
 
 def table_game_illegal(delta: LabeledComplex) -> Ruleset:
     """Legal exactly when the covered cycles contain no facet of ``delta``."""
-
-    def legal(b: Board, placements: Sequence[Placement]) -> Predicate:
-        names = _covered_names(b, placements, delta)
-
-        def predicate(mask: int) -> bool:
-            covered = {names[i] for i in bits(mask)}
-            return not mask or None not in covered and not any(f <= covered for f in delta.facets)
-
-        return predicate
-
-    return Ruleset("table-illegal", dict(_TABLE_PIECES), legal, claims_invariant=False)
+    return _table_game(
+        "table-illegal", delta,
+        lambda covered: None not in covered and not any(f <= covered for f in delta.facets),
+    )
 
 
 def cycle_placement_game(delta: LabeledComplex) -> Ruleset:

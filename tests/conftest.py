@@ -1,8 +1,13 @@
 """Shared corpora and the acceptance-criteria summary hook."""
 from __future__ import annotations
 
+import os
 import random
+import resource
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +122,23 @@ def degree_one_game() -> Ruleset:
         return all(b.degree(v) != 1 for pl in pos for v in pl.occupied)
 
     return Ruleset("degree-one", pieces, on_placement_sets(legal), claims_invariant=True)
+
+
+def run_spg_capped(*argv: str, cwd):
+    """``python -m spg *argv`` in a child process capped at 400 MB of address
+    space and cut after 60 s, for inputs that would exhaust the machine's
+    memory if ``spg`` regressed.  Returns the completed process, with text
+    output."""
+    limit = 400 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "spg", *argv], env={**os.environ, "PYTHONPATH": str(src)},
+        cwd=cwd, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+    )
 
 
 @pytest.fixture

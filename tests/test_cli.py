@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import os
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +11,8 @@ import pytest
 from spg.boards import board_to_obj, build_path
 from spg.cli import COMMANDS, main
 from spg.complexes import complex_to_obj, from_facets
+
+from conftest import run_spg_capped
 
 
 AB_BC = from_facets([["a", "b"], ["b", "c"]], {"a": "L", "b": "L", "c": "R"})
@@ -465,19 +466,56 @@ def test_too_deep_game_is_inconclusive(run, tmp_path):
 
 def test_out_of_memory_is_inconclusive(tmp_path):
     # every face of a 30-vertex simplex does not fit in 400 MB of address space
-    src = Path(__file__).resolve().parent.parent / "src"
-    limit = 400 * 2**20
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "spg", "complex", "info", "--complex",
-         _simplex_file(tmp_path / "s.json", "L" * 30)],
-        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path, capture_output=True,
-        text=True, timeout=60, preexec_fn=cap_memory,
-    )
+    proc = run_spg_capped("complex", "info", "--complex",
+                          _simplex_file(tmp_path / "s.json", "L" * 30), cwd=tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("INCONCLUSIVE: ") and len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
+
+
+def _forty_vertex_files(tmp_path) -> tuple[str, str]:
+    """A 40-vertex simplex, and two 39-vertex facets v00..v38 and v01..v39
+    whose one minimal nonface is {v00,v39}."""
+    names = [f"v{i:02d}" for i in range(40)]
+    two = from_facets([names[:-1], names[1:]], dict.fromkeys(names, "L"))
+    return _simplex_file(tmp_path / "simplex.json", "L" * 40), write_complex(tmp_path / "two.json", two)
+
+
+def test_nonfaces_skip_the_vertices_in_every_facet(tmp_path):
+    simplex, two = _forty_vertex_files(tmp_path)
+    for path, nonfaces, ideal in ((simplex, "no minimal nonfaces: the complex is a simplex", "<0>"),
+                                  (two, "{v00,v39}", "<v00v39>")):
+        proc = run_spg_capped("complex", "nonfaces", "--complex", path, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, nonfaces + "\n", "")
+        proc = run_spg_capped("complex", "dual", "--to", "sr-ideal", "--complex", path, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"sr-ideal: {ideal}\n", "")
+
+
+def test_round_trips_of_forty_vertices_stop_at_the_cap(tmp_path):
+    # the table games and the nonfaces are built without listing 2^40 faces,
+    # so the replay reaches the cap on basic positions and reports it
+    simplex, two = _forty_vertex_files(tmp_path)
+    for kind, path in (("both", simplex), ("legal", simplex), ("legal", two)):
+        proc = run_spg_capped("verify", kind, "--complex", path, cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout.startswith("INCONCLUSIVE: 40 basic positions exceed the cap of 24")
+        assert proc.stderr == ""
+
+
+def test_cap_overrun_in_verify_is_a_status_line(run, tmp_path):
+    p3 = write_complex(tmp_path / "p3.json", P3)
+    code, out, err = run("verify", "both", "--complex", p3, "--cap", "2")
+    assert code == 3 and err == ""
+    assert out == "INCONCLUSIVE: 3 basic positions exceed the cap of 2; " \
+        "raise the cap explicitly to analyse this board\n"
+
+
+def test_cap_overrun_in_construct_writes_the_report(run, tmp_path):
+    p3 = write_complex(tmp_path / "p3.json", P3)
+    out_dir = tmp_path / "d"
+    code, out, err = run("construct", "illegal", "--complex", p3, "--out-dir", str(out_dir),
+                         "--cap", "2")
+    assert code == 3 and err == "" and out.splitlines()[-1].startswith("INCONCLUSIVE: ")
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["status"] == "INCONCLUSIVE" and "exceed the cap of 2" in report["detail"]

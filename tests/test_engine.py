@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spg.boards import (
+    BudgetExceeded,
     board,
     build_cycle,
     build_grid,
@@ -19,7 +20,6 @@ from spg.boards import (
 )
 from spg.complexes import from_facets, sr_complex
 from spg.engine import (
-    BoardTooLarge,
     DownwardClosureError,
     analyze,
     basic_positions,
@@ -235,7 +235,7 @@ def test_transported_placements_are_basic_positions(game, brd):
 
 
 def test_board_cap():
-    with pytest.raises(BoardTooLarge):
+    with pytest.raises(BudgetExceeded):
         analyze(snort(), build_path(4), cap=4)
     a = analyze(snort(), build_path(2), cap=4)
     assert len(a.index) == 4
@@ -296,7 +296,7 @@ def test_analysis_kept_on_the_board_holds_no_name_sets():
 def test_shorthands_store_no_failed_analysis():
     game, brd = nogo(), build_grid(2, 3)
     for shorthand in SHORTHANDS + SHORTHANDS:
-        with pytest.raises(BoardTooLarge):
+        with pytest.raises(BudgetExceeded):
             shorthand(game, brd, cap=4)
 
 
