@@ -75,7 +75,11 @@ class Board:
     coords: Optional[Mapping[int, tuple[int, int]]] = None
     _adj: dict = field(init=False, repr=False)
     _nbrs: dict = field(init=False, repr=False)
+    # engine-owned memos, one entry each: the last analysis made on this
+    # board (game, cap, analysis), and its last basic-position index (the
+    # pieces per player, index), shared by every ruleset with those pieces
     _analysis: Optional[tuple] = field(init=False, repr=False)
+    _positions: Optional[tuple] = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -101,6 +105,7 @@ class Board:
         object.__setattr__(self, "_adj", {v: tuple(sorted(n)) for v, n in adj.items()})
         object.__setattr__(self, "_nbrs", adj)
         object.__setattr__(self, "_analysis", None)
+        object.__setattr__(self, "_positions", None)
         object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
 
     @cached_property

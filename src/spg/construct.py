@@ -290,8 +290,12 @@ def verify_roundtrip(
         raise ValueError(f"unknown round-trip kind {kind!r}")
     deadline = time.monotonic() + time_cap_s
     try:
-        if kind != "both":  # "legal" runs the distance game on the minimal nonfaces
-            assemblies = len((complex_ if kind == "illegal" else facet_complex(sr_ideal(complex_))).vertices)
+        if kind != "both":
+            # one assembly per vertex: "legal" runs the distance game on the
+            # minimal nonfaces and gives each vertex in every facet a free
+            # one, save on a simplex, which lives on a cycle table
+            simplex = kind == "legal" and is_simplex(complex_)
+            assemblies = 0 if simplex else len(complex_.vertices)
             if assemblies > max_construction_vertices:
                 raise BudgetExceeded(
                     f"the distance-game board needs {assemblies} assemblies, over the budget of "

@@ -105,19 +105,32 @@ class BasicPositionIndex:
 
 
 def basic_positions(game: Ruleset, board: Board, deadline: float | None = None) -> BasicPositionIndex:
-    """Enumerate single-placement positions via the embedding search."""
+    """Enumerate single-placement positions via the embedding search.
+
+    The index depends on the board and the game's pieces alone, so the board
+    keeps the last one it made: a ruleset with the same piece objects per
+    player gets that very index, with its overlaps, whatever the deadline,
+    since no search runs.  Other pieces replace it, and a call that raises
+    stores nothing.
+    """
+    key = tuple(tuple(game.pieces.get(p, ())) for p in ("L", "R"))
+    last = board._positions
+    if last is not None and last[0] == key:
+        return last[1]
     entries: list[tuple[str, Placement]] = []
-    for player, prefix in (("L", "x"), ("R", "y")):
+    for pieces, prefix in zip(key, "xy"):
         seen: set[frozenset[int]] = set()
         ordered: list[Placement] = []
-        for piece in game.pieces.get(player, ()):
+        for piece in pieces:
             for pl in piece_placements(board, piece, deadline=deadline):
                 if pl.occupied not in seen:
                     seen.add(pl.occupied)
                     ordered.append(pl)
         ordered.sort()
         entries.extend((f"{prefix}{i}", pl) for i, pl in enumerate(ordered, start=1))
-    return BasicPositionIndex(tuple(entries))
+    index = BasicPositionIndex(tuple(entries))
+    object.__setattr__(board, "_positions", (key, index))
+    return index
 
 
 @dataclass

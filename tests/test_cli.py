@@ -119,6 +119,17 @@ def test_verify_roundtrip_exit_codes(run, tmp_path):
     assert "max_construction_vertices" in out
 
 
+def test_verify_legal_budget_counts_every_vertex(run, tmp_path):
+    cone = from_facets([["a", "b", "d", "e"], ["c", "d", "e"]],
+                       {"a": "L", "b": "R", "c": "L", "d": "R", "e": "L"})
+    p = write_complex(tmp_path / "cone.json", cone)
+    code, out, err = run("verify", "legal", "--complex", p, "--max-n", "3")
+    assert code == 3 and err == ""
+    assert out.startswith("INCONCLUSIVE: the distance-game board needs 5 assemblies")
+    code, out, _ = run("verify", "legal", "--complex", p, "--max-n", "5")
+    assert code == 0 and out.startswith("PASS")
+
+
 def test_verify_illegal_on_five_vertices(run, tmp_path):
     path5 = from_facets(
         [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"]],
@@ -494,13 +505,18 @@ def test_nonfaces_skip_the_vertices_in_every_facet(tmp_path):
 
 def test_round_trips_of_forty_vertices_stop_at_the_cap(tmp_path):
     # the table games and the nonfaces are built without listing 2^40 faces,
-    # so the replay reaches the cap on basic positions and reports it
+    # so the replay reaches the cap on basic positions and reports it; the
+    # legal construction of the two facets needs one assembly per vertex
     simplex, two = _forty_vertex_files(tmp_path)
-    for kind, path in (("both", simplex), ("legal", simplex), ("legal", two)):
-        proc = run_spg_capped("verify", kind, "--complex", path, cwd=tmp_path)
+    for kind, path, more in (("both", simplex, ()), ("legal", simplex, ()),
+                             ("legal", two, ("--max-n", "40"))):
+        proc = run_spg_capped("verify", kind, "--complex", path, *more, cwd=tmp_path)
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout.startswith("INCONCLUSIVE: 40 basic positions exceed the cap of 24")
         assert proc.stderr == ""
+    proc = run_spg_capped("verify", "legal", "--complex", two, cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout.startswith("INCONCLUSIVE: the distance-game board needs 40 assemblies")
 
 
 def test_cap_overrun_in_verify_is_a_status_line(run, tmp_path):

@@ -181,6 +181,20 @@ def test_verify_budget_inconclusive():
     assert "needs 4 assemblies, over the budget of 3" in report.detail
 
 
+def test_verify_legal_counts_the_free_assemblies():
+    # d and e lie in every facet: the distance game runs on the one minimal
+    # nonface {a,b,c} and each of d and e gets a free assembly
+    delta = from_facets([["a", "b", "d", "e"], ["c", "d", "e"]],
+                        {"a": "L", "b": "R", "c": "L", "d": "R", "e": "L"})
+    report = verify_roundtrip("legal", delta, max_construction_vertices=3)
+    assert report.status == "INCONCLUSIVE"
+    assert "needs 5 assemblies, over the budget of 3" in report.detail
+    assert verify_roundtrip("legal", delta, max_construction_vertices=5).passed
+    # a simplex lives on a cycle table and needs no assembly
+    simplex = from_facets([["a", "b", "c", "d"]], {"a": "L", "b": "R", "c": "L", "d": "R"})
+    assert verify_roundtrip("legal", simplex, max_construction_vertices=1).passed
+
+
 def test_verify_time_cap_inconclusive():
     report = verify_roundtrip("illegal", K22, max_construction_vertices=10, time_cap_s=0.0)
     assert report.status == "INCONCLUSIVE"

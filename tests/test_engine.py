@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import random
+import time
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spg import engine
 from spg.boards import (
     BudgetExceeded,
     board,
@@ -19,6 +22,7 @@ from spg.boards import (
     vertex_piece,
 )
 from spg.complexes import from_facets, sr_complex
+from spg.construct import verify_roundtrip
 from spg.engine import (
     DownwardClosureError,
     analyze,
@@ -298,6 +302,75 @@ def test_shorthands_store_no_failed_analysis():
     for shorthand in SHORTHANDS + SHORTHANDS:
         with pytest.raises(BudgetExceeded):
             shorthand(game, brd, cap=4)
+
+
+# ---------------------------------------------------------------------------
+# The basic-position index kept on the board
+
+
+def test_both_round_trip_searches_once_per_piece(monkeypatch):
+    searched = []
+    search = engine.piece_placements
+
+    def spy(board_, piece, deadline=None):
+        searched.append(piece)
+        return search(board_, piece, deadline=deadline)
+
+    monkeypatch.setattr(engine, "piece_placements", spy)
+    delta = from_facets([["a", "b"], ["b", "c"]], {"a": "L", "b": "R", "c": "L"})
+    assert verify_roundtrip("both", delta).passed
+    # the two table games play one 3-cycle and one 4-cycle on one board
+    assert len(searched) == 2
+    assert {p.player for p in searched} == {"L", "R"}
+
+
+def test_rulesets_with_the_same_pieces_share_one_index():
+    brd = build_path(4)
+    first = basic_positions(snort(), brd)
+    overlaps = first.overlaps
+    again = basic_positions(col(), brd)
+    assert again is first and again.overlaps is overlaps
+    assert analyze(col(), brd).index is first
+
+
+def test_the_board_keeps_one_index():
+    brd = build_grid(2, 3)
+    stones = basic_positions(snort(), brd)
+    dominoes = basic_positions(domineering(), brd)
+    assert dominoes is not stones and len(dominoes) == 14
+    fresh = basic_positions(snort(), brd)
+    assert fresh is not stones and fresh == stones
+
+
+def test_a_search_past_its_deadline_stores_nothing(monkeypatch):
+    brd = build_path(4)
+    with pytest.raises(BudgetExceeded):
+        basic_positions(snort(), brd, deadline=time.monotonic() - 1.0)
+    assert brd._positions is None
+    index = basic_positions(snort(), brd)
+    assert len(index) == 8
+    # a kept index is returned whatever the deadline, as no search runs
+    monkeypatch.setattr(engine, "piece_placements", None)
+    assert basic_positions(nogo(), brd, deadline=time.monotonic() - 1.0) is index
+
+
+def _random_connected_graph(rng, n):
+    """A random spanning tree on 0..n-1 plus each other pair with chance 1/3."""
+    tree = {(rng.randrange(v), v) for v in range(1, n)}
+    return list(range(n)), sorted(tree | {e for e in combinations(range(n), 2) if rng.random() < 1 / 3})
+
+
+def test_rulesets_in_turn_on_one_board_match_fresh_boards():
+    rng = random.Random(19)
+    for _ in range(40):
+        vertices, edges = _random_connected_graph(rng, rng.randint(1, 6))
+        shared = board(vertices, edges)
+        for game in (snort(), col(), nogo()):
+            a, b = analyze(game, shared), analyze(game, board(vertices, edges))
+            assert a.index.entries == b.index.entries, (game.name, edges)
+            assert a.index.names == b.index.names
+            assert _maximal_named(a) == _maximal_named(b), (game.name, edges)
+            assert a.minimal_illegal == b.minimal_illegal, (game.name, edges)
 
 
 # ---------------------------------------------------------------------------
