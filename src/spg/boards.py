@@ -402,14 +402,17 @@ class _SearchPlan:
       largest, the radius of the board search around the root's image;
     * ``rest[i]``: the size of the component of ``order[i]`` among the
       vertices not yet mapped, ``order[i:]``, when the cut-vertex rule is
-      checked here (else 0).
+      checked here (else 0);
+    * ``chain[i]``: whether ``i`` is a chain position, one whose only
+      earlier neighbour is position ``i - 1`` and which has no symmetry
+      condition, so that a non-induced search may take a forced move there.
 
     The pattern may be disconnected: the static order takes its components
     one after another, the root distance of a vertex outside the root's
     component is ``None``, and ``rest`` counts within one component.
     """
 
-    __slots__ = ("order", "earlier", "need", "above", "below", "root_dist", "rest", "reach")
+    __slots__ = ("order", "earlier", "need", "above", "below", "root_dist", "rest", "reach", "chain")
 
     def __init__(
         self,
@@ -431,6 +434,7 @@ class _SearchPlan:
                 self.above[ib] += (ia,)
             else:
                 self.below[ia] += (ib,)
+        self.chain = [earlier[i] == (i - 1,) and not self.above[i] and not self.below[i] for i in range(k)]
         # pattern distances to the root, by breadth-first search
         dist = [-1] * k
         if k:
@@ -519,8 +523,21 @@ def _search(
       (``Board._cut_sides``).
 
     Each rule is checked only at the positions the plan marks, and its board
-    data is made when a marked position is first reached.  The deadline is
-    polled when the search starts and every 2,048 nodes.
+    data is made when a marked position is first reached.
+
+    Forced moves: at a chain position (its only earlier neighbour is the
+    position before it, and it has no symmetry condition) a non-induced
+    search reads the unused neighbours of the previous image without
+    building a candidate list.  With none the branch is dead; with exactly
+    one it takes it in place when it passes the degree filter and the
+    distance rule, and pushes a spent iterator for the position, so
+    backtracking runs as for any other; with more it lists the candidates as
+    usual.  The cut-vertex rule is not checked at a forced step; it only
+    prunes, so the embeddings and their order stay the same.  On the long
+    cycles of the distance-game boards nearly every step is forced.
+
+    The deadline is polled when the search starts and every 2,048 nodes,
+    forced steps included.
     """
     order = plan.order
     k = len(order)
@@ -540,8 +557,16 @@ def _search(
     far = plan.reach + 1  # farther than any distance the rule compares
     cut_sides: dict[int, dict[int, int]] | None = None
 
+    def ball() -> dict[int, int]:
+        """``near`` for the current root image, remade when it changed."""
+        nonlocal near, near_root
+        if near_root != image[0]:
+            near_root = image[0]
+            near = _ball(target, near_root, plan.reach)
+        return near
+
     def candidates(i: int) -> list[int]:
-        nonlocal near, near_root, cut_sides
+        nonlocal cut_sides
         prior = earlier[i]
         if len(prior) == 1:
             base: Iterable[int] = t_adj[image[prior[0]]]
@@ -568,10 +593,8 @@ def _search(
             out = [w for w in out if sum(1 for x in t_adj[w] if x in used) == len(prior)]
         limit = root_dist[i]
         if limit is not None and out:
-            if near_root != image[0]:
-                near_root = image[0]
-                near = _ball(target, near_root, plan.reach)
-            out = [w for w in out if near.get(w, far) <= limit]
+            dist = ball()
+            out = [w for w in out if dist.get(w, far) <= limit]
         r = rest[i]
         if r and out:
             if cut_sides is None:
@@ -582,8 +605,11 @@ def _search(
                     out = [w for w in out if sides[w] >= r]
         return out
 
-    # stack[i] iterates the candidates for position i; ``used`` holds the
-    # images of the positions below the top of the stack
+    chain = [False] * k if induced else plan.chain
+    # stack[i] iterates the candidates for position i (after a forced move,
+    # the shared spent iterator); ``used`` holds the images of the positions
+    # below the top of the stack
+    spent: Iterator[int] = iter(())
     stack = [iter(candidates(0))]
     ticks = 0
     while stack:
@@ -594,15 +620,37 @@ def _search(
             if i:
                 used.remove(image[i - 1])
             continue
-        ticks += 1
-        if deadline is not None and ticks % 2048 == 0 and time.monotonic() > deadline:
-            raise BudgetExceeded("time budget exhausted: embedding search ran past its deadline")
-        image[i] = w
-        if i + 1 == k:
-            yield dict(zip(order, image))
-        else:
+        while True:
+            ticks += 1
+            if deadline is not None and ticks % 2048 == 0 and time.monotonic() > deadline:
+                raise BudgetExceeded("time budget exhausted: embedding search ran past its deadline")
+            image[i] = w
+            if i + 1 == k:
+                yield dict(zip(order, image))
+                break
+            if chain[i + 1]:
+                # the candidates are the unused neighbours of ``w``; take a
+                # lone one here, list two or more below
+                x = None
+                for v in t_adj[w]:
+                    if v not in used:
+                        if x is not None:
+                            break
+                        x = v
+                else:
+                    used.add(w)
+                    i += 1
+                    stack.append(spent)
+                    if x is None or t_deg[x] < need[i]:
+                        break
+                    limit = root_dist[i]
+                    if limit is not None and ball().get(x, far) > limit:
+                        break
+                    w = x
+                    continue
             used.add(w)
             stack.append(iter(candidates(i + 1)))
+            break
 
 
 def _ball(b: Board, root: int, radius: int) -> dict[int, int]:

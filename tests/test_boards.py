@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import time
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -215,10 +216,29 @@ def test_symmetry_breaking_on_gamma_piece(player):
 
 
 def test_embedding_deadline_raises():
-    # the deadline is polled every couple thousand search nodes, so the
-    # search must be big enough to reach the first poll
+    # the deadline has already passed, so the check made when the search
+    # starts raises; the polls during a search are tested below
     with pytest.raises(BudgetExceeded):
         piece_placements(build_cycle(240), cycle_piece(24, "L"), deadline=time.monotonic() - 1)
+
+
+def test_deadline_poll_counts_forced_moves(monkeypatch):
+    # a 2,600-vertex path on a 3,000-cycle: every step after the root's
+    # first neighbour is forced, and the first embedding lies 2,600 steps
+    # in, past the first poll at 2,048 nodes
+    calls = []
+
+    def monotonic():
+        calls.append(None)
+        return 0.0 if len(calls) == 1 else 2.0
+
+    monkeypatch.setattr(boards_module, "time", SimpleNamespace(monotonic=monotonic))
+    path = build_path(2600)
+    plan = _SearchPlan(path.vertices, path._adj)
+    assert sum(plan.chain) == len(path.vertices) - 3  # all but the root and the two ends
+    with pytest.raises(BudgetExceeded):
+        next(_search(plan, build_cycle(3000), deadline=1.0))
+    assert len(calls) == 2  # the check at the start, then the first poll
 
 
 def reference_embeddings(p_vertices, p_adj, target, induced=False, conditions=()):
@@ -315,6 +335,49 @@ def test_search_yields_as_the_reference_on_gamma_boards(gamma):
         for player in ("L", "R"):
             piece = gamma_piece(n, player)
             assert_same_search(piece, b, _symmetry_conditions(piece))
+
+
+def relabelled(rng, b):
+    """The board under random distinct vertex ids below 2n."""
+    ids = dict(zip(b.vertices, rng.sample(range(2 * len(b.vertices)), len(b.vertices))))
+    return board(ids.values(), [(ids[u], ids[v]) for u, v in b.edges])
+
+
+def subdivided_board(rng, n):
+    """A random sparse graph on n vertices with each edge replaced by a path
+    of 1 to 6 edges: chains of degree-2 vertices between branch vertices."""
+    base = random_sparse_board(rng, n)
+    first = nxt = max(base.vertices) + 1
+    edges = []
+    for u, v in sorted(base.edges):
+        path = [u, *range(nxt, nxt + rng.randint(0, 5)), v]
+        nxt += len(path) - 2
+        edges.extend(zip(path, path[1:]))
+    return relabelled(rng, board([*base.vertices, *range(first, nxt)], edges))
+
+
+PATH6 = Piece("R", tuple(range(6)), frozenset((i, i + 1) for i in range(5)))
+
+
+def tadpole(length, tail):
+    """A cycle with a path of ``tail`` edges hanging from one of its vertices."""
+    path = [0, *range(length, length + tail)]
+    return board(range(length + tail), [*build_cycle(length).edges, *zip(path, path[1:])])
+
+
+@pytest.mark.parametrize("piece", [*SEARCH_PATTERNS, PATH6], ids=repr)
+def test_search_yields_as_the_reference_on_chain_boards(piece):
+    # most steps are forced moves here.  Forced runs end on a used vertex
+    # when a cycle closes before the piece is placed, on the degree filter
+    # when a tail's end takes a pattern vertex of degree 2, and at the
+    # branch vertices of tadpoles and subdivided graphs
+    conditions = _symmetry_conditions(piece)
+    rng = random.Random(31)
+    for length in range(3, len(piece.vertices) + 3):
+        for tail in (0, 1, 2):
+            assert_same_search(piece, relabelled(rng, tadpole(length, tail)), conditions)
+    for _ in range(15):
+        assert_same_search(piece, subdivided_board(rng, rng.randint(3, 7)), conditions)
 
 
 DISCONNECTED_PATTERNS = {
