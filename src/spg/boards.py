@@ -2,10 +2,10 @@
 
 Boards carry integer vertex ids and optional grid coordinates.  Each board
 also keeps the memos computed from it (neighbour sets, components,
-cut-vertex sides, and the last game analysis made by the ``engine``
-shorthands), so they are freed with the board.  Pieces are
-connected graphs owned by one player; a placement is the vertex image of an
-embedding of a piece into a board.
+cut-vertex sides, runs of degree-2 vertices, and the last game analysis
+made by the ``engine`` shorthands), so they are freed with the board.
+Pieces are connected graphs owned by one player; a placement is the vertex
+image of an embedding of a piece into a board.
 
 Embeddings are not-necessarily-induced (or, on request, induced) subgraph
 embeddings found by one iterative backtracking search, which serves piece
@@ -19,17 +19,19 @@ neighbours, degree needs and symmetry conditions of each position, and two
 look-ahead tables.  With them the search drops, in the spirit of VF2's
 look-ahead (Cordella et al., 2004), candidates that cannot complete:
 
-* distance rule: an embedding never stretches distances, so a candidate
-  farther (on the board) from the root's image than its pattern vertex is
-  from the root cannot be part of one;
+* run rule: from a degree-2 image the search walks the board's run of
+  degree-2 vertices without a choice for as long as the pattern walks a
+  path of degree-2 vertices, so the vertex where the pattern's path ends
+  is known before the walk starts, and it must suit that pattern vertex
+  (be unused, of its degree, adjacent to its mapped neighbours' images and
+  within its symmetry conditions);
 * cut-vertex rule: the not yet mapped pattern vertices joined to a
   candidate's vertex map to a connected set avoiding the used vertices, so
   they fit into the side of a used cut vertex that holds the candidate.
 
-A rule is checked only at the positions where the plan cannot prove it
-implied by adjacency or by the degree filter (the cut-vertex rule also not
-where it could cut only a dead end at most a degree deep), and the board
-data it reads (a breadth-first search per root image, the cut-vertex sides)
+A rule is checked only at the positions where the plan finds it can cut
+(the cut-vertex rule not where it could cut only a dead end at most a
+degree deep), and the board data it reads (the runs, the cut-vertex sides)
 is made when a check first needs it: single vertices, dominoes and the
 table games' 3- and 4-cycles pay nothing.  Both rules cut dead branches
 only, so the embeddings and their order are those of the search without
@@ -38,9 +40,13 @@ them.
 For placements the search is symmetry-broken: the piece's automorphisms
 (found by embedding the piece into itself) give Grochow-Kellis conditions
 ``image[a] < image[b]`` that keep one embedding per automorphism class, and
-the occupied sets are then deduplicated.  The distance-game pieces are shared
-per ``(n, player)``, so their automorphisms and plans are found once per
-process.
+the occupied sets are then deduplicated.  The static order puts a vertex
+that shares a condition with a mapped one next as soon as it is adjacent to
+a mapped one, so a branch that breaks a condition ends early; a condition
+holds of the whole map whichever position checks it, so this changes when
+a branch ends, not which embeddings survive.  The distance-game pieces are
+shared per ``(n, player)``, so their automorphisms and plans are found once
+per process.
 """
 from __future__ import annotations
 
@@ -48,7 +54,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .complexes import LabeledComplex, has_isolated_vertex
@@ -179,6 +185,39 @@ class Board:
                         if disc[u] <= disc[w] < disc[u] + size[u]:
                             sides[w] = size[u]
                 out[c] = sides
+        return out
+
+    @cached_property
+    def _runs(self) -> dict[int, tuple[tuple[int, ...], int]]:
+        """For each vertex of degree 2: its maximal run of degree-2 vertices,
+        and its index there.  A run's tuple is framed by its end neighbours,
+        the vertices the run leads to at both ends, which have another
+        degree (both ends may be one vertex).  A cycle component has no end:
+        its tuple holds the cycle three times over, and the index points into
+        the middle copy, so a walk of fewer steps than the cycle is long
+        stays inside the tuple.  Each run is walked once: O(V)."""
+        adj = self._adj
+        out: dict[int, tuple[tuple[int, ...], int]] = {}
+        for v in self.vertices:
+            if len(adj[v]) != 2 or v in out:
+                continue
+            sides = []
+            for first in adj[v]:
+                prev, cur, path = v, first, []
+                while len(adj[cur]) == 2 and cur != v:
+                    path.append(cur)
+                    a, b = adj[cur]
+                    prev, cur = cur, b if a == prev else a
+                if cur == v:  # round a cycle component
+                    cycle = (v, *path)
+                    seq = cycle * 3
+                    out.update(zip(cycle, zip(repeat(seq), range(len(cycle), 2 * len(cycle)))))
+                    break
+                sides.append([*path, cur])
+            else:
+                left, right = sides
+                seq = (*reversed(left), v, *right)
+                out.update(zip(seq[1:-1], zip(repeat(seq), range(1, len(seq) - 1))))
         return out
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -365,26 +404,50 @@ def placement(player: str, occupied: Iterable[int]) -> Placement:
 # Subgraph embedding search
 
 
-def _search_order(vertices: Sequence[int], adj: Mapping[int, tuple[int, ...]]) -> list[int]:
+def _search_order(
+    vertices: Sequence[int],
+    adj: Mapping[int, tuple[int, ...]],
+    conditions: Iterable[tuple[int, int]] = (),
+) -> list[int]:
     """Static vertex order: start at a maximum-degree vertex, then repeatedly
     take the vertex with the most already-ordered neighbours, ties going to
-    the higher degree and then the smaller id.  A lazy heap keyed on
-    (ordered neighbours, degree, id) makes this O((V + E) log V)."""
+    the higher degree and then the smaller id.  A vertex that shares a
+    symmetry condition with an ordered vertex and has an ordered neighbour
+    goes first (the same keys ranking such vertices), so that its condition
+    is checked as early as adjacency lets the search reach it: a ring's flip
+    condition at the ring's second vertex, not after the ring is walked.
+    Without conditions the order is the plain one.  A lazy heap keyed on
+    (not moved up, ordered neighbours, degree, id) makes this
+    O((V + E + C) log V) for C conditions."""
+    partners: dict[int, list[int]] = {v: [] for v in vertices}
+    for a, b in conditions:
+        partners[a].append(b)
+        partners[b].append(a)
     count = dict.fromkeys(vertices, 0)
-    heap = [(0, -len(adj[v]), v) for v in vertices]
+    paired: set[int] = set()  # vertices sharing a condition with an ordered one
+
+    def key(v: int) -> tuple[bool, int, int, int]:
+        return (not (count[v] and v in paired), -count[v], -len(adj[v]), v)
+
+    heap = [key(v) for v in vertices]
     heapq.heapify(heap)
     order: list[int] = []
     placed: set[int] = set()
     while heap:
-        c, _, v = heapq.heappop(heap)
-        if v in placed or -c != count[v]:
-            continue  # stale entry: v was placed or gained a neighbour since
+        entry = heapq.heappop(heap)
+        v = entry[3]
+        if v in placed or entry != key(v):
+            continue  # stale entry: v was placed or moved up since
         order.append(v)
         placed.add(v)
+        for w in partners[v]:
+            paired.add(w)
+            if count[w] and w not in placed:
+                heapq.heappush(heap, key(w))
         for w in adj[v]:
             if w not in placed:
                 count[w] += 1
-                heapq.heappush(heap, (-count[w], -len(adj[w]), w))
+                heapq.heappush(heap, key(w))
     return order
 
 
@@ -397,22 +460,27 @@ class _SearchPlan:
     * ``need[i]``: the pattern degree, a lower bound on the image's degree;
     * ``above[i]``/``below[i]``: positions whose images must stay under /
       exceed the image at ``i`` (the symmetry conditions);
-    * ``root_dist[i]``: the pattern distance to the root, ``order[0]``, when
-      the distance rule is checked here (else ``None``); ``reach`` is the
-      largest, the radius of the board search around the root's image;
     * ``rest[i]``: the size of the component of ``order[i]`` among the
       vertices not yet mapped, ``order[i:]``, when the cut-vertex rule is
       checked here (else 0);
     * ``chain[i]``: whether ``i`` is a chain position, one whose only
       earlier neighbour is position ``i - 1`` and which has no symmetry
-      condition, so that a non-induced search may take a forced move there.
+      condition, so that a non-induced search may take a forced move there;
+    * ``land[i]``: the landing of a run entered at ``i``, or ``None``.  It is
+      set when ``i`` has one earlier neighbour and degree need 2, positions
+      ``i + 1 .. q - 1`` are chain positions of need 2, and ``q - 1`` is an
+      earlier neighbour of the next position ``q``.  Then an image of
+      degree 2 at ``i`` leads the search down its board run without a
+      choice, and position ``q`` must take the run vertex ``q - i`` steps
+      on.  The tuple holds that offset, ``need[q]``, and the earlier
+      neighbours, ``above`` and ``below`` positions of ``q`` that come
+      before ``i`` (the others are not mapped yet when ``i`` is).
 
     The pattern may be disconnected: the static order takes its components
-    one after another, the root distance of a vertex outside the root's
-    component is ``None``, and ``rest`` counts within one component.
+    one after another, and ``rest`` counts within one component.
     """
 
-    __slots__ = ("order", "earlier", "need", "above", "below", "root_dist", "rest", "reach", "chain")
+    __slots__ = ("order", "earlier", "need", "above", "below", "rest", "chain", "land")
 
     def __init__(
         self,
@@ -420,42 +488,35 @@ class _SearchPlan:
         adj: Mapping[int, tuple[int, ...]],
         conditions: Iterable[tuple[int, int]] = (),
     ) -> None:
-        order = _search_order(vertices, adj)
+        conditions = list(conditions)
+        order = _search_order(vertices, adj, conditions)
         k = len(order)
         pos = {v: i for i, v in enumerate(order)}
         self.order = order
         self.earlier = earlier = [tuple(pos[w] for w in adj[v] if pos[w] < i) for i, v in enumerate(order)]
         self.need = need = [len(adj[v]) for v in order]
-        self.above: list[tuple[int, ...]] = [()] * k
-        self.below: list[tuple[int, ...]] = [()] * k
+        self.above = above = [()] * k
+        self.below = below = [()] * k
         for a, b in conditions:
             ia, ib = pos[a], pos[b]
             if ia < ib:
-                self.above[ib] += (ia,)
+                above[ib] += (ia,)
             else:
-                self.below[ia] += (ib,)
-        self.chain = [earlier[i] == (i - 1,) and not self.above[i] and not self.below[i] for i in range(k)]
-        # pattern distances to the root, by breadth-first search
-        dist = [-1] * k
-        if k:
-            dist[0] = 0
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for i in frontier:
-                    for w in adj[order[i]]:
-                        j = pos[w]
-                        if dist[j] < 0:
-                            dist[j] = dist[i] + 1
-                            nxt.append(j)
-                frontier = nxt
-        # the image of an earlier neighbour at pattern distance d - 1 already
-        # lies within d - 1 of the root's image, so adjacency implies the rule
-        self.root_dist: list[Optional[int]] = [
-            dist[i] if dist[i] > 0 and all(dist[j] != dist[i] - 1 for j in earlier[i]) else None
-            for i in range(k)
-        ]
-        self.reach = max((d for d in self.root_dist if d is not None), default=0)
+                below[ia] += (ib,)
+        self.chain = chain = [earlier[i] == (i - 1,) and not above[i] and not below[i] for i in range(k)]
+        self.land = land = [None] * k
+        q = k  # the first position after i that is not a chain position of need 2
+        for i in range(k - 2, 0, -1):
+            if not (chain[i + 1] and need[i + 1] == 2):
+                q = i + 1
+            if q < k and need[i] == 2 and len(earlier[i]) == 1 and q - 1 in earlier[q]:
+                land[i] = (
+                    q - i,
+                    need[q],
+                    tuple(j for j in earlier[q] if j < i),
+                    tuple(j for j in above[q] if j < i),
+                    tuple(j for j in below[q] if j < i),
+                )
         # component sizes among order[i:], adding positions from the back
         # into a union-find
         parent = list(range(k))
@@ -504,37 +565,46 @@ def _search(
     order.
 
     Disconnected patterns need no special case: a position with no earlier
-    neighbour draws from every board vertex; the distance rule covers only
-    the root's component, since no other vertex has a root distance; ``rest``
-    is a size within one component, so the cut-vertex rule is per component;
-    and the ``induced`` filter rejects a candidate adjacent to the image of
-    any earlier non-neighbour, in whichever component.
+    neighbour draws from every board vertex; ``rest`` is a size within one
+    component, so the cut-vertex rule is per component; and the ``induced``
+    filter rejects a candidate adjacent to the image of any earlier
+    non-neighbour, in whichever component.
 
     Two look-ahead rules drop candidates that cannot complete, so they change
     nothing that is yielded:
 
-    * distance rule: an embedding never stretches distances, so a candidate
-      farther from the root's image on the board than its vertex is from the
-      root in the pattern is dropped (one breadth-first search per root
-      image, to the plan's ``reach``);
+    * run rule: a candidate of degree 2 at a position with a landing
+      (``_SearchPlan.land``) starts a walk down its board run
+      (``Board._runs``) in which every step up to the landing position ``q``
+      has exactly one unused neighbour to take.  If the run is long enough to
+      fix the vertex ``q`` must take, that vertex has to be unused, of degree
+      ``need[q]`` at least, adjacent to the images of ``q``'s earlier
+      neighbours and within ``q``'s symmetry conditions, or the walk dies
+      at ``q`` at the latest.  A shorter run passes a branch vertex, where
+      the walk may fork, and keeps the candidate;
     * cut-vertex rule: the unmapped component of a candidate's vertex maps
       to a connected set avoiding used vertices, so it must fit into the side
       of each used cut vertex the candidate is entered from
       (``Board._cut_sides``).
 
     Each rule is checked only at the positions the plan marks, and its board
-    data is made when a marked position is first reached.
+    data is made when a marked position is first reached.  The static order
+    puts a vertex with a symmetry condition next as soon as it can be
+    reached, so a condition that fails fails early too; a condition only
+    filters, whichever position checks it.
 
     Forced moves: at a chain position (its only earlier neighbour is the
     position before it, and it has no symmetry condition) a non-induced
     search reads the unused neighbours of the previous image without
     building a candidate list.  With none the branch is dead; with exactly
-    one it takes it in place when it passes the degree filter and the
-    distance rule, and pushes a spent iterator for the position, so
-    backtracking runs as for any other; with more it lists the candidates as
-    usual.  The cut-vertex rule is not checked at a forced step; it only
-    prunes, so the embeddings and their order stay the same.  On the long
-    cycles of the distance-game boards nearly every step is forced.
+    one it takes it in place when it passes the degree filter, and the run
+    rule when it leaves a branch vertex for a run (a step inside a run was
+    checked when the run was entered), and pushes a spent iterator for the
+    position, so backtracking runs as for any other; with more it lists the
+    candidates as usual.  The cut-vertex rule is not checked at a forced
+    step; it only prunes, so the embeddings and their order stay the same.
+    On the long cycles of the distance-game boards nearly every step is
+    forced.
 
     The deadline is polled when the search starts and every 2,048 nodes,
     forced steps included.
@@ -547,23 +617,37 @@ def _search(
         yield {}
         return
     earlier, need, above, below = plan.earlier, plan.need, plan.above, plan.below
-    root_dist, rest = plan.root_dist, plan.rest
+    rest, land = plan.rest, plan.land
     t_adj, t_nbrs = target._adj, target._nbrs
     t_deg = {v: len(nbrs) for v, nbrs in t_adj.items()}
     image: list[int] = [0] * k
     used: set[int] = set()
-    near: dict[int, int] = {}  # board distances from ``near_root``
-    near_root: int | None = None
-    far = plan.reach + 1  # farther than any distance the rule compares
+    runs: dict[int, tuple[tuple[int, ...], int]] | None = None
     cut_sides: dict[int, dict[int, int]] | None = None
 
-    def ball() -> dict[int, int]:
-        """``near`` for the current root image, remade when it changed."""
-        nonlocal near, near_root
-        if near_root != image[0]:
-            near_root = image[0]
-            near = _ball(target, near_root, plan.reach)
-        return near
+    def landing(spec: tuple, ws: Iterable[int], prev: int) -> list[int]:
+        """The vertices among ``ws``, all neighbours of ``prev``, that the
+        run rule keeps at a position with landing ``spec``."""
+        nonlocal runs
+        if runs is None:
+            runs = target._runs
+        steps, d, adjacent, lower, upper = spec
+        near = [t_nbrs[image[a]] for a in adjacent] if adjacent else ()
+        lo = max(image[a] for a in lower) if lower else None
+        hi = min(image[a] for a in upper) if upper else None
+        out = []
+        for w in ws:
+            if t_deg[w] == 2:
+                seq, j = runs[w]
+                j += steps if seq[j - 1] == prev else -steps
+                if 0 <= j < len(seq):  # else the walk passes a branch vertex first
+                    x = seq[j]
+                    if x in used or t_deg[x] < d or (lo is not None and x <= lo) or (hi is not None and x >= hi):
+                        continue
+                    if near and not all(x in n for n in near):
+                        continue
+            out.append(w)
+        return out
 
     def candidates(i: int) -> list[int]:
         nonlocal cut_sides
@@ -591,10 +675,9 @@ def _search(
             # candidate, so any further used neighbour is the image of an
             # earlier non-neighbour
             out = [w for w in out if sum(1 for x in t_adj[w] if x in used) == len(prior)]
-        limit = root_dist[i]
-        if limit is not None and out:
-            dist = ball()
-            out = [w for w in out if dist.get(w, far) <= limit]
+        spec = land[i]
+        if spec is not None and out:
+            out = landing(spec, out, image[prior[0]])
         r = rest[i]
         if r and out:
             if cut_sides is None:
@@ -643,32 +726,14 @@ def _search(
                     stack.append(spent)
                     if x is None or t_deg[x] < need[i]:
                         break
-                    limit = root_dist[i]
-                    if limit is not None and ball().get(x, far) > limit:
+                    spec = land[i]
+                    if spec is not None and t_deg[w] != 2 and not landing(spec, (x,), w):
                         break
                     w = x
                     continue
             used.add(w)
             stack.append(iter(candidates(i + 1)))
             break
-
-
-def _ball(b: Board, root: int, radius: int) -> dict[int, int]:
-    """Board distances from ``root`` to every vertex within ``radius``."""
-    adj = b._adj
-    dist = {root: 0}
-    frontier = [root]
-    for d in range(1, radius + 1):
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return dist
 
 
 def _symmetry_conditions(piece: Piece, deadline: float | None = None) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from itertools import combinations, permutations
@@ -42,7 +43,7 @@ from spg.boards import (
     vertex_piece,
 )
 from spg.complexes import from_facets, has_isolated_vertex
-from conftest import all_labeled_complexes
+from conftest import all_labeled_complexes, antichains
 
 
 P3_GAMMA = from_facets([["a", "b"], ["b", "c"]], {"a": "L", "b": "R", "c": "L"})
@@ -222,17 +223,24 @@ def test_embedding_deadline_raises():
         piece_placements(build_cycle(240), cycle_piece(24, "L"), deadline=time.monotonic() - 1)
 
 
-def test_deadline_poll_counts_forced_moves(monkeypatch):
-    # a 2,600-vertex path on a 3,000-cycle: every step after the root's
-    # first neighbour is forced, and the first embedding lies 2,600 steps
-    # in, past the first poll at 2,048 nodes
+def fake_clock(monkeypatch, late_after=None):
+    """Swap the search's clock for one that records its reads: it reads 0.0,
+    and 2.0 from read ``late_after + 1`` on.  Returns the list of reads."""
     calls = []
 
     def monotonic():
         calls.append(None)
-        return 0.0 if len(calls) == 1 else 2.0
+        return 2.0 if late_after is not None and len(calls) > late_after else 0.0
 
     monkeypatch.setattr(boards_module, "time", SimpleNamespace(monotonic=monotonic))
+    return calls
+
+
+def test_deadline_poll_counts_forced_moves(monkeypatch):
+    # a 2,600-vertex path on a 3,000-cycle: every step after the root's
+    # first neighbour is forced, and the first embedding lies 2,600 steps
+    # in, past the first poll at 2,048 nodes
+    calls = fake_clock(monkeypatch, late_after=1)
     path = build_path(2600)
     plan = _SearchPlan(path.vertices, path._adj)
     assert sum(plan.chain) == len(path.vertices) - 3  # all but the root and the two ends
@@ -241,10 +249,73 @@ def test_deadline_poll_counts_forced_moves(monkeypatch):
     assert len(calls) == 2  # the check at the start, then the first poll
 
 
+def test_run_rule_refutes_walks_that_cannot_close(monkeypatch):
+    # a 1,000-cycle on a 1,010-cycle: from either neighbour of a root image
+    # the walk would close 10 vertices short.  The run rule refutes both at
+    # the root's neighbours, so the search visits one node per root image,
+    # under the first poll at 2,048; walking them would take two million
+    calls = fake_clock(monkeypatch)
+    pattern = build_cycle(1000)
+    plan = _SearchPlan(pattern.vertices, pattern._adj)
+    assert plan.land[1][:3] == (998, 2, (0,))  # lands next to the root
+    assert list(_search(plan, build_cycle(1010), deadline=1.0)) == []
+    assert len(calls) == 1  # the check at the start, no poll
+
+
+def test_run_rule_refutes_a_landing_of_too_low_degree(monkeypatch):
+    # a 1,000-vertex path with two leaves at each end, on a theta graph: two
+    # vertices of degree 3 joined by paths of 1,200, 1,300 and 1,400 new
+    # vertices.  The path's far end, of degree 3, would land inside one of
+    # them
+    calls = fake_clock(monkeypatch)
+    leaves = [(0, 1000), (0, 1001), (999, 1002), (999, 1003)]
+    pattern = board(range(1004), [*build_path(1000).edges, *leaves])
+    plan = _SearchPlan(pattern.vertices, pattern._adj)
+    assert plan.land[1][:3] == (998, 3, ())
+    edges, nxt = [], 2
+    for length in (1200, 1300, 1400):
+        path = [0, *range(nxt, nxt + length), 1]
+        edges += zip(path, path[1:])
+        nxt += length
+    assert list(_search(plan, board(range(nxt), edges), deadline=1.0)) == []
+    assert len(calls) == 1  # the check at the start, no poll
+
+
+def test_run_rule_refutes_a_forced_step_from_a_branch_vertex(monkeypatch):
+    # a 2,200-cycle with a leaf, on a 12-cycle with a leaf at vertex 0 and a
+    # 2,500-vertex tail at vertex 11.  Round the short cycle from 0, vertex
+    # 11 has the tail as its one unused neighbour, and the walk down the
+    # tail cannot close back to vertex 0
+    calls = fake_clock(monkeypatch)
+    pattern = board(range(2201), [*build_cycle(2200).edges, (0, 2200)])
+    plan = _SearchPlan(pattern.vertices, pattern._adj)
+    tail = [11, *range(13, 2513)]
+    b = board(range(2513), [*build_cycle(12).edges, (0, 12), *zip(tail, tail[1:])])
+    assert list(_search(plan, b, deadline=1.0)) == []
+    assert len(calls) == 1  # the check at the start, no poll
+
+
+# a 4-vertex complex whose board joins its assemblies in a cycle: the
+# placement search below polled the deadline 4 times, every 2,048 nodes,
+# before the run rule and the early symmetry checks
+POLLED_GAMMA = from_facets([["a", "b", "c"], ["b", "c", "d"], ["a", "d"]], {"a": "L", "b": "R", "c": "L", "d": "R"})
+POLLS_BEFORE_RUN_RULE = 4
+
+
+@pytest.mark.parametrize("player", ["L", "R"])
+def test_gamma_placement_search_polls_less_than_without_the_run_rule(monkeypatch, player):
+    piece = gamma_piece(4, player)
+    plan = _SearchPlan(piece.vertices, piece._adj, _symmetry_conditions(piece))
+    b = gamma_board(POLLED_GAMMA)
+    calls = fake_clock(monkeypatch)
+    assert len(list(_search(plan, b, deadline=1.0))) == 2
+    assert len(calls) - 1 < POLLS_BEFORE_RUN_RULE
+
+
 def reference_embeddings(p_vertices, p_adj, target, induced=False, conditions=()):
     """The embedding search without look-ahead: the same static order,
     candidate filters and yield order, and no pruning rule."""
-    order = _search_order(p_vertices, p_adj)
+    order = _search_order(p_vertices, p_adj, conditions)
     pos = {v: i for i, v in enumerate(order)}
     earlier = [[pos[w] for w in p_adj[v] if pos[w] < i] for i, v in enumerate(order)]
     above = [[] for _ in order]
@@ -283,11 +354,32 @@ def reference_embeddings(p_vertices, p_adj, target, induced=False, conditions=()
             stack.append(iter(candidates(i + 1)))
 
 
-def assert_same_search(piece, b, conditions):
+def plain_search_order(vertices, adj):
+    """The static order without symmetry conditions, written out on its own:
+    most ordered neighbours, then higher degree, then smaller id."""
+    count = dict.fromkeys(vertices, 0)
+    heap = [(0, -len(adj[v]), v) for v in vertices]
+    heapq.heapify(heap)
+    order, placed = [], set()
+    while heap:
+        c, _, v = heapq.heappop(heap)
+        if v in placed or -c != count[v]:
+            continue
+        order.append(v)
+        placed.add(v)
+        for w in adj[v]:
+            if w not in placed:
+                count[w] += 1
+                heapq.heappush(heap, (-count[w], -len(adj[w]), w))
+    return order
+
+
+def assert_same_search(piece, b, conditions, *more):
     """Identical yield sequences, map by map and in order, with and without
-    the symmetry conditions and for induced and non-induced search."""
+    the symmetry conditions (and any ``more`` condition sets) and for
+    induced and non-induced search."""
     for induced in (False, True):
-        for conds in ((), conditions):
+        for conds in ((), conditions, *more):
             want = list(reference_embeddings(piece.vertices, piece._adj, b, induced, conds))
             got = list(_search(_SearchPlan(piece.vertices, piece._adj, conds), b, induced))
             assert got == want, (piece, b.edges, induced, conds)
@@ -337,20 +429,48 @@ def test_search_yields_as_the_reference_on_gamma_boards(gamma):
             assert_same_search(piece, b, _symmetry_conditions(piece))
 
 
+def test_search_order_without_conditions_is_the_plain_order():
+    # induced_embeddings and check_invariance search without conditions, so
+    # their search order, and with it their yield order, is the plain one
+    patterns = [(p.vertices, p._adj) for p in SEARCH_PATTERNS]
+    patterns += [(gamma_piece(n, player).vertices, gamma_piece(n, player)._adj) for n in (2, 3) for player in "LR"]
+    patterns += [(v, boards_module._adjacency(v, e)) for v, e in DISCONNECTED_PATTERNS.values()]
+    for vertices, adj in patterns:
+        want = plain_search_order(vertices, adj)
+        assert _search_order(vertices, adj) == want
+        assert _SearchPlan(vertices, adj).order == want
+
+
+def test_ring_flip_conditions_are_checked_at_the_ring_s_second_vertex():
+    n = 4
+    piece = gamma_piece(n, "L")
+    outer = n**4 + OUTER_EXTRA["L"]
+    plan = _SearchPlan(piece.vertices, piece._adj, _symmetry_conditions(piece))
+    pos = {v: i for i, v in enumerate(plan.order)}
+    for a in range(0, (n - 1) * n**2, n**2):
+        ring = sorted(pos[w] for w in piece._adj[a] if w >= outer)
+        # the two neighbours of the attachment vertex on its ring come one
+        # after the other, and the later one checks the ring's flip
+        assert len(ring) == 2 and ring[1] == ring[0] + 1
+        assert plan.above[ring[1]] == (ring[0],)
+    assert plan.order[:outer] == plain_search_order(piece.vertices, piece._adj)[:outer]
+
+
 def relabelled(rng, b):
     """The board under random distinct vertex ids below 2n."""
     ids = dict(zip(b.vertices, rng.sample(range(2 * len(b.vertices)), len(b.vertices))))
     return board(ids.values(), [(ids[u], ids[v]) for u, v in b.edges])
 
 
-def subdivided_board(rng, n):
+def subdivided_board(rng, n, interior=range(6)):
     """A random sparse graph on n vertices with each edge replaced by a path
-    of 1 to 6 edges: chains of degree-2 vertices between branch vertices."""
+    through a number of new vertices drawn from ``interior`` (by default 1 to
+    6 edges): chains of degree-2 vertices between branch vertices."""
     base = random_sparse_board(rng, n)
     first = nxt = max(base.vertices) + 1
     edges = []
     for u, v in sorted(base.edges):
-        path = [u, *range(nxt, nxt + rng.randint(0, 5)), v]
+        path = [u, *range(nxt, nxt + rng.choice(interior)), v]
         nxt += len(path) - 2
         edges.extend(zip(path, path[1:]))
     return relabelled(rng, board([*base.vertices, *range(first, nxt)], edges))
@@ -365,19 +485,62 @@ def tadpole(length, tail):
     return board(range(length + tail), [*build_cycle(length).edges, *zip(path, path[1:])])
 
 
-@pytest.mark.parametrize("piece", [*SEARCH_PATTERNS, PATH6], ids=repr)
+# a small distance-game piece: a 9-cycle with 4-rings joined to vertices 0
+# and 3, so that walks land on a ring's attachment vertex, of degree 4
+RINGED9 = Piece("L", tuple(range(15)), frozenset(boards_module._ringed_cycle(9, 4, [0, 3])[1]))
+CHAIN_PATTERNS = [*SEARCH_PATTERNS, PATH6, RINGED9]
+
+
+def flipped(conditions):
+    """The conditions the other way round: not symmetry-breaking any more,
+    but a fair test set, which checks at ``q`` that an image stays below an
+    earlier one where the originals check that it exceeds one."""
+    return [(b, a) for a, b in conditions]
+
+
+def landings(piece, conditions):
+    """The run-rule landings of the piece's plans without, with and against
+    its symmetry conditions."""
+    return [
+        spec
+        for conds in ((), conditions, flipped(conditions))
+        for spec in _SearchPlan(piece.vertices, piece._adj, conds).land
+        if spec
+    ]
+
+
+def test_chain_patterns_cover_every_kind_of_landing():
+    specs = [spec for piece in CHAIN_PATTERNS for spec in landings(piece, _symmetry_conditions(piece))]
+    assert {spec[0] for spec in specs} >= {1, 2, 3, 4}  # landing offsets
+    assert {spec[1] for spec in specs} >= {2, 4}  # degree needs at q
+    assert any(spec[2] for spec in specs)  # adjacent to an earlier image
+    assert any(spec[3] for spec in specs) and any(spec[4] for spec in specs)  # symmetry conditions both ways
+
+
+@pytest.mark.parametrize("piece", CHAIN_PATTERNS, ids=repr)
 def test_search_yields_as_the_reference_on_chain_boards(piece):
     # most steps are forced moves here.  Forced runs end on a used vertex
     # when a cycle closes before the piece is placed, on the degree filter
     # when a tail's end takes a pattern vertex of degree 2, and at the
     # branch vertices of tadpoles and subdivided graphs
     conditions = _symmetry_conditions(piece)
+    against = flipped(conditions)
     rng = random.Random(31)
     for length in range(3, len(piece.vertices) + 3):
         for tail in (0, 1, 2):
-            assert_same_search(piece, relabelled(rng, tadpole(length, tail)), conditions)
+            assert_same_search(piece, relabelled(rng, tadpole(length, tail)), conditions, against)
     for _ in range(15):
-        assert_same_search(piece, subdivided_board(rng, rng.randint(3, 7)), conditions)
+        assert_same_search(piece, subdivided_board(rng, rng.randint(3, 7)), conditions, against)
+    # the run rule at its edges: for each landing offset s, runs of s - 1,
+    # s and s + 1 vertices, so that the landing falls past the run, on its
+    # end neighbour or inside it; and next to them cycle components, on
+    # which a walk closes back onto the used vertex it left before, at or
+    # after the landing
+    for s in sorted({spec[0] for spec in landings(piece, conditions)}):
+        for _ in range(4):
+            runs = subdivided_board(rng, rng.randint(3, 6), range(max(s - 1, 0), s + 2))
+            cycles = [build_cycle(length) for length in (s, s + 1, s + 2) if length >= 3]
+            assert_same_search(piece, relabelled(rng, disjoint_union(runs, *cycles)), conditions, against)
 
 
 DISCONNECTED_PATTERNS = {
@@ -420,6 +583,31 @@ def test_cut_sides_match_brute_force():
             if len({side[w] for w in b.neighbors(c)}) > 1:
                 want[c] = {w: len(side[w]) for w in b.neighbors(c)}
         assert b._cut_sides == want
+
+
+def test_runs_match_a_walk_step_by_step():
+    # from each degree-2 vertex, away from either neighbour, the run table
+    # gives the vertex each step lands on, up to the run's end neighbour (and
+    # nothing past it) or once round a cycle component
+    rng = random.Random(37)
+    parts = (tadpole(5, 3), build_cycle(4), build_path(4), build_grid(2, 3), subdivided_board(rng, 6))
+    b = relabelled(rng, disjoint_union(*parts))
+    assert set(b._runs) == {v for v in b.vertices if b.degree(v) == 2}
+    for v, (seq, j) in b._runs.items():
+        assert seq[j] == v
+        for prev in b.neighbors(v):
+            step = 1 if seq[j - 1] == prev else -1
+            back, cur, s = prev, v, 0
+            while True:
+                (cur,), back = set(b.neighbors(cur)) - {back}, cur
+                s += 1
+                assert seq[j + step * s] == cur
+                if cur == v:  # round a cycle component
+                    assert len(seq) == 3 * s
+                    break
+                if b.degree(cur) != 2:
+                    assert not 0 <= j + step * (s + 1) < len(seq)
+                    break
 
 
 def test_gamma_piece_is_shared_and_plans_once(monkeypatch):
@@ -562,35 +750,53 @@ def test_gamma_board_distances_are_label_plus_one():
     assert distance(b, regions["a"], regions["c"]) > 3
 
 
-def test_unjoined_assemblies_are_farther_apart_than_any_id_set_entry():
-    """On the board of every complex on 3 and 4 vertices with no isolated
-    vertex, assemblies joined by an edge labelled l lie l+1 apart, and two
-    that are not joined lie farther apart than the largest id-set entry.
-    So a set of pieces can only match the id-set of the facet it covers.
-    Complexes that give the same board (same parts in vertex order, same
-    labelled edges) are checked once."""
+def assert_unjoined_assemblies_far_apart(gammas) -> int:
+    """On the board of each complex, assemblies joined by an edge labelled l
+    lie l+1 apart, and two that are not joined lie farther apart than the
+    largest id-set entry.  So a set of pieces can only match the id-set of
+    the facet it covers.  Complexes that give the same board (same parts in
+    vertex order, same labelled edges) are checked once; returns how many
+    boards were checked."""
     seen = set()
-    for pool in ("abc", "abcd"):
-        for gamma in all_labeled_complexes(pool, include_degenerate=False):
-            if len(gamma.vertices) < len(pool) or has_isolated_vertex(gamma):
-                continue
-            lab = default_edge_labeling(gamma)
-            index = {v: i for i, v in enumerate(gamma.vertices)}
-            key = (
-                tuple(gamma.part[v] for v in gamma.vertices),
-                frozenset((frozenset(index[v] for v in e), l) for e, l in lab.items()),
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            b = gamma_board(gamma, lab)
-            regions = layout_regions(gamma, b)
-            top = max(lab.values()) + 1
-            for u, v in combinations(gamma.vertices, 2):
-                d = distance(b, regions[u], regions[v])
-                l = lab.get(frozenset((u, v)))
-                assert d > top if l is None else d == l + 1, (gamma, gamma.part, u, v, d)
-    assert len(seen) == 221
+    for gamma in gammas:
+        lab = default_edge_labeling(gamma)
+        index = {v: i for i, v in enumerate(gamma.vertices)}
+        key = (
+            tuple(gamma.part[v] for v in gamma.vertices),
+            frozenset((frozenset(index[v] for v in e), l) for e, l in lab.items()),
+        )
+        if key in seen:
+            continue
+        seen.add(key)
+        b = gamma_board(gamma, lab)
+        regions = layout_regions(gamma, b)
+        top = max(lab.values()) + 1
+        for u, v in combinations(gamma.vertices, 2):
+            d = distance(b, regions[u], regions[v])
+            l = lab.get(frozenset((u, v)))
+            assert d > top if l is None else d == l + 1, (gamma, gamma.part, u, v, d)
+    return len(seen)
+
+
+def test_unjoined_assemblies_are_farther_apart_than_any_id_set_entry():
+    """Every complex on 3 and 4 vertices with no isolated vertex."""
+    gammas = [
+        gamma
+        for pool in ("abc", "abcd")
+        for gamma in all_labeled_complexes(pool, include_degenerate=False)
+        if len(gamma.vertices) == len(pool) and not has_isolated_vertex(gamma)
+    ]
+    assert assert_unjoined_assemblies_far_apart(gammas) == 221
+
+
+def test_unjoined_assemblies_are_far_apart_on_five_vertices():
+    """A seeded sample of 20 complexes on 5 vertices with no isolated vertex,
+    with seeded parts: 17 distinct boards of 5,600 vertices and more."""
+    names = "abcde"
+    rng = random.Random(5)
+    shapes = [ac for ac in antichains(names) if set().union(*ac) == set(names) and all(len(f) > 1 for f in ac)]
+    gammas = [from_facets(ac, {v: rng.choice("LR") for v in names}) for ac in rng.sample(shapes, 20)]
+    assert assert_unjoined_assemblies_far_apart(gammas) == 17
 
 
 def simple_cycle_lengths(b, restrict):

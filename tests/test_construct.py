@@ -158,6 +158,15 @@ def test_verify_illegal_path_on_five_vertices():
     assert rep.computed == PATH5
 
 
+def test_verify_legal_path_on_five_vertices():
+    # the board realises the six minimal nonfaces (ac, ad, ae, bd, be, ce)
+    # as an illegal complex, one assembly per vertex: five, the budget
+    rep = verify_roundtrip("legal", PATH5, max_construction_vertices=5)
+    assert rep.status == "PASS", rep.detail
+    assert rep.computed == PATH5
+    assert verify_roundtrip("legal", PATH5, max_construction_vertices=4).status == "INCONCLUSIVE"
+
+
 @pytest.mark.parametrize("kind, builder", [("illegal", "realize_illegal"), ("both", "realize_both")])
 def test_roundtrip_board_is_freed(monkeypatch, kind, builder):
     # distance and component memos live on the board, so nothing keeps it alive
