@@ -1,7 +1,7 @@
 """Game boards (finite simple graphs), pieces, placements, and embeddings.
 
 Boards carry integer vertex ids and optional grid coordinates.  Each board
-also keeps the memos computed from it (neighbour sets, components,
+also keeps the memos computed from it (neighbour sets, degrees, components,
 cut-vertex sides, runs of degree-2 vertices, and the last game analysis
 made by the ``engine`` shorthands), so they are freed with the board.
 Pieces are connected graphs owned by one player; a placement is the vertex
@@ -21,19 +21,21 @@ look-ahead (Cordella et al., 2004), candidates that cannot complete:
 
 * run rule: from a degree-2 image the search walks the board's run of
   degree-2 vertices without a choice for as long as the pattern walks a
-  path of degree-2 vertices, so the vertex where the pattern's path ends
-  is known before the walk starts, and it must suit that pattern vertex
-  (be unused, of its degree, adjacent to its mapped neighbours' images and
-  within its symmetry conditions);
+  path of degree-2 vertices (and takes such a walk a slice of the run at a
+  time), so the vertex where the pattern's path ends is known before the
+  walk starts, and it must suit that pattern vertex (be unused, of its
+  degree, adjacent to its mapped neighbours' images and within its
+  symmetry conditions);
 * cut-vertex rule: the not yet mapped pattern vertices joined to a
   candidate's vertex map to a connected set avoiding the used vertices, so
   they fit into the side of a used cut vertex that holds the candidate.
 
 A rule is checked only at the positions where the plan finds it can cut
 (the cut-vertex rule not where it could cut only a dead end at most a
-degree deep), and the board data it reads (the runs, the cut-vertex sides)
-is made when a check first needs it: single vertices, dominoes and the
-table games' 3- and 4-cycles pay nothing.  Both rules cut dead branches
+degree deep), and the board data it reads (the runs, the cut-vertex sides,
+which are worked out on the runs) is made when a check first needs it:
+single vertices and dominoes need neither, and the table games' 3- and
+4-cycles no cut-vertex sides.  Both rules cut dead branches
 only, so the embeddings and their order are those of the search without
 them.
 
@@ -54,7 +56,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import islice, repeat
+from itertools import filterfalse, islice, repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .complexes import LabeledComplex, has_isolated_vertex
@@ -129,6 +131,10 @@ class Board:
         return {n: tuple(comps) for n, comps in out.items()}
 
     @cached_property
+    def _degrees(self) -> dict[int, int]:
+        return {v: len(nbrs) for v, nbrs in self._adj.items()}
+
+    @cached_property
     def _cut_sides(self) -> dict[int, dict[int, int]]:
         """For each cut vertex ``c``: neighbour ``w`` -> the number of vertices
         of the component of ``board - c`` that holds ``w``.
@@ -139,42 +145,93 @@ class Board:
         subtree's discovery numbers run from ``disc[u]`` for ``size[u]``.  The
         rest of the component minus ``c`` is one more side.  A root is a cut
         vertex when it has two children or more.
+
+        The search runs on the run skeleton: its nodes are the vertices of
+        degree other than 2, the root, and the runs (``Board._runs``), and it
+        numbers a run's vertices in one step, in the order a vertex-by-vertex
+        search would walk them, so every number and entry is that search's.
+        A run vertex has no edge but its two run edges, so the run between a
+        node and the next is a tree path, and its vertices are cut vertices
+        only when the subtree past its far end reaches no higher than its
+        last vertex (a bridge path, or a dangling one ending in a leaf); only
+        then are they expanded into entries.  A cycle component has none.
         """
-        adj = self._adj
+        adj, runs = self._adj, self._runs
         disc: dict[int, int] = {}
         low: dict[int, int] = {}
         size: dict[int, int] = {}
         out: dict[int, dict[int, int]] = {}
+        cut_off: dict[int, list[int]] = {}  # per component
         t = 0
-        for root in self.vertices:
-            if root in disc:
-                continue
+
+        def cut_test(up: int, kid: int, reach: int) -> None:
+            # a child subtree whose back edges reach no higher than ``up``
+            # is cut off by it
+            if reach < low[up]:
+                low[up] = reach
+            elif reach >= disc[up]:
+                cut_off.setdefault(up, []).append(kid)
+
+        for root in filterfalse(disc.__contains__, self.vertices):
             first = t
-            cut_off: dict[int, list[int]] = {}
+            cut_off.clear()
+            rseq, rj = runs.get(root, ((), 0))
+            if rseq and len(adj[rseq[0]]) == 2:  # a cycle component
+                disc.update(dict.fromkeys(rseq, t))
+                continue
             disc[root] = low[root] = t
             t += 1
-            stack = [(root, iter(adj[root]))]
+            # a frame: a node, its neighbour iterator, and the run from its
+            # parent node to it (empty for an edge)
+            stack: list[tuple[int, Iterator[int], tuple[int, ...]]] = [(root, iter(adj[root]), ())]
             while stack:
-                v, it = stack[-1]
+                v, it, path = stack[-1]
                 for w in it:
-                    if w not in disc:
-                        disc[w] = low[w] = t
-                        t += 1
-                        stack.append((w, iter(adj[w])))
-                        break
-                    # the tree edge to the parent counts too: it lowers
-                    # low[v] to disc[parent] at most, which the cut test allows
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
+                    if w in disc:
+                        # the tree edge to the parent counts too: it lowers
+                        # low[v] to disc[parent] at most, which the cut test allows
+                        if disc[w] < low[v]:
+                            low[v] = disc[w]
+                        continue
+                    run: tuple[int, ...] = ()
+                    if len(adj[w]) == 2:
+                        # w's run away from v, up to its end or to the root
+                        seq, j = runs[w]
+                        lo, hi = 0, len(seq) - 1
+                        if seq is rseq:
+                            lo, hi = (lo, rj) if rj > j else (rj, hi)
+                        if seq[j - 1] == v:
+                            run, w = seq[j:hi], seq[hi]
+                        else:
+                            run, w = seq[lo + 1:j + 1][::-1], seq[lo]
+                        disc.update(zip(run, range(t, t + len(run))))
+                        t += len(run)
+                        if w in disc:  # the run closes onto a node on the stack
+                            size[run[0]] = len(run)
+                            cut_test(v, run[0], disc[w])
+                            continue
+                    disc[w] = low[w] = t
+                    t += 1
+                    stack.append((w, iter(adj[w]), run))
+                    break
                 else:
                     stack.pop()
                     size[v] = t - disc[v]
-                    if stack:
-                        up = stack[-1][0]
-                        if low[v] < low[up]:
-                            low[up] = low[v]
-                        elif low[v] >= disc[up]:
-                            cut_off.setdefault(up, []).append(v)
+                    if not stack:
+                        break
+                    up, kid, reach = stack[-1][0], v, low[v]
+                    if path:
+                        if reach >= disc[path[-1]]:
+                            # a bridge path, or a dangling one: each of its
+                            # vertices cuts off the rest of it and v's subtree
+                            for u in reversed(path):
+                                cut_off[u] = [kid]
+                                size[u] = t - disc[u]
+                                kid = u
+                        else:
+                            size[path[0]] = t - disc[path[0]]
+                        kid, reach = path[0], min(reach, disc[up])
+                    cut_test(up, kid, reach)
             for c, kids in cut_off.items():
                 if c == root and len(kids) < 2:
                     continue
@@ -195,7 +252,12 @@ class Board:
         degree (both ends may be one vertex).  A cycle component has no end:
         its tuple holds the cycle three times over, and the index points into
         the middle copy, so a walk of fewer steps than the cycle is long
-        stays inside the tuple.  Each run is walked once: O(V)."""
+        stays inside the tuple.  Each run is walked once: O(V).
+
+        The embedding search reads a run's landing vertex and slices a
+        forced walk from the tuple, and ``_cut_sides`` numbers a run's
+        vertices from it in one step, so the cut-vertex table needs the runs
+        too."""
         adj = self._adj
         out: dict[int, tuple[tuple[int, ...], int]] = {}
         for v in self.vertices:
@@ -474,13 +536,18 @@ class _SearchPlan:
       choice, and position ``q`` must take the run vertex ``q - i`` steps
       on.  The tuple holds that offset, ``need[q]``, and the earlier
       neighbours, ``above`` and ``below`` positions of ``q`` that come
-      before ``i`` (the others are not mapped yet when ``i`` is).
+      before ``i`` (the others are not mapped yet when ``i`` is);
+    * ``stretch[i]``: the number of consecutive chain positions of need at
+      most 2 from ``i`` on (0 when ``i`` is not one).  A vertex inside a
+      board run has degree 2 and passes their degree filter, so a forced
+      walk down a run takes the stretch a slice of the run's tuple at a
+      time.
 
     The pattern may be disconnected: the static order takes its components
     one after another, and ``rest`` counts within one component.
     """
 
-    __slots__ = ("order", "earlier", "need", "above", "below", "rest", "chain", "land")
+    __slots__ = ("order", "earlier", "need", "above", "below", "rest", "chain", "land", "stretch")
 
     def __init__(
         self,
@@ -517,6 +584,11 @@ class _SearchPlan:
                     tuple(j for j in above[q] if j < i),
                     tuple(j for j in below[q] if j < i),
                 )
+        self.stretch = stretch = [0] * k
+        n = 0
+        for i in range(k - 1, -1, -1):
+            n = n + 1 if chain[i] and need[i] <= 2 else 0
+            stretch[i] = n
         # component sizes among order[i:], adding positions from the back
         # into a union-find
         parent = list(range(k))
@@ -606,8 +678,17 @@ def _search(
     On the long cycles of the distance-game boards nearly every step is
     forced.
 
-    The deadline is polled when the search starts and every 2,048 nodes,
-    forced steps included.
+    Forced walks take runs a stretch at a time: when a forced step enters
+    the inside of a board run, the positions of its stretch
+    (``_SearchPlan.stretch``) that the run's degree-2 vertices can fill
+    take them in one slice of the run's tuple.  Every step of the slice
+    would be forced, and none checks a rule, so only a used vertex can end
+    the walk early: the slice stops before the first one, and the walk dies
+    there as it would step by step.  Backtracking pops the slice's
+    positions at once when it reaches the last of them.
+
+    The deadline is polled when the search starts and whenever the count of
+    nodes, the positions of a slice included, passes a multiple of 2,048.
     """
     order = plan.order
     k = len(order)
@@ -619,18 +700,15 @@ def _search(
     earlier, need, above, below = plan.earlier, plan.need, plan.above, plan.below
     rest, land = plan.rest, plan.land
     t_adj, t_nbrs = target._adj, target._nbrs
-    t_deg = {v: len(nbrs) for v, nbrs in t_adj.items()}
+    t_deg = target._degrees
     image: list[int] = [0] * k
     used: set[int] = set()
-    runs: dict[int, tuple[tuple[int, ...], int]] | None = None
     cut_sides: dict[int, dict[int, int]] | None = None
 
     def landing(spec: tuple, ws: Iterable[int], prev: int) -> list[int]:
         """The vertices among ``ws``, all neighbours of ``prev``, that the
         run rule keeps at a position with landing ``spec``."""
-        nonlocal runs
-        if runs is None:
-            runs = target._runs
+        runs = target._runs
         steps, d, adjacent, lower, upper = spec
         near = [t_nbrs[image[a]] for a in adjacent] if adjacent else ()
         lo = max(image[a] for a in lower) if lower else None
@@ -689,24 +767,35 @@ def _search(
         return out
 
     chain = [False] * k if induced else plan.chain
+    stretch = plan.stretch
     # stack[i] iterates the candidates for position i (after a forced move,
     # the shared spent iterator); ``used`` holds the images of the positions
-    # below the top of the stack
+    # below the top of the stack; ``slices`` holds the (first, last)
+    # positions of each run slice taken, which backtracking pops at once
     spent: Iterator[int] = iter(())
     stack = [iter(candidates(0))]
-    ticks = 0
+    slices: list[tuple[int, int]] = []
+    ticks, poll = 0, 2048
     while stack:
         i = len(stack) - 1
         w = next(stack[i], None)
         if w is None:
-            stack.pop()
-            if i:
-                used.remove(image[i - 1])
+            if slices and slices[-1][1] == i:
+                first = slices.pop()[0]
+                del stack[first:]
+                used.difference_update(image[first - 1:i])
+            else:
+                stack.pop()
+                if i:
+                    used.remove(image[i - 1])
             continue
+        taken = 1
         while True:
-            ticks += 1
-            if deadline is not None and ticks % 2048 == 0 and time.monotonic() > deadline:
-                raise BudgetExceeded("time budget exhausted: embedding search ran past its deadline")
+            ticks += taken
+            if deadline is not None and ticks >= poll:
+                if time.monotonic() > deadline:
+                    raise BudgetExceeded("time budget exhausted: embedding search ran past its deadline")
+                poll = ticks - ticks % 2048 + 2048
             image[i] = w
             if i + 1 == k:
                 yield dict(zip(order, image))
@@ -729,6 +818,28 @@ def _search(
                     spec = land[i]
                     if spec is not None and t_deg[w] != 2 and not landing(spec, (x,), w):
                         break
+                    taken = 1
+                    m = stretch[i]
+                    if m > 1 and t_deg[x] == 2:
+                        # the walk goes on down x's run: slice the stretch's
+                        # images from the run's degree-2 vertices, which pass
+                        # their degree filter, ending before a used vertex,
+                        # where the walk dies as it would step by step
+                        seq, j = target._runs[x]
+                        if seq[j - 1] == w:
+                            run = seq[j:min(j + m, len(seq) - 1)]
+                        else:
+                            run = seq[max(j - m + 1, 1):j + 1][::-1]
+                        if not used.isdisjoint(run):
+                            run = run[:next(n for n, v in enumerate(run) if v in used)]
+                        taken = len(run)
+                        if taken > 1:
+                            last = i + taken - 1
+                            image[i:last + 1] = run
+                            used.update(run[:-1])
+                            stack.extend(repeat(spent, taken - 1))
+                            slices.append((i, last))
+                            i, x = last, run[-1]
                     w = x
                     continue
             used.add(w)

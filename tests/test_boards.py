@@ -249,6 +249,44 @@ def test_deadline_poll_counts_forced_moves(monkeypatch):
     assert len(calls) == 2  # the check at the start, then the first poll
 
 
+def spider(*legs):
+    """A centre vertex 0 with a path of each number of vertices in ``legs``
+    hanging from it."""
+    edges, nxt = [], 1
+    for n in legs:
+        path = [0, *range(nxt, nxt + n)]
+        edges += zip(path, path[1:])
+        nxt += n
+    return board(range(nxt), edges)
+
+
+def theta(*lengths):
+    """Vertices 0 and 1 joined by a path through each number of new vertices
+    in ``lengths``."""
+    edges, nxt = [], 2
+    for n in lengths:
+        path = [0, *range(nxt, nxt + n), 1]
+        edges += zip(path, path[1:])
+        nxt += n
+    return board(range(nxt), edges)
+
+
+def test_deadline_poll_falls_at_the_end_of_a_run_slice(monkeypatch):
+    # a 2,100-vertex path with two leaves at one end, on a spider with legs
+    # of 2,099, 50 and 60 vertices.  The walk down the long leg takes
+    # positions 2 to 2,098 in one slice, across the first poll at 2,048
+    # nodes; the whole search takes fewer than 4,096
+    calls = fake_clock(monkeypatch)
+    pattern = board(range(2102), [*build_path(2100).edges, (0, 2100), (0, 2101)])
+    plan = _SearchPlan(pattern.vertices, pattern._adj)
+    assert plan.stretch[2] == 2098
+    b = spider(2099, 50, 60)
+    want = list(reference_embeddings(pattern.vertices, pattern._adj, b))
+    assert len(want) == 2
+    assert list(_search(plan, b, deadline=1.0)) == want
+    assert len(calls) == 2  # the check at the start, then the one poll
+
+
 def test_run_rule_refutes_walks_that_cannot_close(monkeypatch):
     # a 1,000-cycle on a 1,010-cycle: from either neighbour of a root image
     # the walk would close 10 vertices short.  The run rule refutes both at
@@ -272,12 +310,7 @@ def test_run_rule_refutes_a_landing_of_too_low_degree(monkeypatch):
     pattern = board(range(1004), [*build_path(1000).edges, *leaves])
     plan = _SearchPlan(pattern.vertices, pattern._adj)
     assert plan.land[1][:3] == (998, 3, ())
-    edges, nxt = [], 2
-    for length in (1200, 1300, 1400):
-        path = [0, *range(nxt, nxt + length), 1]
-        edges += zip(path, path[1:])
-        nxt += length
-    assert list(_search(plan, board(range(nxt), edges), deadline=1.0)) == []
+    assert list(_search(plan, theta(1200, 1300, 1400), deadline=1.0)) == []
     assert len(calls) == 1  # the check at the start, no poll
 
 
@@ -291,6 +324,23 @@ def test_run_rule_refutes_a_forced_step_from_a_branch_vertex(monkeypatch):
     plan = _SearchPlan(pattern.vertices, pattern._adj)
     tail = [11, *range(13, 2513)]
     b = board(range(2513), [*build_cycle(12).edges, (0, 12), *zip(tail, tail[1:])])
+    assert list(_search(plan, b, deadline=1.0)) == []
+    assert len(calls) == 1  # the check at the start, no poll
+
+
+def test_run_rule_refutes_a_landing_on_a_used_vertex(monkeypatch):
+    # a 12-cycle with a 2,501-vertex tail, on a theta graph whose two branch
+    # vertices are joined by paths through 5, 5 and 2,500 vertices.  The
+    # pattern's cycle goes round the two short paths; its tail, entered at
+    # the long one, would end on the far branch vertex, of degree 3 but
+    # used.  The board has no cut vertex, so only the run rule's check for a
+    # used landing vertex refutes the walk
+    calls = fake_clock(monkeypatch)
+    pattern = tadpole(12, 2501)
+    plan = _SearchPlan(pattern.vertices, pattern._adj)
+    assert plan.land[12] == (2500, 1, (), (), ())
+    b = theta(5, 5, 2500)
+    assert b._cut_sides == {}
     assert list(_search(plan, b, deadline=1.0)) == []
     assert len(calls) == 1  # the check at the start, no poll
 
@@ -543,6 +593,38 @@ def test_search_yields_as_the_reference_on_chain_boards(piece):
             assert_same_search(piece, relabelled(rng, disjoint_union(runs, *cycles)), conditions, against)
 
 
+PATH10 = Piece("L", tuple(range(10)), frozenset((i, i + 1) for i in range(9)))
+
+
+@pytest.mark.parametrize(
+    "piece,make_board",
+    [
+        # round the cycle the slice reaches the root's image, a used
+        # vertex, and stops before it
+        (PATH10, lambda: build_cycle(6)),
+        # down a leg the slice stops before the leaf, and the step onto it
+        # fails the degree filter of a pattern vertex of need 2; towards the
+        # centre it stops before the centre, of degree 3, which the walk
+        # takes in a single step before it lists candidates
+        (PATH10, lambda: spider(3, 4, 7)),
+        # slices that wrap round a cycle component's tuple, from every
+        # image of the root and both ways
+        (PATH10, lambda: build_cycle(11)),
+        (cycle_piece(9, "R"), lambda: disjoint_union(build_cycle(9), build_cycle(10))),
+        # position 1 lists both neighbours of the root's image; after the
+        # slice from the first, backtracking must come back to the second
+        (PATH10, lambda: build_cycle(20)),
+    ],
+    ids=["used", "branch", "wrap-path", "wrap-cycle", "backtrack"],
+)
+def test_run_slices_yield_as_the_reference(piece, make_board):
+    conditions = _symmetry_conditions(piece)
+    rng = random.Random(43)
+    b = make_board()
+    for each in (b, relabelled(rng, b), relabelled(rng, b)):
+        assert_same_search(piece, each, conditions, flipped(conditions))
+
+
 DISCONNECTED_PATTERNS = {
     "domino+vertex": ([0, 1, 2], [(0, 1)]),
     "two-dominoes": ([0, 1, 2, 3], [(0, 1), (2, 3)]),
@@ -583,6 +665,39 @@ def test_cut_sides_match_brute_force():
             if len({side[w] for w in b.neighbors(c)}) > 1:
                 want[c] = {w: len(side[w]) for w in b.neighbors(c)}
         assert b._cut_sides == want
+
+
+def brute_cut_sides(b):
+    """Each vertex whose removal parts its neighbours: neighbour -> the size
+    of its component of the board without that vertex."""
+    want = {}
+    for c in b.vertices:
+        rest = board([v for v in b.vertices if v != c], [e for e in b.edges if c not in e])
+        side = {v: comp for comp in components(rest) for v in comp}
+        if len({side[w] for w in b.neighbors(c)}) > 1:
+            want[c] = {w: len(side[w]) for w in b.neighbors(c)}
+    return want
+
+
+def test_cut_sides_match_brute_force_on_run_boards():
+    # the table is built on the run skeleton: runs between branch vertices,
+    # parallel runs, runs closing onto one vertex, dangling and bridge
+    # paths, cycle and path components, isolated vertices; relabelled, a
+    # component's first vertex, where its search starts, often lies inside
+    # a run
+    rng = random.Random(41)
+    boards = [
+        *(subdivided_board(rng, rng.randint(2, 8)) for _ in range(20)),
+        *(tadpole(length, tail) for length in (3, 5) for tail in (0, 1, 4)),
+        theta(0, 1), theta(0, 2, 3), theta(1, 1, 1, 4), theta(3, 3),
+        build_cycle(3), build_cycle(8), *(build_path(n) for n in (1, 2, 3, 6)), board([0], []),
+        disjoint_union(tadpole(4, 2), build_cycle(5), build_path(4), board([0], []), theta(2, 3), spider(1, 3)),
+        disjoint_union(*(subdivided_board(rng, rng.randint(2, 6)) for _ in range(3)), build_cycle(4)),
+        gamma_board(P3_GAMMA),
+    ]
+    for b in boards:
+        for each in (b, relabelled(rng, b)):
+            assert each._cut_sides == brute_cut_sides(each), sorted(each.edges)
 
 
 def test_runs_match_a_walk_step_by_step():
