@@ -1,11 +1,13 @@
 """Game boards (finite simple graphs), pieces, placements, and embeddings.
 
-Boards carry integer vertex ids and optional grid coordinates.  Each board
-also keeps the memos computed from it (neighbour sets, degrees, components,
-cut-vertex sides, runs of degree-2 vertices, and the last game analysis
-made by the ``engine`` shorthands), so they are freed with the board.
-Pieces are connected graphs owned by one player; a placement is the vertex
-image of an embedding of a piece into a board.
+Boards carry integer vertex ids and optional grid coordinates.  ``Board``
+is the one graph type: its constructor is the one place an adjacency is
+built and a graph validated, and pieces and induced patterns are built as
+boards too.  Each board also keeps the memos computed from it (cut-vertex
+sides, runs of degree-2 vertices, and the last game analysis made by the
+``engine`` shorthands), so they are freed with the board.  Pieces are
+connected graphs owned by one player; a placement is the vertex image of an
+embedding of a piece into a board.
 
 Embeddings are not-necessarily-induced (or, on request, induced) subgraph
 embeddings found by one iterative backtracking search, which serves piece
@@ -71,13 +73,18 @@ Edge = tuple[int, int]
 
 
 def _norm_edge(a: int, b: int) -> Edge:
-    if a == b:
-        raise ValueError(f"loop edge at vertex {a}")
     return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True, eq=False)
 class Board:
+    """A finite simple graph.  The constructor validates it (distinct vertex
+    ids, no loop, known endpoints, coordinates one grid step apart along
+    every edge) and builds its adjacency once: ``_adj``, each vertex's
+    neighbours as a sorted tuple, whose order fixes the order of the
+    embedding search's yields, and ``_nbrs``, the same as sets for
+    membership tests.  A vertex's degree is the length of its tuple."""
+
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
     coords: Optional[Mapping[int, tuple[int, int]]] = None
@@ -98,6 +105,8 @@ class Board:
         for a, b in self.edges:
             if a not in vset or b not in vset:
                 raise ValueError(f"edge ({a},{b}) uses unknown vertices")
+            if a == b:
+                raise ValueError(f"loop edge at vertex {a}")
             adj[a].add(b)
             adj[b].add(a)
         if self.coords is not None:
@@ -115,24 +124,6 @@ class Board:
         object.__setattr__(self, "_analysis", None)
         object.__setattr__(self, "_positions", None)
         object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
-
-    @cached_property
-    def _components(self) -> tuple[frozenset[int], ...]:
-        comps = _components_of(self.vertices, self.edges)
-        return tuple(sorted((frozenset(c) for c in comps), key=min))
-
-    @cached_property
-    def _cycle_components(self) -> dict[int, tuple[frozenset[int], ...]]:
-        """The components that are simple cycles, by length, in component order."""
-        out: dict[int, list[frozenset[int]]] = {}
-        for comp in self._components:
-            if all(len(self._adj[v]) == 2 for v in comp):
-                out.setdefault(len(comp), []).append(comp)
-        return {n: tuple(comps) for n, comps in out.items()}
-
-    @cached_property
-    def _degrees(self) -> dict[int, int]:
-        return {v: len(nbrs) for v, nbrs in self._adj.items()}
 
     @cached_property
     def _cut_sides(self) -> dict[int, dict[int, int]]:
@@ -376,8 +367,11 @@ def disjoint_union(*boards: Board) -> Board:
 
 @dataclass(frozen=True, eq=False)
 class Piece:
-    """A connected graph shape owned by one player.  It memoises the plan of
-    its placement search, which holds its symmetry-breaking conditions."""
+    """A connected graph shape owned by one player.  The shape is validated
+    by building it as a ``Board``, whose adjacency the piece keeps (not the
+    board: a shared piece would hold the board's memos for good).  It
+    memoises the plan of its placement search, which holds its
+    symmetry-breaking conditions."""
 
     player: str
     vertices: tuple[int, ...]
@@ -390,20 +384,13 @@ class Piece:
             raise ValueError(f"unknown player {self.player!r}")
         if not self.vertices:
             raise ValueError("a piece needs at least one vertex")
-        if len(_components_of(self.vertices, self.edges)) != 1:
+        shape = Board(self.vertices, self.edges)
+        if len(components(shape)) != 1:
             raise ValueError("piece graph is not connected")
-        object.__setattr__(self, "_adj", _adjacency(self.vertices, self.edges))
+        object.__setattr__(self, "_adj", shape._adj)
 
     def __repr__(self) -> str:
         return f"Piece({self.player}, n={len(self.vertices)}, m={len(self.edges)})"
-
-
-def _adjacency(vertices: Sequence[int], edges: Iterable[Edge]) -> dict[int, tuple[int, ...]]:
-    adj: dict[int, set[int]] = {v: set() for v in vertices}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return {v: tuple(sorted(n)) for v, n in adj.items()}
 
 
 def vertex_piece(player: str) -> Piece:
@@ -700,7 +687,6 @@ def _search(
     earlier, need, above, below = plan.earlier, plan.need, plan.above, plan.below
     rest, land = plan.rest, plan.land
     t_adj, t_nbrs = target._adj, target._nbrs
-    t_deg = target._degrees
     image: list[int] = [0] * k
     used: set[int] = set()
     cut_sides: dict[int, dict[int, int]] | None = None
@@ -715,12 +701,12 @@ def _search(
         hi = min(image[a] for a in upper) if upper else None
         out = []
         for w in ws:
-            if t_deg[w] == 2:
+            if len(t_adj[w]) == 2:
                 seq, j = runs[w]
                 j += steps if seq[j - 1] == prev else -steps
                 if 0 <= j < len(seq):  # else the walk passes a branch vertex first
                     x = seq[j]
-                    if x in used or t_deg[x] < d or (lo is not None and x <= lo) or (hi is not None and x >= hi):
+                    if x in used or len(t_adj[x]) < d or (lo is not None and x <= lo) or (hi is not None and x >= hi):
                         continue
                     if near and not all(x in n for n in near):
                         continue
@@ -734,14 +720,14 @@ def _search(
             base: Iterable[int] = t_adj[image[prior[0]]]
         elif prior:
             # walk the smallest neighbour tuple, test membership in the others
-            anchors = sorted((image[j] for j in prior), key=t_deg.__getitem__)
+            anchors = sorted((image[j] for j in prior), key=lambda v: len(t_adj[v]))
             base = t_adj[anchors[0]]
             for x in anchors[1:]:
                 base = [w for w in base if w in t_nbrs[x]]
         else:
             base = target.vertices
         d = need[i]
-        out = [w for w in base if w not in used and t_deg[w] >= d]
+        out = [w for w in base if w not in used and len(t_adj[w]) >= d]
         if above[i]:
             lo = max(image[j] for j in above[i])
             out = [w for w in out if w > lo]
@@ -813,14 +799,14 @@ def _search(
                     used.add(w)
                     i += 1
                     stack.append(spent)
-                    if x is None or t_deg[x] < need[i]:
+                    if x is None or len(t_adj[x]) < need[i]:
                         break
                     spec = land[i]
-                    if spec is not None and t_deg[w] != 2 and not landing(spec, (x,), w):
+                    if spec is not None and len(t_adj[w]) != 2 and not landing(spec, (x,), w):
                         break
                     taken = 1
                     m = stretch[i]
-                    if m > 1 and t_deg[x] == 2:
+                    if m > 1 and len(t_adj[x]) == 2:
                         # the walk goes on down x's run: slice the stretch's
                         # images from the run's degree-2 vertices, which pass
                         # their degree filter, ending before a used vertex,
@@ -888,32 +874,24 @@ def induced_embeddings(
     board, non-edges required to stay non-edges, in the order of
     :func:`_search`; at most ``limit`` of them.  The pattern may be
     disconnected."""
-    plan = _SearchPlan(sub_vertices, _adjacency(sub_vertices, sub_edges))
+    plan = _SearchPlan(sub_vertices, Board(tuple(sub_vertices), frozenset(sub_edges))._adj)
     return list(islice(_search(plan, target, induced=True), limit))
-
-
-def _components_of(vertices: Sequence[int], edges: Iterable[Edge]) -> list[set[int]]:
-    adj = _adjacency(vertices, edges)
-    seen: set[int] = set()
-    comps: list[set[int]] = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
 
 
 def components(b: Board) -> list[frozenset[int]]:
     """Connected components, sorted by smallest contained id."""
-    return list(b._components)
+    seen: set[int] = set()
+    comps: list[frozenset[int]] = []
+    for v in filterfalse(seen.__contains__, b.vertices):
+        comp, stack = {v}, [v]
+        while stack:
+            for w in b._adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return sorted(comps, key=min)
 
 
 # ---------------------------------------------------------------------------

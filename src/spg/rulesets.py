@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import boards
 from .complexes import LabeledComplex, bits
-from .boards import Board, Piece, Placement, distance
+from .boards import Board, Piece, Placement, components, distance
 
 Predicate = Callable[[int], bool]
 
@@ -166,9 +166,9 @@ def _covered_names(b: Board, placements: Sequence[Placement], delta: LabeledComp
     exactly cover a labelled cycle.  Components that are triangles name
     L-vertices, 4-cycles name R-vertices, in canonical order; components
     beyond the needed counts stay unlabelled."""
-    cycles = b._cycle_components
-    names = dict(zip(cycles.get(3, ()), delta.left))
-    names.update(zip(cycles.get(4, ()), delta.right))
+    cycles = [c for c in components(b) if all(b.degree(v) == 2 for v in c)]
+    names = dict(zip([c for c in cycles if len(c) == 3], delta.left))
+    names.update(zip([c for c in cycles if len(c) == 4], delta.right))
     return [names.get(p.occupied) for p in placements]
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from types import SimpleNamespace
 
 import pytest
@@ -98,6 +98,10 @@ def test_board_validation():
         board([0, 1], [(0, 1)], coords={0: (0, 0), 1: (0, 0)})
     with pytest.raises(ValueError, match=r"edge \(0,1\) has an endpoint without coords"):
         board([0, 1], [(0, 1)], coords={0: (0, 0)})
+    with pytest.raises(ValueError, match="loop edge at vertex 0"):
+        Board((0,), frozenset({(0, 0)}))
+    with pytest.raises(ValueError, match="loop edge at vertex 1"):
+        board([0, 1], [(0, 1), (1, 1)])
 
 
 def test_disjoint_union_offsets_and_components():
@@ -115,6 +119,11 @@ def test_piece_validation():
         Piece("L", (0, 1), frozenset())  # disconnected
     with pytest.raises(ValueError):
         Piece("X", (0,), frozenset())
+    # the shape is validated as a board
+    with pytest.raises(ValueError, match="loop edge"):
+        Piece("L", (0,), frozenset({(0, 0)}))
+    with pytest.raises(ValueError, match="unknown vertices"):
+        Piece("L", (0, 1), frozenset({(0, 1), (1, 2)}))
 
 
 def test_placement_ordering_and_validation():
@@ -484,7 +493,7 @@ def test_search_order_without_conditions_is_the_plain_order():
     # their search order, and with it their yield order, is the plain one
     patterns = [(p.vertices, p._adj) for p in SEARCH_PATTERNS]
     patterns += [(gamma_piece(n, player).vertices, gamma_piece(n, player)._adj) for n in (2, 3) for player in "LR"]
-    patterns += [(v, boards_module._adjacency(v, e)) for v, e in DISCONNECTED_PATTERNS.values()]
+    patterns += [(v, board(v, e)._adj) for v, e in DISCONNECTED_PATTERNS.values()]
     for vertices, adj in patterns:
         want = plain_search_order(vertices, adj)
         assert _search_order(vertices, adj) == want
@@ -625,6 +634,32 @@ def test_run_slices_yield_as_the_reference(piece, make_board):
         assert_same_search(piece, each, conditions, flipped(conditions))
 
 
+def test_run_slices_go_both_ways(monkeypatch):
+    # on a path board every run tuple runs up the ids, so a walk towards
+    # lower ids enters its run from the high end.  Every embedding of a
+    # 10-vertex path walks its chain positions 2 to 7 as one slice of six,
+    # whichever way it goes; a slice is seen as the ``repeat`` of the spent
+    # iterator that fills its stack entries.  Were slices taken one way
+    # only, a walk the other way would go on by single steps, with the
+    # same maps
+    plan = _SearchPlan(PATH10.vertices, PATH10._adj)
+    assert plan.stretch[2] == 6
+    b = build_path(30)
+    b._runs  # built before the spy goes in: it calls ``repeat`` too
+    sliced = []
+
+    def spy(obj, *times):
+        sliced.extend(n + 1 for n in times)
+        return repeat(obj, *times)
+
+    monkeypatch.setattr(boards_module, "repeat", spy)
+    maps = list(_search(plan, b))
+    assert maps == list(reference_embeddings(PATH10.vertices, PATH10._adj, b))
+    assert len(maps) == 42
+    assert {m[2] - m[1] for m in maps} == {1, -1}
+    assert sliced == [6] * len(maps)
+
+
 DISCONNECTED_PATTERNS = {
     "domino+vertex": ([0, 1, 2], [(0, 1)]),
     "two-dominoes": ([0, 1, 2, 3], [(0, 1), (2, 3)]),
@@ -636,7 +671,7 @@ DISCONNECTED_PATTERNS = {
 @pytest.mark.parametrize("pattern", DISCONNECTED_PATTERNS.values(), ids=DISCONNECTED_PATTERNS)
 def test_search_yields_as_the_reference_on_disconnected_patterns(pattern):
     p_vertices, p_edges = pattern
-    p_adj = boards_module._adjacency(p_vertices, p_edges)
+    p_adj = board(p_vertices, p_edges)._adj
     plan = _SearchPlan(p_vertices, p_adj)
     rng = random.Random(29)
     for _ in range(25):

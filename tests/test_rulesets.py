@@ -6,16 +6,18 @@ from itertools import product
 import pytest
 
 from spg.boards import (
-    _components_of,
+    board,
     build_cycle,
     build_grid,
     build_path,
+    components,
     disjoint_union,
     placement,
 )
 from spg.complexes import empty_face_complex, from_facets, void_complex
 from spg.rulesets import (
     IdSet,
+    _covered_names,
     col,
     cycle_placement_game,
     domineering,
@@ -95,7 +97,7 @@ def nogo_rule(b, stones) -> bool:
     needs an empty neighbour."""
     occupied = stones["L"] | stones["R"]
     for own in stones.values():
-        for group in _components_of(sorted(own), {e for e in b.edges if set(e) <= own}):
+        for group in components(board(own, [e for e in b.edges if set(e) <= own])):
             if not any(w not in occupied for v in group for w in b.neighbors(v)):
                 return False
     return True
@@ -164,6 +166,36 @@ def test_table_game_legal_names_faces(table_board):
     assert not judge(game, table_board, a, b, c)
     # a placement that covers no labelled cycle exactly is illegal
     assert not judge(game, table_board, L(0, 1, 3))
+
+
+@pytest.mark.parametrize(
+    "brd, placements, names",
+    [
+        # triangles and squares beyond the complex's L- and R-vertices name
+        # nothing
+        (
+            disjoint_union(*(build_cycle(3) for _ in range(3)), build_cycle(4), build_cycle(4)),
+            [L(0, 1, 2), L(3, 4, 5), L(6, 7, 8), R(9, 10, 11, 12), R(13, 14, 15, 16)],
+            ["a", "b", None, "c", None],
+        ),
+        # a triangle with a pendant vertex is a component of four vertices
+        # that is no cycle: neither its triangle nor all of it names anything
+        (
+            board(range(11), [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (9, 10), (7, 10)]),
+            [L(0, 1, 2), R(0, 1, 2, 3), L(4, 5, 6), R(7, 8, 9, 10)],
+            [None, None, "a", "c"],
+        ),
+        # cycles listed out of id order are named by their smallest ids
+        (
+            board(range(10), [(4, 6), (6, 8), (8, 7), (7, 4), (3, 1), (1, 2), (2, 3), (9, 5), (5, 0), (0, 9)]),
+            [L(1, 2, 3), L(0, 5, 9), R(4, 6, 7, 8)],
+            ["b", "a", "c"],
+        ),
+    ],
+    ids=["extra-cycles", "triangle-in-a-larger-component", "ids-out-of-order"],
+)
+def test_table_games_name_cycle_components(brd, placements, names):
+    assert _covered_names(brd, placements, AB_BC) == names
 
 
 def test_table_game_illegal_avoids_facets(table_board):
