@@ -3,10 +3,10 @@
 Boards carry integer vertex ids and optional grid coordinates.  ``Board``
 is the one graph type: its constructor is the one place an adjacency is
 built and a graph validated, and pieces and induced patterns are built as
-boards too.  Each board also keeps the memos computed from it (cut-vertex
-sides, runs of degree-2 vertices, and the last game analysis made by the
-``engine`` shorthands), so they are freed with the board.  Pieces are
-connected graphs owned by one player; a placement is the vertex image of an
+boards too.  Each board also keeps the memos computed from it (its runs of
+degree-2 vertices, and the last game analysis made by the ``engine``
+shorthands), so they are freed with the board.  Pieces are connected
+graphs owned by one player; a placement is the vertex image of an
 embedding of a piece into a board.
 
 Embeddings are not-necessarily-induced (or, on request, induced) subgraph
@@ -18,28 +18,23 @@ pattern size is not bounded by Python's recursion limit.  What the search
 needs to know about its pattern is a ``_SearchPlan``, made once per pattern
 and memoised on the piece: the static vertex order, the earlier
 neighbours, degree needs and symmetry conditions of each position, and two
-look-ahead tables.  With them the search drops, in the spirit of VF2's
-look-ahead (Cordella et al., 2004), candidates that cannot complete:
+look-ahead tables, the landings and stretches of board runs.  With them
+the search drops, in the spirit of VF2's look-ahead (Cordella et al.,
+2004), candidates that cannot complete by one rule, the run rule: from a
+degree-2 image the search walks the board's run of degree-2 vertices
+without a choice for as long as the pattern walks a path of degree-2
+vertices (and takes such a walk a slice of the run at a time).  So the
+vertex where the pattern's path ends is known before the walk starts, and
+it must suit that pattern vertex (be unused, of its degree, adjacent to
+its mapped neighbours' images and within its symmetry conditions); and
+where the board's run ends first, its end vertex takes a vertex of the
+pattern's path, so it must be unused and no leaf.
 
-* run rule: from a degree-2 image the search walks the board's run of
-  degree-2 vertices without a choice for as long as the pattern walks a
-  path of degree-2 vertices (and takes such a walk a slice of the run at a
-  time), so the vertex where the pattern's path ends is known before the
-  walk starts, and it must suit that pattern vertex (be unused, of its
-  degree, adjacent to its mapped neighbours' images and within its
-  symmetry conditions);
-* cut-vertex rule: the not yet mapped pattern vertices joined to a
-  candidate's vertex map to a connected set avoiding the used vertices, so
-  they fit into the side of a used cut vertex that holds the candidate.
-
-A rule is checked only at the positions where the plan finds it can cut
-(the cut-vertex rule not where it could cut only a dead end at most a
-degree deep), and the board data it reads (the runs, the cut-vertex sides,
-which are worked out on the runs) is made when a check first needs it:
-single vertices and dominoes need neither, and the table games' 3- and
-4-cycles no cut-vertex sides.  Both rules cut dead branches
-only, so the embeddings and their order are those of the search without
-them.
+The rule is checked only at the positions where the plan finds a landing,
+and the run table it reads is made when a check or a forced walk first
+needs it: single vertices and dominoes never do.  The rule cuts dead
+branches only, so the embeddings and their order are those of the search
+without it.
 
 For placements the search is symmetry-broken: the piece's automorphisms
 (found by embedding the piece into itself) give Grochow-Kellis conditions
@@ -58,7 +53,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import filterfalse, islice, repeat
+from itertools import combinations, filterfalse, islice, repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .complexes import LabeledComplex, has_isolated_vertex
@@ -83,7 +78,9 @@ class Board:
     every edge) and builds its adjacency once: ``_adj``, each vertex's
     neighbours as a sorted tuple, whose order fixes the order of the
     embedding search's yields, and ``_nbrs``, the same as sets for
-    membership tests.  A vertex's degree is the length of its tuple."""
+    membership tests.  A vertex's degree is the length of its tuple.  The
+    one graph memo is ``_runs``, the run table the embedding search reads,
+    built when a search first needs it."""
 
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
@@ -126,116 +123,6 @@ class Board:
         object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
 
     @cached_property
-    def _cut_sides(self) -> dict[int, dict[int, int]]:
-        """For each cut vertex ``c``: neighbour ``w`` -> the number of vertices
-        of the component of ``board - c`` that holds ``w``.
-
-        One iterative depth-first search per component (Hopcroft-Tarjan).  A
-        child ``u`` of ``c`` whose subtree reaches no higher than ``c``
-        (``low[u] >= disc[c]``) is cut off by ``c``, with its subtree; the
-        subtree's discovery numbers run from ``disc[u]`` for ``size[u]``.  The
-        rest of the component minus ``c`` is one more side.  A root is a cut
-        vertex when it has two children or more.
-
-        The search runs on the run skeleton: its nodes are the vertices of
-        degree other than 2, the root, and the runs (``Board._runs``), and it
-        numbers a run's vertices in one step, in the order a vertex-by-vertex
-        search would walk them, so every number and entry is that search's.
-        A run vertex has no edge but its two run edges, so the run between a
-        node and the next is a tree path, and its vertices are cut vertices
-        only when the subtree past its far end reaches no higher than its
-        last vertex (a bridge path, or a dangling one ending in a leaf); only
-        then are they expanded into entries.  A cycle component has none.
-        """
-        adj, runs = self._adj, self._runs
-        disc: dict[int, int] = {}
-        low: dict[int, int] = {}
-        size: dict[int, int] = {}
-        out: dict[int, dict[int, int]] = {}
-        cut_off: dict[int, list[int]] = {}  # per component
-        t = 0
-
-        def cut_test(up: int, kid: int, reach: int) -> None:
-            # a child subtree whose back edges reach no higher than ``up``
-            # is cut off by it
-            if reach < low[up]:
-                low[up] = reach
-            elif reach >= disc[up]:
-                cut_off.setdefault(up, []).append(kid)
-
-        for root in filterfalse(disc.__contains__, self.vertices):
-            first = t
-            cut_off.clear()
-            rseq, rj = runs.get(root, ((), 0))
-            if rseq and len(adj[rseq[0]]) == 2:  # a cycle component
-                disc.update(dict.fromkeys(rseq, t))
-                continue
-            disc[root] = low[root] = t
-            t += 1
-            # a frame: a node, its neighbour iterator, and the run from its
-            # parent node to it (empty for an edge)
-            stack: list[tuple[int, Iterator[int], tuple[int, ...]]] = [(root, iter(adj[root]), ())]
-            while stack:
-                v, it, path = stack[-1]
-                for w in it:
-                    if w in disc:
-                        # the tree edge to the parent counts too: it lowers
-                        # low[v] to disc[parent] at most, which the cut test allows
-                        if disc[w] < low[v]:
-                            low[v] = disc[w]
-                        continue
-                    run: tuple[int, ...] = ()
-                    if len(adj[w]) == 2:
-                        # w's run away from v, up to its end or to the root
-                        seq, j = runs[w]
-                        lo, hi = 0, len(seq) - 1
-                        if seq is rseq:
-                            lo, hi = (lo, rj) if rj > j else (rj, hi)
-                        if seq[j - 1] == v:
-                            run, w = seq[j:hi], seq[hi]
-                        else:
-                            run, w = seq[lo + 1:j + 1][::-1], seq[lo]
-                        disc.update(zip(run, range(t, t + len(run))))
-                        t += len(run)
-                        if w in disc:  # the run closes onto a node on the stack
-                            size[run[0]] = len(run)
-                            cut_test(v, run[0], disc[w])
-                            continue
-                    disc[w] = low[w] = t
-                    t += 1
-                    stack.append((w, iter(adj[w]), run))
-                    break
-                else:
-                    stack.pop()
-                    size[v] = t - disc[v]
-                    if not stack:
-                        break
-                    up, kid, reach = stack[-1][0], v, low[v]
-                    if path:
-                        if reach >= disc[path[-1]]:
-                            # a bridge path, or a dangling one: each of its
-                            # vertices cuts off the rest of it and v's subtree
-                            for u in reversed(path):
-                                cut_off[u] = [kid]
-                                size[u] = t - disc[u]
-                                kid = u
-                        else:
-                            size[path[0]] = t - disc[path[0]]
-                        kid, reach = path[0], min(reach, disc[up])
-                    cut_test(up, kid, reach)
-            for c, kids in cut_off.items():
-                if c == root and len(kids) < 2:
-                    continue
-                rest = t - first - 1 - sum(size[u] for u in kids)
-                sides = dict.fromkeys(adj[c], rest)
-                for u in kids:
-                    for w in adj[c]:
-                        if disc[u] <= disc[w] < disc[u] + size[u]:
-                            sides[w] = size[u]
-                out[c] = sides
-        return out
-
-    @cached_property
     def _runs(self) -> dict[int, tuple[tuple[int, ...], int]]:
         """For each vertex of degree 2: its maximal run of degree-2 vertices,
         and its index there.  A run's tuple is framed by its end neighbours,
@@ -245,10 +132,8 @@ class Board:
         the middle copy, so a walk of fewer steps than the cycle is long
         stays inside the tuple.  Each run is walked once: O(V).
 
-        The embedding search reads a run's landing vertex and slices a
-        forced walk from the tuple, and ``_cut_sides`` numbers a run's
-        vertices from it in one step, so the cut-vertex table needs the runs
-        too."""
+        The embedding search reads a run's landing vertex and end vertex
+        from the tuple, and slices a forced walk from it."""
         adj = self._adj
         out: dict[int, tuple[tuple[int, ...], int]] = {}
         for v in self.vertices:
@@ -509,9 +394,6 @@ class _SearchPlan:
     * ``need[i]``: the pattern degree, a lower bound on the image's degree;
     * ``above[i]``/``below[i]``: positions whose images must stay under /
       exceed the image at ``i`` (the symmetry conditions);
-    * ``rest[i]``: the size of the component of ``order[i]`` among the
-      vertices not yet mapped, ``order[i:]``, when the cut-vertex rule is
-      checked here (else 0);
     * ``chain[i]``: whether ``i`` is a chain position, one whose only
       earlier neighbour is position ``i - 1`` and which has no symmetry
       condition, so that a non-induced search may take a forced move there;
@@ -531,10 +413,10 @@ class _SearchPlan:
       time.
 
     The pattern may be disconnected: the static order takes its components
-    one after another, and ``rest`` counts within one component.
+    one after another.
     """
 
-    __slots__ = ("order", "earlier", "need", "above", "below", "rest", "chain", "land", "stretch")
+    __slots__ = ("order", "earlier", "need", "above", "below", "chain", "land", "stretch")
 
     def __init__(
         self,
@@ -576,36 +458,6 @@ class _SearchPlan:
         for i in range(k - 1, -1, -1):
             n = n + 1 if chain[i] and need[i] <= 2 else 0
             stretch[i] = n
-        # component sizes among order[i:], adding positions from the back
-        # into a union-find
-        parent = list(range(k))
-        size = [1] * k
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        rest = [0] * k
-        for i in range(k - 1, -1, -1):
-            for w in adj[order[i]]:
-                if pos[w] < i:
-                    continue
-                a, b = find(i), find(pos[w])
-                if a != b:
-                    if size[a] < size[b]:
-                        a, b = b, a
-                    parent[b] = a
-                    size[a] += size[b]
-            # the side holding a candidate holds its other neighbours too, so
-            # after the degree filter it has need[i] vertices at least.  With
-            # one vertex more the rule could cut only a side made of exactly
-            # those, a dead end the search leaves within need[i] positions;
-            # not checking it spares the 4-cycle piece a cut-vertex table
-            r = size[find(i)]
-            rest[i] = r if i and r > need[i] + 1 else 0
-        self.rest = rest
 
 
 def _search(
@@ -624,33 +476,29 @@ def _search(
     order.
 
     Disconnected patterns need no special case: a position with no earlier
-    neighbour draws from every board vertex; ``rest`` is a size within one
-    component, so the cut-vertex rule is per component; and the ``induced``
-    filter rejects a candidate adjacent to the image of any earlier
-    non-neighbour, in whichever component.
+    neighbour draws from every board vertex, and the ``induced`` filter
+    rejects a candidate adjacent to the image of any earlier non-neighbour,
+    in whichever component.
 
-    Two look-ahead rules drop candidates that cannot complete, so they change
-    nothing that is yielded:
+    One look-ahead rule, the run rule, drops candidates that cannot
+    complete, so it changes nothing that is yielded.  A candidate of degree
+    2 at a position with a landing (``_SearchPlan.land``) starts a walk down
+    its board run (``Board._runs``) in which every step up to the landing
+    position ``q`` has exactly one unused neighbour to take.  If the run is
+    long enough to fix the vertex ``q`` must take, that vertex has to be
+    unused, of degree ``need[q]`` at least, adjacent to the images of
+    ``q``'s earlier neighbours and within ``q``'s symmetry conditions, or
+    the walk dies at ``q`` at the latest.  A shorter run ends before ``q``,
+    at a chain position of need 2, so the run's end vertex has to be unused
+    and no leaf, or the walk dies there.  An end that passes is a branch
+    vertex, where the walk may fork, and keeps the candidate; so does a
+    cycle component, whose run has no end.
 
-    * run rule: a candidate of degree 2 at a position with a landing
-      (``_SearchPlan.land``) starts a walk down its board run
-      (``Board._runs``) in which every step up to the landing position ``q``
-      has exactly one unused neighbour to take.  If the run is long enough to
-      fix the vertex ``q`` must take, that vertex has to be unused, of degree
-      ``need[q]`` at least, adjacent to the images of ``q``'s earlier
-      neighbours and within ``q``'s symmetry conditions, or the walk dies
-      at ``q`` at the latest.  A shorter run passes a branch vertex, where
-      the walk may fork, and keeps the candidate;
-    * cut-vertex rule: the unmapped component of a candidate's vertex maps
-      to a connected set avoiding used vertices, so it must fit into the side
-      of each used cut vertex the candidate is entered from
-      (``Board._cut_sides``).
-
-    Each rule is checked only at the positions the plan marks, and its board
-    data is made when a marked position is first reached.  The static order
-    puts a vertex with a symmetry condition next as soon as it can be
-    reached, so a condition that fails fails early too; a condition only
-    filters, whichever position checks it.
+    The rule is checked only at the positions the plan marks, and the run
+    table is made when a marked position or a forced walk first needs it.
+    The static order puts a vertex with a symmetry condition next as soon as
+    it can be reached, so a condition that fails fails early too; a
+    condition only filters, whichever position checks it.
 
     Forced moves: at a chain position (its only earlier neighbour is the
     position before it, and it has no symmetry condition) a non-induced
@@ -660,16 +508,14 @@ def _search(
     rule when it leaves a branch vertex for a run (a step inside a run was
     checked when the run was entered), and pushes a spent iterator for the
     position, so backtracking runs as for any other; with more it lists the
-    candidates as usual.  The cut-vertex rule is not checked at a forced
-    step; it only prunes, so the embeddings and their order stay the same.
-    On the long cycles of the distance-game boards nearly every step is
-    forced.
+    candidates as usual.  On the long cycles of the distance-game boards
+    nearly every step is forced.
 
     Forced walks take runs a stretch at a time: when a forced step enters
     the inside of a board run, the positions of its stretch
     (``_SearchPlan.stretch``) that the run's degree-2 vertices can fill
     take them in one slice of the run's tuple.  Every step of the slice
-    would be forced, and none checks a rule, so only a used vertex can end
+    would be forced, and none checks the rule, so only a used vertex can end
     the walk early: the slice stops before the first one, and the walk dies
     there as it would step by step.  Backtracking pops the slice's
     positions at once when it reaches the last of them.
@@ -685,11 +531,10 @@ def _search(
         yield {}
         return
     earlier, need, above, below = plan.earlier, plan.need, plan.above, plan.below
-    rest, land = plan.rest, plan.land
+    land = plan.land
     t_adj, t_nbrs = target._adj, target._nbrs
     image: list[int] = [0] * k
     used: set[int] = set()
-    cut_sides: dict[int, dict[int, int]] | None = None
 
     def landing(spec: tuple, ws: Iterable[int], prev: int) -> list[int]:
         """The vertices among ``ws``, all neighbours of ``prev``, that the
@@ -703,18 +548,24 @@ def _search(
         for w in ws:
             if len(t_adj[w]) == 2:
                 seq, j = runs[w]
-                j += steps if seq[j - 1] == prev else -steps
-                if 0 <= j < len(seq):  # else the walk passes a branch vertex first
+                ahead = seq[j - 1] == prev
+                j += steps if ahead else -steps
+                if 0 <= j < len(seq):
                     x = seq[j]
                     if x in used or len(t_adj[x]) < d or (lo is not None and x <= lo) or (hi is not None and x >= hi):
                         continue
                     if near and not all(x in n for n in near):
                         continue
+                elif len(t_adj[seq[0]]) != 2:  # not round a cycle component
+                    # the walk reaches the run's end before q, at a chain
+                    # position of need 2
+                    end = seq[-1] if ahead else seq[0]
+                    if end in used or len(t_adj[end]) < 2:
+                        continue
             out.append(w)
         return out
 
     def candidates(i: int) -> list[int]:
-        nonlocal cut_sides
         prior = earlier[i]
         if len(prior) == 1:
             base: Iterable[int] = t_adj[image[prior[0]]]
@@ -742,14 +593,6 @@ def _search(
         spec = land[i]
         if spec is not None and out:
             out = landing(spec, out, image[prior[0]])
-        r = rest[i]
-        if r and out:
-            if cut_sides is None:
-                cut_sides = target._cut_sides
-            for j in prior:
-                sides = cut_sides.get(image[j])
-                if sides is not None:
-                    out = [w for w in out if sides[w] >= r]
         return out
 
     chain = [False] * k if induced else plan.chain
@@ -937,7 +780,7 @@ def default_edge_labeling(gamma: LabeledComplex) -> dict[frozenset[str], int]:
 
 
 def _one_faces(gamma: LabeledComplex) -> set[frozenset[str]]:
-    return {gamma.face_names(m) for m in gamma.face_masks if m.bit_count() == 2}
+    return {frozenset(e) for f in gamma.facets for e in combinations(f, 2)}
 
 
 def check_edge_labeling(gamma: LabeledComplex, labeling: Mapping[frozenset[str], int]) -> dict[frozenset[str], int]:

@@ -310,17 +310,20 @@ def test_run_rule_refutes_walks_that_cannot_close(monkeypatch):
 
 
 def test_run_rule_refutes_a_landing_of_too_low_degree(monkeypatch):
-    # a 1,000-vertex path with two leaves at each end, on a theta graph: two
+    # a 1,000-vertex path with two leaves at each end.  On a theta graph (two
     # vertices of degree 3 joined by paths of 1,200, 1,300 and 1,400 new
-    # vertices.  The path's far end, of degree 3, would land inside one of
-    # them
-    calls = fake_clock(monkeypatch)
+    # vertices) the path's far end, of degree 3, would land inside one of
+    # them.  On a spider with three legs of 990 vertices each walk from the
+    # centre would reach its leg's leaf before the landing, and a leaf cannot
+    # take a path vertex of degree 2
     leaves = [(0, 1000), (0, 1001), (999, 1002), (999, 1003)]
     pattern = board(range(1004), [*build_path(1000).edges, *leaves])
     plan = _SearchPlan(pattern.vertices, pattern._adj)
     assert plan.land[1][:3] == (998, 3, ())
-    assert list(_search(plan, theta(1200, 1300, 1400), deadline=1.0)) == []
-    assert len(calls) == 1  # the check at the start, no poll
+    for b in (theta(1200, 1300, 1400), spider(990, 990, 990)):
+        calls = fake_clock(monkeypatch)
+        assert list(_search(plan, b, deadline=1.0)) == []
+        assert len(calls) == 1  # the check at the start, no poll
 
 
 def test_run_rule_refutes_a_forced_step_from_a_branch_vertex(monkeypatch):
@@ -338,20 +341,22 @@ def test_run_rule_refutes_a_forced_step_from_a_branch_vertex(monkeypatch):
 
 
 def test_run_rule_refutes_a_landing_on_a_used_vertex(monkeypatch):
-    # a 12-cycle with a 2,501-vertex tail, on a theta graph whose two branch
-    # vertices are joined by paths through 5, 5 and 2,500 vertices.  The
+    # a 12-cycle with a 2,501-vertex tail.  On a theta graph whose two branch
+    # vertices are joined by paths through 5, 5 and 2,500 vertices, the
     # pattern's cycle goes round the two short paths; its tail, entered at
     # the long one, would end on the far branch vertex, of degree 3 but
-    # used.  The board has no cut vertex, so only the run rule's check for a
-    # used landing vertex refutes the walk
-    calls = fake_clock(monkeypatch)
+    # used.  On a 12-cycle with a 2,000-cycle through its vertex 0, the tail,
+    # entered at the ring from vertex 0 either way, would come back to that
+    # used vertex before it ends
     pattern = tadpole(12, 2501)
     plan = _SearchPlan(pattern.vertices, pattern._adj)
     assert plan.land[12] == (2500, 1, (), (), ())
-    b = theta(5, 5, 2500)
-    assert b._cut_sides == {}
-    assert list(_search(plan, b, deadline=1.0)) == []
-    assert len(calls) == 1  # the check at the start, no poll
+    ring = [0, *range(12, 2011), 0]
+    ringed = board(range(2011), [*build_cycle(12).edges, *zip(ring, ring[1:])])
+    for b in (theta(5, 5, 2500), ringed):
+        calls = fake_clock(monkeypatch)
+        assert list(_search(plan, b, deadline=1.0)) == []
+        assert len(calls) == 1  # the check at the start, no poll
 
 
 # a 4-vertex complex whose board joins its assemblies in a cycle: the
@@ -635,7 +640,7 @@ def test_run_slices_yield_as_the_reference(piece, make_board):
 
 
 def test_run_slices_go_both_ways(monkeypatch):
-    # on a path board every run tuple runs up the ids, so a walk towards
+    # on a cycle board the run tuple runs up the ids, so a walk towards
     # lower ids enters its run from the high end.  Every embedding of a
     # 10-vertex path walks its chain positions 2 to 7 as one slice of six,
     # whichever way it goes; a slice is seen as the ``repeat`` of the spent
@@ -644,7 +649,7 @@ def test_run_slices_go_both_ways(monkeypatch):
     # same maps
     plan = _SearchPlan(PATH10.vertices, PATH10._adj)
     assert plan.stretch[2] == 6
-    b = build_path(30)
+    b = build_cycle(30)
     b._runs  # built before the spy goes in: it calls ``repeat`` too
     sliced = []
 
@@ -655,8 +660,8 @@ def test_run_slices_go_both_ways(monkeypatch):
     monkeypatch.setattr(boards_module, "repeat", spy)
     maps = list(_search(plan, b))
     assert maps == list(reference_embeddings(PATH10.vertices, PATH10._adj, b))
-    assert len(maps) == 42
-    assert {m[2] - m[1] for m in maps} == {1, -1}
+    assert len(maps) == 60
+    assert {(m[2] - m[1]) % 30 for m in maps} == {1, 29}
     assert sliced == [6] * len(maps)
 
 
@@ -687,52 +692,6 @@ def test_induced_embeddings_of_a_large_edgeless_pattern():
     # one search position per pattern vertex, no recursion per component
     maps = induced_embeddings(board(range(1100), []), list(range(1050)), [], limit=1)
     assert len(maps) == 1 and len(set(maps[0].values())) == 1050
-
-
-def test_cut_sides_match_brute_force():
-    rng = random.Random(5)
-    for _ in range(60):
-        b = random_sparse_board(rng, rng.randint(1, 14))
-        want = {}
-        for c in b.vertices:
-            rest = board([v for v in b.vertices if v != c], [e for e in b.edges if c not in e])
-            side = {v: comp for comp in components(rest) for v in comp}
-            if len({side[w] for w in b.neighbors(c)}) > 1:
-                want[c] = {w: len(side[w]) for w in b.neighbors(c)}
-        assert b._cut_sides == want
-
-
-def brute_cut_sides(b):
-    """Each vertex whose removal parts its neighbours: neighbour -> the size
-    of its component of the board without that vertex."""
-    want = {}
-    for c in b.vertices:
-        rest = board([v for v in b.vertices if v != c], [e for e in b.edges if c not in e])
-        side = {v: comp for comp in components(rest) for v in comp}
-        if len({side[w] for w in b.neighbors(c)}) > 1:
-            want[c] = {w: len(side[w]) for w in b.neighbors(c)}
-    return want
-
-
-def test_cut_sides_match_brute_force_on_run_boards():
-    # the table is built on the run skeleton: runs between branch vertices,
-    # parallel runs, runs closing onto one vertex, dangling and bridge
-    # paths, cycle and path components, isolated vertices; relabelled, a
-    # component's first vertex, where its search starts, often lies inside
-    # a run
-    rng = random.Random(41)
-    boards = [
-        *(subdivided_board(rng, rng.randint(2, 8)) for _ in range(20)),
-        *(tadpole(length, tail) for length in (3, 5) for tail in (0, 1, 4)),
-        theta(0, 1), theta(0, 2, 3), theta(1, 1, 1, 4), theta(3, 3),
-        build_cycle(3), build_cycle(8), *(build_path(n) for n in (1, 2, 3, 6)), board([0], []),
-        disjoint_union(tadpole(4, 2), build_cycle(5), build_path(4), board([0], []), theta(2, 3), spider(1, 3)),
-        disjoint_union(*(subdivided_board(rng, rng.randint(2, 6)) for _ in range(3)), build_cycle(4)),
-        gamma_board(P3_GAMMA),
-    ]
-    for b in boards:
-        for each in (b, relabelled(rng, b)):
-            assert each._cut_sides == brute_cut_sides(each), sorted(each.edges)
 
 
 def test_runs_match_a_walk_step_by_step():
