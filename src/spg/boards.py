@@ -54,6 +54,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, filterfalse, islice, repeat
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .complexes import LabeledComplex, has_isolated_vertex
@@ -704,7 +705,9 @@ def piece_placements(target: Board, piece: Piece, deadline: float | None = None)
         conditions = _symmetry_conditions(piece, deadline)
         object.__setattr__(piece, "_plan", _SearchPlan(piece.vertices, piece._adj, conditions))
     images = {frozenset(emb.values()) for emb in _search(piece._plan, target, deadline=deadline)}
-    return tuple(placement(piece.player, img) for img in sorted(images, key=sorted))
+    # one player, so the order of sort_key is Placement's; the key compares
+    # in C where Placement's generated __lt__ would run in Python
+    return tuple(sorted((Placement(piece.player, img) for img in images), key=attrgetter("sort_key")))
 
 
 def induced_embeddings(

@@ -45,7 +45,7 @@ from .construct import (
 )
 from .engine import DEFAULT_CAP, analyze, check_condition_iv, check_invariance
 from .gametree import (
-    GameTree, build_tree, canonical_value, outcome_of_value, tree_to_dot, trees_isomorphic,
+    Move, build_tree, canonical_value, fold, outcome_of_value, tree_to_dot, trees_isomorphic,
     value_str,
 )
 from .rulesets import (
@@ -399,10 +399,13 @@ def _legal_complex(args: Args, source: LabeledComplex | tuple[Ruleset, Board]) -
 _TREE_PRINT_LIMIT = 500
 
 
-def _render_tree(t: GameTree, lines: list[str], depth: int) -> None:
-    for player, vertex, child in t.children:
-        lines.append("  " * depth + f"{player} -> {vertex}")
-        _render_tree(child, lines, depth + 1)
+def _printed_subtree(_: int, moves: list[Move]) -> list[str]:
+    """A fold combine: each move's line, then the subtree after it, indented."""
+    return [
+        line
+        for player, vertex, sub in moves
+        for line in [f"{player} -> {vertex}", *("  " + s for s in sub)]
+    ]
 
 
 def _game_tree(args: Args, source) -> int:
@@ -418,9 +421,7 @@ def _game_tree(args: Args, source) -> int:
     depth = max((len(f) for f in delta.facets), default=0)
     print(f"game tree: {tree.node_count} nodes, depth {depth}")
     if tree.node_count <= _TREE_PRINT_LIMIT:
-        lines: list[str] = ["(root)"]
-        _render_tree(tree, lines, 1)
-        print("\n".join(lines))
+        print("\n".join(["(root)", *("  " + line for line in fold(tree, _printed_subtree))]))
     else:
         print("tree too large to print; use --format dot with --out")
     if args.out:

@@ -248,7 +248,8 @@ def _recovered_complex(
     missing = sorted(set(regions) - set(seen))
     if missing:
         return None, f"no placement covers region(s) {', '.join(missing)}"
-    a = analyze(realization.game, realization.board, cap=cap, index=idx)
+    # the board keeps the index just made, so the analysis reads it back
+    a = analyze(realization.game, realization.board, cap=cap)
     raw = a.legal_complex() if which == "legal" else a.illegal_complex()
     return relabel(raw, mapping), ""
 

@@ -179,13 +179,10 @@ class GameAnalysis:
         return ideal(self.index.names, self.index.part_map(), self._named(self.minimal_masks))
 
 
-def _compiled(
-    game: Ruleset, board: Board, cap: int, index: BasicPositionIndex | None = None
-) -> tuple[BasicPositionIndex, Predicate]:
-    """The basic positions (``index`` when given) and the predicate compiled
-    over them; :class:`BudgetExceeded` when they number more than ``cap``."""
-    if index is None:
-        index = basic_positions(game, board)
+def _compiled(game: Ruleset, board: Board, cap: int) -> tuple[BasicPositionIndex, Predicate]:
+    """The basic positions and the predicate compiled over them;
+    :class:`BudgetExceeded` when they number more than ``cap``."""
+    index = basic_positions(game, board)
     if len(index) > cap:
         raise BudgetExceeded(
             f"{len(index)} basic positions exceed the cap of {cap}; "
@@ -194,20 +191,15 @@ def _compiled(
     return index, game.legal(board, index.placements)
 
 
-def analyze(
-    game: Ruleset,
-    board: Board,
-    cap: int = DEFAULT_CAP,
-    index: BasicPositionIndex | None = None,
-) -> GameAnalysis:
+def analyze(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> GameAnalysis:
     """Maximal legal positions plus the minimal illegal sets.
 
-    Raises :class:`BudgetExceeded` past ``cap`` basic positions (``index``
-    when given), and :class:`DownwardClosureError` when a position satisfies
-    the predicate while one of its one-smaller subpositions is illegal.  A
-    ``pairwise`` ruleset is taken at its word and never raises the latter.
+    Raises :class:`BudgetExceeded` past ``cap`` basic positions, and
+    :class:`DownwardClosureError` when a position satisfies the predicate
+    while one of its one-smaller subpositions is illegal.  A ``pairwise``
+    ruleset is taken at its word and never raises the latter.
     """
-    index, predicate = _compiled(game, board, cap, index)
+    index, predicate = _compiled(game, board, cap)
     closure = _pairwise_closure if game.pairwise else _closure
     maximal, minimal = closure(index, predicate)
     return GameAnalysis(index, frozenset(maximal), frozenset(minimal))

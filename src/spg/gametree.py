@@ -1,18 +1,18 @@
 """Game trees over legal complexes, and canonical normal-play values.
 
-The game tree of a complex is a view of its face lattice
-(:attr:`~spg.complexes.LabeledComplex.face_masks`): a node is a face, and its
-children are the faces one vertex larger, in vertex order.  Equal faces are
-one node, so the structure is a DAG; its unfolding is the move-sequence tree,
-in which every ordering of a face is a play sequence, so the unfolded tree has
-sum-over-faces-of-|F|! nodes.  A :class:`GameTree` holds only the complex and
-the mask of its face.
+The game tree of a complex is its face lattice
+(:attr:`~spg.complexes.LabeledComplex.face_masks`) read from the empty face: a
+node is a face, and its children are the faces one vertex larger, in vertex
+order.  Equal faces are one node, so the structure is a DAG; its unfolding is
+the move-sequence tree, in which every ordering of a face is a play sequence,
+so the unfolded tree has sum-over-faces-of-|F|! nodes.  A :class:`GameTree`
+holds only the complex.
 
-Tree isomorphism and the DOT export are folds of the tree: :func:`fold`
-combines the faces once each, largest first, so children come before parents
-and the cost is polynomial in the number of faces; a move whose vertex is in
-the face already is skipped before its child is looked up.  The node count of
-the unfolded tree is a sum of factorials over the faces above the root.
+:func:`fold` is the one walk of the tree.  The value of a complex that is not
+flag, tree isomorphism, the DOT export and the CLI's printed tree are folds:
+:func:`fold` combines the faces once each, largest first, so children come
+before parents and the cost is polynomial in the number of faces; a move
+whose vertex is in the face already is skipped before its child is looked up.
 
 The canonical value needs no face lattice when the complex is flag (the legal
 complex of every pairwise ruleset): a position is then the set of vertices
@@ -49,44 +49,25 @@ Move = tuple[str, str, T]
 
 @dataclass(frozen=True, eq=False)
 class GameTree:
-    """The game tree below one face of a legal complex, as a view.
+    """The game tree of a legal complex.
 
-    ``face`` names the vertices of ``mask``.  ``children`` pairs each vertex
-    that extends the face to a face one larger with the moving player's label
-    and the view of that face, in vertex order.  Both are read from the
-    complex's face masks when asked for; the unfolding of the DAG of views is
-    the move-sequence tree.
+    Its positions are the faces of the complex, read from the empty face: a
+    move adds one vertex, played by the vertex's part.  The tree is walked
+    with :func:`fold`; the unfolding of its DAG of faces is the
+    move-sequence tree.
     """
 
     complex: LabeledComplex
-    mask: int
-
-    @property
-    def face(self) -> frozenset[str]:
-        return self.complex.face_names(self.mask)
-
-    @property
-    def children(self) -> tuple[tuple[str, str, "GameTree"], ...]:
-        delta, mask = self.complex, self.mask
-        masks = delta.face_masks
-        return tuple(
-            (delta.part[v], v, GameTree(delta, mask | 1 << i))
-            for i, v in enumerate(delta.vertices)
-            if not mask >> i & 1 and mask | 1 << i in masks
-        )
 
     @cached_property
     def node_count(self) -> int:
         """Number of nodes of the unfolded move-sequence tree: one per play
-        sequence from this face, that is one per ordering of ``F - face`` for
-        each face ``F`` at or above it, or a lone root when no face lies
-        above (the void complex, or a mask that is not a face)."""
-        mask, k = self.mask, self.mask.bit_count()
-        return sum(factorial(f.bit_count() - k) for f in self.complex.face_masks if f & mask == mask) or 1
+        sequence, that is one per ordering of each face, or a lone root for
+        the void complex."""
+        return sum(factorial(f.bit_count()) for f in self.complex.face_masks) or 1
 
     def __repr__(self) -> str:
-        face = ",".join(sorted(self.face)) or "{}"
-        return f"GameTree({face}; {len(self.children)} children)"
+        return f"GameTree({self.complex!r})"
 
 
 def build_tree(delta: LabeledComplex) -> GameTree:
@@ -95,33 +76,32 @@ def build_tree(delta: LabeledComplex) -> GameTree:
     The void complex and the single-face complex both yield a lone root: in
     either case no move is available.
     """
-    return GameTree(delta, 0)
+    return GameTree(delta)
 
 
 def fold(tree: GameTree, combine: Callable[[int, list[Move]], T]) -> T:
-    """``combine(mask, moves)`` over the faces at and above ``tree``'s face,
-    where ``moves`` lists ``(label, vertex, result)`` per child in move order.
+    """Combine every face of the complex with ``combine(mask, moves)``, where
+    ``moves`` lists ``(label, vertex, result)`` per child in move order, and
+    return the root's result.
 
     The faces are combined in descending mask order, largest first: every
     face one vertex larger is a larger mask, so each face is combined once,
     after its children, and reads its moves, in vertex order, from faces
-    already combined.
+    already combined.  The void complex combines the empty root alone.
     """
-    delta, root = tree.complex, tree.mask
+    delta = tree.complex
     moves = [(1 << i, delta.part[v], v) for i, v in enumerate(delta.vertices)]
     done: dict[int, T] = {}
-    # a mask that is not a face has no face above it and is combined alone
-    above = [f for f in delta.face_masks if f & root == root] or [root]
-    for face in sorted(above, reverse=True):
+    for face in sorted(delta.face_masks or [0], reverse=True):
         kids = [(label, v, done[face | b]) for b, label, v in moves if not face & b and face | b in done]
         done[face] = combine(face, kids)
-    return done[root]
+    return done[0]
 
 
 def trees_isomorphic(t1: GameTree, t2: GameTree) -> bool:
     """Root-preserving, player-label-preserving tree isomorphism.
 
-    Children are compared as multisets via interned canonical codes, so the
+    Each tree is folded once.  Children are compared as multisets via interned canonical codes, so the
     check is linear in the shared structure even when the unfolded trees are
     factorially large.
     """

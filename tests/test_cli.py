@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from spg.boards import board_to_obj, build_path
-from spg.cli import COMMANDS, main
-from spg.complexes import complex_to_obj, from_facets
+from spg.cli import COMMANDS, main, parse_board_spec
+from spg.complexes import complex_to_obj, faces, from_facets
+from spg.engine import legal_complex
+from spg.rulesets import col, domineering, snort
 
 from conftest import run_spg_capped
 
@@ -106,6 +108,45 @@ def test_game_tree_formats(run):
         "game", "tree", "--ruleset", "snort", "--board", "path:2", "--format", "dot"
     )
     assert code == 0 and out.startswith("digraph")
+
+
+def printed_tree(delta) -> list[str]:
+    """``game tree``'s text print, from the faces: every move from a face in
+    vertex order, then the tree after it, two spaces deeper."""
+    face_set = faces(delta)
+    lines = ["(root)"]
+
+    def walk(face, depth):
+        for v in delta.vertices:
+            if v not in face and face | {v} in face_set:
+                lines.append("  " * depth + f"{delta.part[v]} -> {v}")
+                walk(face | {v}, depth + 1)
+
+    walk(frozenset(), 1)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "ruleset, board",
+    [(snort, "path:3"), (col, "path:4"), (col, "cycle:5"), (domineering, "grid:2x3")],
+)
+def test_game_tree_text_is_the_face_tree(run, ruleset, board):
+    delta = legal_complex(ruleset(), parse_board_spec(board))
+    lines = printed_tree(delta)
+    depth = max(len(f) for f in delta.facets)
+    code, out, _ = run("game", "tree", "--ruleset", ruleset.__name__, "--board", board)
+    assert code == 0
+    # each printed line but the root's is one node of the unfolded tree
+    assert out.splitlines() == [f"game tree: {len(lines)} nodes, depth {depth}", *lines]
+
+
+def test_game_tree_text_stops_above_500_nodes(run):
+    code, out, _ = run("game", "tree", "--ruleset", "snort", "--board", "path:5")
+    assert code == 0
+    assert out.splitlines() == [
+        "game tree: 927 nodes, depth 5",
+        "tree too large to print; use --format dot with --out",
+    ]
 
 
 def test_verify_roundtrip_exit_codes(run, tmp_path):

@@ -86,7 +86,9 @@ def test_tree_nodes_count_move_sequences():
 def test_tree_degenerate_inputs():
     assert build_tree(void_complex()).node_count == 1
     assert build_tree(empty_face_complex()).node_count == 1
-    assert build_tree(void_complex()).children == ()
+    calls = []
+    fold(build_tree(void_complex()), lambda mask, moves: calls.append((mask, moves)))
+    assert calls == [(0, [])]
 
 
 def test_tree_counts_match_oracle_on_corpus():
@@ -95,13 +97,13 @@ def test_tree_counts_match_oracle_on_corpus():
 
 
 def test_tree_children_are_sorted_moves():
-    t = build_tree(LSHAPE_DELTA)
-    assert [(p, v) for p, v, _ in t.children] == [("L", "x1"), ("L", "x2"), ("R", "y3")]
+    root = fold(build_tree(LSHAPE_DELTA), lambda _, moves: [(p, v) for p, v, _ in moves])
+    assert root == [("L", "x1"), ("L", "x2"), ("R", "y3")]
 
 
 @dataclass(frozen=True, eq=False)
 class NodeTree:
-    """A node object per face, as trees were built before they became views."""
+    """A node object per face, built without :func:`fold`."""
 
     face: frozenset
     children: tuple
@@ -122,22 +124,20 @@ def node_tree(delta) -> NodeTree:
     return nodes[0] if nodes else NodeTree(frozenset(), ())
 
 
-def assert_view_matches_nodes(delta) -> None:
-    """At every face: the same face, the same moves in order, the same count
-    of the unfolded subtree."""
-    stack, seen = [(build_tree(delta), node_tree(delta))], {}
+def assert_fold_matches_nodes(delta) -> None:
+    """The fold visits the faces of ``node_tree``, with the same moves in
+    order, and the tree counts the nodes of its unfolding."""
+    root = node_tree(delta)
+    stack, seen = [root], {}
     while stack:
-        view, node = stack.pop()
-        if node.face in seen:
-            continue
-        seen[node.face] = node
-        assert view.face == node.face, delta
-        assert [m[:2] for m in view.children] == [m[:2] for m in node.children], delta
-        assert view.node_count == node.node_count, delta
-        stack.extend((v, n) for (_, _, v), (_, _, n) in zip(view.children, node.children))
+        node = stack.pop()
+        if node.face not in seen:
+            seen[node.face] = node
+            stack.extend(child for _, _, child in node.children)
     assert len(seen) == max(len(delta.face_masks), 1)
-    # the fold combines every face at or above the root exactly once, after
-    # every face one vertex larger, with its moves in vertex order
+    assert build_tree(delta).node_count == root.node_count, delta
+    # the fold combines every face exactly once, after every face one vertex
+    # larger, with its moves in vertex order
     combined: set = set()
 
     def record(mask: int, moves: list) -> frozenset:
@@ -154,12 +154,12 @@ def assert_view_matches_nodes(delta) -> None:
     assert combined == set(seen), delta
 
 
-def test_tree_views_match_node_trees():
+def test_tree_fold_matches_node_trees():
     for delta in all_labeled_complexes("abcd"):
-        assert_view_matches_nodes(delta)
+        assert_fold_matches_nodes(delta)
     rng = random.Random(2024)
     for _ in range(100):
-        assert_view_matches_nodes(random_complex(rng, 6))
+        assert_fold_matches_nodes(random_complex(rng, 6))
 
 
 def test_trees_isomorphic_under_relabel():
