@@ -10,7 +10,7 @@ import argparse
 
 from spg.boards import build_path, grid_from_cells
 from spg.engine import analyze
-from spg.gametree import build_tree, canonical_value, outcome, value_str
+from spg.gametree import canonical_value, outcome, value_str
 from spg.rulesets import col, domineering, nogo, snort
 
 
@@ -26,7 +26,7 @@ def show_game(name, game, board):
     print(f"  legal ideal:   <{gens(a.legal_ideal())}>")
     print(f"  illegal ideal: <{gens(a.illegal_ideal())}>")
     delta = a.legal_complex()
-    print(f"  tree nodes: {build_tree(delta).node_count}")
+    print(f"  tree nodes: {delta.node_count}")
     print(f"  value: {value_str(canonical_value(delta))}   outcome: {outcome(delta)}")
     print()
 

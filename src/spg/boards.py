@@ -16,25 +16,9 @@ patterns of :func:`induced_embeddings` alike: an explicit stack of candidate
 lists drawn from the board's sorted neighbour tuples, and no recursion, so
 pattern size is not bounded by Python's recursion limit.  What the search
 needs to know about its pattern is a ``_SearchPlan``, made once per pattern
-and memoised on the piece: the static vertex order, the earlier
-neighbours, degree needs and symmetry conditions of each position, and two
-look-ahead tables, the landings and stretches of board runs.  With them
-the search drops, in the spirit of VF2's look-ahead (Cordella et al.,
-2004), candidates that cannot complete by one rule, the run rule: from a
-degree-2 image the search walks the board's run of degree-2 vertices
-without a choice for as long as the pattern walks a path of degree-2
-vertices (and takes such a walk a slice of the run at a time).  So the
-vertex where the pattern's path ends is known before the walk starts, and
-it must suit that pattern vertex (be unused, of its degree, adjacent to
-its mapped neighbours' images and within its symmetry conditions); and
-where the board's run ends first, its end vertex takes a vertex of the
-pattern's path, so it must be unused and no leaf.
-
-The rule is checked only at the positions where the plan finds a landing,
-and the run table it reads is made when a check or a forced walk first
-needs it: single vertices and dominoes never do.  The rule cuts dead
-branches only, so the embeddings and their order are those of the search
-without it.
+and memoised on the piece.  Its look-ahead rule (the run rule), its forced
+moves and its walks a run slice at a time are stated once, in the
+docstrings of ``_SearchPlan`` and ``_search``.
 
 For placements the search is symmetry-broken: the piece's automorphisms
 (found by embedding the piece into itself) give Grochow-Kellis conditions
@@ -307,15 +291,6 @@ def _ringed_cycle(outer_len: int, inner_len: int, attach: Iterable[int]) -> tupl
     return nxt, edges
 
 
-def ringed_cycle_piece(outer_len: int, inner_len: int, count: int, player: str) -> Piece:
-    """An ``outer_len``-cycle with an inner ``inner_len``-cycle joined to
-    each of its first ``count`` vertices."""
-    if count >= outer_len:
-        raise ValueError("more attachment vertices than outer cycle vertices")
-    n, edges = _ringed_cycle(outer_len, inner_len, range(count))
-    return Piece(player, tuple(range(n)), frozenset(edges))
-
-
 @dataclass(frozen=True, order=True)
 class Placement:
     """One piece placed on a board: the owning player plus the occupied set."""
@@ -482,7 +457,9 @@ def _search(
     in whichever component.
 
     One look-ahead rule, the run rule, drops candidates that cannot
-    complete, so it changes nothing that is yielded.  A candidate of degree
+    complete, in the spirit of VF2's look-ahead (Cordella et al., 2004), so
+    it changes nothing that is yielded: the embeddings and their order are
+    those of the search without it.  A candidate of degree
     2 at a position with a landing (``_SearchPlan.land``) starts a walk down
     its board run (``Board._runs``) in which every step up to the landing
     position ``q`` has exactly one unused neighbour to take.  If the run is

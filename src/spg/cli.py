@@ -36,8 +36,8 @@ from .boards import (
 )
 from .complexes import (
     LabeledComplex, SquareFreeIdeal, complex_from_obj, complex_to_obj, dimension, dumps,
-    facet_complex, facet_ideal, ideal, ideal_to_obj, is_flag, is_name_list, is_pure,
-    is_simplex, minimal_nonfaces, sr_complex, sr_ideal,
+    facet_complex, facet_ideal, ideal_from_obj, ideal_to_obj, is_flag, is_pure, is_simplex,
+    minimal_nonfaces, sr_complex, sr_ideal,
 )
 from .construct import (
     Realization, VerifyReport, realize_both, realize_illegal, realize_legal, to_independence,
@@ -45,8 +45,7 @@ from .construct import (
 )
 from .engine import DEFAULT_CAP, analyze, check_condition_iv, check_invariance
 from .gametree import (
-    Move, build_tree, canonical_value, fold, outcome_of_value, tree_to_dot, trees_isomorphic,
-    value_str,
+    Move, canonical_value, fold, outcome_of_value, tree_to_dot, trees_isomorphic, value_str,
 )
 from .rulesets import (
     Ruleset, col, domineering, free_placement, gamma_game, nogo, ruleset_descriptor, snort,
@@ -82,21 +81,8 @@ def load_complex(path: str) -> LabeledComplex:
 
 
 def load_ideal(path: str) -> SquareFreeIdeal:
-    """Read an ideal file; a variable with no entry in ``parts`` gets part L."""
-    obj = _load_json(path)
     try:
-        variables, generators = obj["variables"], obj["generators"]
-    except (KeyError, TypeError) as exc:
-        raise CliError(f"{path}: ideal files need 'variables' and 'generators'") from exc
-    if not (is_name_list(variables) and isinstance(generators, list)
-            and all(is_name_list(g) for g in generators)):
-        raise CliError(f"{path}: 'variables' and each generator must be lists of names")
-    parts = obj.get("parts", {})
-    if not isinstance(parts, dict):
-        raise CliError(f"{path}: 'parts' must map variable names to L or R")
-    part = {v: parts.get(v, "L") for v in variables}
-    try:
-        return ideal(variables, part, generators)
+        return ideal_from_obj(_load_json(path))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -358,7 +344,6 @@ def _complex_dual(args: Args, source: LabeledComplex | SquareFreeIdeal) -> int:
     if isinstance(result, SquareFreeIdeal):
         print(f"{args.to}: {_ideal_str(result)}")
         obj = ideal_to_obj(result)
-        obj["parts"] = {v: result.part[v] for v in result.variables}
     else:
         print(f"{args.to}: facets " + _facet_list(result))
         obj = complex_to_obj(result)
@@ -410,22 +395,21 @@ def _printed_subtree(_: int, moves: list[Move]) -> list[str]:
 
 def _game_tree(args: Args, source) -> int:
     delta = _legal_complex(args, source)
-    tree = build_tree(delta)
     if args.format == "dot":
-        text = tree_to_dot(tree)
+        text = tree_to_dot(delta)
         if args.out:
             _write_text(args.out, text)
         else:
             print(text, end="")
         return 0
     depth = max((len(f) for f in delta.facets), default=0)
-    print(f"game tree: {tree.node_count} nodes, depth {depth}")
-    if tree.node_count <= _TREE_PRINT_LIMIT:
-        print("\n".join(["(root)", *("  " + line for line in fold(tree, _printed_subtree))]))
+    print(f"game tree: {delta.node_count} nodes, depth {depth}")
+    if delta.node_count <= _TREE_PRINT_LIMIT:
+        print("\n".join(["(root)", *("  " + line for line in fold(delta, _printed_subtree))]))
     else:
         print("tree too large to print; use --format dot with --out")
     if args.out:
-        _write_json(args.out, {"nodes": tree.node_count, "depth": depth})
+        _write_json(args.out, {"nodes": delta.node_count, "depth": depth})
     return 0
 
 
@@ -512,7 +496,7 @@ def _construct(args: Args, delta: LabeledComplex, files: Files,
 
 def _same_tree_and_value(delta: LabeledComplex, rep: VerifyReport, obj: dict) -> tuple[str, str]:
     """The rebuilt game must have the original's game tree and value."""
-    obj["trees_isomorphic"] = trees_isomorphic(build_tree(delta), build_tree(rep.computed))
+    obj["trees_isomorphic"] = trees_isomorphic(delta, rep.computed)
     value = canonical_value(delta)
     obj["value"] = value_str(value)
     obj["values_equal"] = canonical_value(rep.computed) is value

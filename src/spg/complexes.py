@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 PARTS = ("L", "R")
@@ -136,6 +137,13 @@ class LabeledComplex:
                     break
                 sub = (sub - 1) & full
         return frozenset(out)
+
+    @cached_property
+    def node_count(self) -> int:
+        """Number of nodes of the unfolded game tree: one per play sequence,
+        that is one per ordering of each face, or a lone root for the void
+        complex."""
+        return sum(factorial(f.bit_count()) for f in self.face_masks) or 1
 
     def face_names(self, mask: int) -> frozenset[str]:
         """The vertices of ``mask``, by name."""
@@ -491,7 +499,7 @@ def complex_to_obj(delta: LabeledComplex) -> dict:
     }
 
 
-def is_name_list(value) -> bool:
+def _is_name_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
@@ -502,8 +510,8 @@ def complex_from_obj(obj: Mapping) -> LabeledComplex:
         void = bool(obj.get("void", False))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed complex object: {exc}") from exc
-    if not (is_name_list([vid for vid, _ in entries]) and isinstance(facets, list)
-            and all(is_name_list(f) for f in facets)):
+    if not (_is_name_list([vid for vid, _ in entries]) and isinstance(facets, list)
+            and all(_is_name_list(f) for f in facets)):
         raise ValueError("malformed complex object: vertex ids and facet entries must be names")
     part: dict[str, str] = {}
     for vid, p in entries:
@@ -529,15 +537,27 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def complex_to_json(delta: LabeledComplex) -> str:
-    return dumps(complex_to_obj(delta))
-
-
-def complex_from_json(text: str) -> LabeledComplex:
-    return complex_from_obj(json.loads(text))
-
-
 def ideal_to_obj(ideal_: SquareFreeIdeal) -> dict:
     index = {v: i for i, v in enumerate(ideal_.variables)}
     gens = [sorted(g, key=index.__getitem__) for g in ideal_.generators]
-    return {"variables": list(ideal_.variables), "generators": sorted(gens, key=lambda g: [index[v] for v in g])}
+    return {
+        "variables": list(ideal_.variables),
+        "generators": sorted(gens, key=lambda g: [index[v] for v in g]),
+        "parts": {v: ideal_.part[v] for v in ideal_.variables},
+    }
+
+
+def ideal_from_obj(obj: Mapping) -> SquareFreeIdeal:
+    """The ideal of an ideal object; a variable with no entry in ``parts``
+    gets part L."""
+    try:
+        variables, generators = obj["variables"], obj["generators"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError("ideal files need 'variables' and 'generators'") from exc
+    if not (_is_name_list(variables) and isinstance(generators, list)
+            and all(_is_name_list(g) for g in generators)):
+        raise ValueError("'variables' and each generator must be lists of names")
+    parts = obj.get("parts", {})
+    if not isinstance(parts, dict):
+        raise ValueError("'parts' must map variable names to L or R")
+    return ideal(variables, {v: parts.get(v, "L") for v in variables}, generators)

@@ -71,7 +71,8 @@ class BasicPositionIndex:
         return dict(self.entries)
 
     @cached_property
-    def _parts(self) -> Mapping[str, str]:
+    def parts(self) -> Mapping[str, str]:
+        """The player of each basic position, by name."""
         return MappingProxyType({name: p.player for name, p in self.entries})
 
     @cached_property
@@ -91,9 +92,6 @@ class BasicPositionIndex:
         return tuple(
             sum(1 << j for j, other in enumerate(supports) if sup & other) for sup in supports
         )
-
-    def part_map(self) -> Mapping[str, str]:
-        return self._parts
 
     def names_of(self, mask: int) -> tuple[str, ...]:
         """The names of the basic positions in ``mask``, in index order."""
@@ -164,19 +162,19 @@ class GameAnalysis:
 
     def legal_complex(self) -> LabeledComplex:
         """Faces are the legal positions.  Always contains the empty position."""
-        return from_facets(self._named(self.maximal_masks), self.index.part_map())
+        return from_facets(self._named(self.maximal_masks), self.index.parts)
 
     def legal_ideal(self) -> SquareFreeIdeal:
         """Generated by the maximal legal positions, over all basic positions."""
-        return ideal(self.index.names, self.index.part_map(), self._named(self.maximal_masks))
+        return ideal(self.index.names, self.index.parts, self._named(self.maximal_masks))
 
     def illegal_complex(self) -> LabeledComplex:
         """Facets are the minimal illegal positions; void when nothing is illegal."""
-        return from_facets(self._named(self.minimal_masks), self.index.part_map())
+        return from_facets(self._named(self.minimal_masks), self.index.parts)
 
     def illegal_ideal(self) -> SquareFreeIdeal:
         """Generated by the minimal illegal positions, over all basic positions."""
-        return ideal(self.index.names, self.index.part_map(), self._named(self.minimal_masks))
+        return ideal(self.index.names, self.index.parts, self._named(self.minimal_masks))
 
 
 def _compiled(game: Ruleset, board: Board, cap: int) -> tuple[BasicPositionIndex, Predicate]:
@@ -316,26 +314,14 @@ def _board_analysis(game: Ruleset, board: Board, cap: int) -> GameAnalysis:
 
 def legal_complex(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> LabeledComplex:
     """Shorthand for ``analyze(game, board, cap=cap).legal_complex()``; the
-    four shorthands share one analysis per board, game object and cap."""
+    two shorthands share one analysis per board, game object and cap."""
     return _board_analysis(game, board, cap).legal_complex()
-
-
-def legal_ideal(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> SquareFreeIdeal:
-    """Shorthand for ``analyze(game, board, cap=cap).legal_ideal()``; the
-    four shorthands share one analysis per board, game object and cap."""
-    return _board_analysis(game, board, cap).legal_ideal()
 
 
 def illegal_complex(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> LabeledComplex:
     """Shorthand for ``analyze(game, board, cap=cap).illegal_complex()``; the
-    four shorthands share one analysis per board, game object and cap."""
+    two shorthands share one analysis per board, game object and cap."""
     return _board_analysis(game, board, cap).illegal_complex()
-
-
-def illegal_ideal(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> SquareFreeIdeal:
-    """Shorthand for ``analyze(game, board, cap=cap).illegal_ideal()``; the
-    four shorthands share one analysis per board, game object and cap."""
-    return _board_analysis(game, board, cap).illegal_ideal()
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +419,6 @@ def check_invariance(
             occupied |= by_name[b].occupied
             if len(chosen) == k:
                 break
-        if not chosen:
-            continue
         sub_vertices = sorted(occupied)
         sub_edges = [e for e in board.edges if set(e) <= occupied]
         embeddings = boards.induced_embeddings(board, sub_vertices, sub_edges, limit=24)

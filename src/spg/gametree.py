@@ -1,12 +1,12 @@
 """Game trees over legal complexes, and canonical normal-play values.
 
-The game tree of a complex is its face lattice
-(:attr:`~spg.complexes.LabeledComplex.face_masks`) read from the empty face: a
-node is a face, and its children are the faces one vertex larger, in vertex
-order.  Equal faces are one node, so the structure is a DAG; its unfolding is
-the move-sequence tree, in which every ordering of a face is a play sequence,
-so the unfolded tree has sum-over-faces-of-|F|! nodes.  A :class:`GameTree`
-holds only the complex.
+The game tree of a legal complex is the complex itself: its face lattice
+(:attr:`~spg.complexes.LabeledComplex.face_masks`) read from the empty face,
+in which a node is a face and its children are the faces one vertex larger,
+in vertex order.  Equal faces are one node, so the structure is a DAG; its
+unfolding is the move-sequence tree, in which every ordering of a face is a
+play sequence, so the unfolded tree has sum-over-faces-of-|F|! nodes
+(:attr:`~spg.complexes.LabeledComplex.node_count`).
 
 :func:`fold` is the one walk of the tree.  The value of a complex that is not
 flag, tree isomorphism, the DOT export and the CLI's printed tree are folds:
@@ -34,9 +34,7 @@ form, so a printed value does not depend on the order values were interned in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count
-from math import factorial
 from typing import Callable, Iterable, Optional, TypeVar
 
 from .complexes import LabeledComplex, are_isomorphic, bits, flag_conflicts
@@ -47,49 +45,24 @@ T = TypeVar("T")
 Move = tuple[str, str, T]
 
 
-@dataclass(frozen=True, eq=False)
-class GameTree:
-    """The game tree of a legal complex.
-
-    Its positions are the faces of the complex, read from the empty face: a
-    move adds one vertex, played by the vertex's part.  The tree is walked
-    with :func:`fold`; the unfolding of its DAG of faces is the
-    move-sequence tree.
-    """
-
-    complex: LabeledComplex
-
-    @cached_property
-    def node_count(self) -> int:
-        """Number of nodes of the unfolded move-sequence tree: one per play
-        sequence, that is one per ordering of each face, or a lone root for
-        the void complex."""
-        return sum(factorial(f.bit_count()) for f in self.complex.face_masks) or 1
-
-    def __repr__(self) -> str:
-        return f"GameTree({self.complex!r})"
+def build_tree(delta: LabeledComplex) -> LabeledComplex:
+    """The game tree of a legal complex: the complex itself, read through
+    :func:`fold` and :attr:`~spg.complexes.LabeledComplex.node_count`.  spg
+    passes complexes straight to those; this name is kept for callers that
+    build and time a tree by name."""
+    return delta
 
 
-def build_tree(delta: LabeledComplex) -> GameTree:
-    """The move tree of a legal complex, rooted at the empty position.
-
-    The void complex and the single-face complex both yield a lone root: in
-    either case no move is available.
-    """
-    return GameTree(delta)
-
-
-def fold(tree: GameTree, combine: Callable[[int, list[Move]], T]) -> T:
-    """Combine every face of the complex with ``combine(mask, moves)``, where
-    ``moves`` lists ``(label, vertex, result)`` per child in move order, and
-    return the root's result.
+def fold(delta: LabeledComplex, combine: Callable[[int, list[Move]], T]) -> T:
+    """Combine every face of the complex, that is every node of its game
+    tree, with ``combine(mask, moves)``, where ``moves`` lists ``(label,
+    vertex, result)`` per child in move order, and return the root's result.
 
     The faces are combined in descending mask order, largest first: every
     face one vertex larger is a larger mask, so each face is combined once,
     after its children, and reads its moves, in vertex order, from faces
     already combined.  The void complex combines the empty root alone.
     """
-    delta = tree.complex
     moves = [(1 << i, delta.part[v], v) for i, v in enumerate(delta.vertices)]
     done: dict[int, T] = {}
     for face in sorted(delta.face_masks or [0], reverse=True):
@@ -98,8 +71,9 @@ def fold(tree: GameTree, combine: Callable[[int, list[Move]], T]) -> T:
     return done[0]
 
 
-def trees_isomorphic(t1: GameTree, t2: GameTree) -> bool:
-    """Root-preserving, player-label-preserving tree isomorphism.
+def trees_isomorphic(d1: LabeledComplex, d2: LabeledComplex) -> bool:
+    """Root-preserving, player-label-preserving isomorphism of the game trees
+    of two complexes.
 
     Each tree is folded once.  Children are compared as multisets via interned canonical codes, so the
     check is linear in the shared structure even when the unfolded trees are
@@ -111,12 +85,12 @@ def trees_isomorphic(t1: GameTree, t2: GameTree) -> bool:
         key = tuple(sorted((label, kid) for label, _, kid in moves))
         return codes.setdefault(key, len(codes))
 
-    return fold(t1, code) == fold(t2, code)
+    return fold(d1, code) == fold(d2, code)
 
 
-def tree_to_dot(t: GameTree) -> str:
-    """DOT export of the shared DAG: one node per face, whose tooltip names
-    the face, and one edge per move.
+def tree_to_dot(delta: LabeledComplex) -> str:
+    """DOT export of the game tree's shared DAG: one node per face, whose
+    tooltip names the face, and one edge per move.
 
     Edge colour encodes the mover (L blue, R red).  Nodes are numbered
     children first, so the root is the last node.
@@ -126,14 +100,14 @@ def tree_to_dot(t: GameTree) -> str:
 
     def emit(mask: int, moves: list[Move]) -> int:
         my_id = next(ids)
-        face = ",".join(sorted(t.complex.face_names(mask))) or "{}"
+        face = ",".join(sorted(delta.face_names(mask))) or "{}"
         lines.append(f'  n{my_id} [tooltip="{face}"];')
         for label, vertex, child_id in moves:
             color = "blue" if label == "L" else "red"
             lines.append(f'  n{my_id} -> n{child_id} [color={color}, label="{vertex}"];')
         return my_id
 
-    fold(t, emit)
+    fold(delta, emit)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -282,13 +256,13 @@ def canonical_value(delta: LabeledComplex) -> CanonicalValue:
     ``S`` minus v's conflicts.  The walk first collects every reachable
     playable set with its components, then values them smallest first, each
     from values already computed; values are kept by vertex mask and sums by
-    pair of values, both for this call only.  Any other complex is a fold of
-    :func:`build_tree`: one :func:`make_value` per face, from the values of
-    the faces one move further.
+    pair of values, both for this call only.  Any other complex is a
+    :func:`fold` of its tree: one :func:`make_value` per face, from the
+    values of the faces one move further.
     """
     conflict = flag_conflicts(delta)
     if conflict is None:
-        return fold(build_tree(delta), _value_of)
+        return fold(delta, _value_of)
     left = sum(1 << i for i, v in enumerate(delta.vertices) if delta.part[v] == "L")
     full = (1 << len(conflict)) - 1
     # every reachable playable set, with its connected components
@@ -420,5 +394,5 @@ def legal_iso_iff_tree_iso(d1: LabeledComplex, d2: LabeledComplex) -> IsoAgreeme
     property under test, never assumed.
     """
     complexes = are_isomorphic(d1, d2) is not None
-    trees = trees_isomorphic(build_tree(d1), build_tree(d2))
+    trees = trees_isomorphic(d1, d2)
     return IsoAgreementReport(complexes, trees)

@@ -212,33 +212,20 @@ def cycle_placement_game(delta: LabeledComplex) -> Ruleset:
 # The distance game built from an illegal complex
 
 
-@dataclass(frozen=True)
-class IdSet:
-    """A facet together with the pairwise distances that realise it."""
-
-    facet: frozenset[str]
-    distances: frozenset[int]
-
-    def __post_init__(self) -> None:
-        f = len(self.facet)
-        if len(self.distances) != f * (f - 1) // 2:
-            raise ValueError("id-set size must be C(|facet|, 2)")
-
-
 def id_sets(
     gamma: LabeledComplex,
     edge_labeling: Mapping[frozenset[str], int] | None = None,
-) -> tuple[IdSet, ...]:
-    """One id-set per facet: the labels of the facet's edges, each plus one."""
+) -> tuple[tuple[frozenset[str], frozenset[int]], ...]:
+    """One ``(facet, id-set)`` pair per facet: the id-set holds the labels of
+    the facet's edges, each plus one.  The labeling is a bijection onto
+    1..k (``distance_labeling`` checks it), so a facet of size f has an
+    id-set of C(f, 2) distances."""
     labeling = boards.distance_labeling(gamma, edge_labeling)
     index = {v: i for i, v in enumerate(gamma.vertices)}
-    out = []
-    for f in sorted(gamma.facets, key=lambda f: tuple(sorted(index[v] for v in f))):
-        dists = frozenset(
-            labeling[frozenset(pair)] + 1 for pair in combinations(sorted(f), 2)
-        )
-        out.append(IdSet(f, dists))
-    return tuple(out)
+    return tuple(
+        (f, frozenset(labeling[frozenset(pair)] + 1 for pair in combinations(sorted(f), 2)))
+        for f in sorted(gamma.facets, key=lambda f: tuple(sorted(index[v] for v in f)))
+    )
 
 
 def gamma_game(
@@ -254,10 +241,9 @@ def gamma_game(
     """
     if gamma.is_empty:
         return free_placement()
-    ids = id_sets(gamma, edge_labeling)
     by_size: dict[int, set[frozenset[int]]] = {}
-    for i in ids:
-        by_size.setdefault(len(i.facet), set()).add(i.distances)
+    for facet, distances in id_sets(gamma, edge_labeling):
+        by_size.setdefault(len(facet), set()).add(distances)
     n = len(gamma.vertices)
     pieces = {"L": (boards.gamma_piece(n, "L"),), "R": (boards.gamma_piece(n, "R"),)}
 

@@ -77,6 +77,26 @@ def random_complex(rng: random.Random, max_vertices: int = 6) -> LabeledComplex:
     return from_facets(fams, part)
 
 
+def node_count_oracle(delta: LabeledComplex) -> int:
+    """The number of play sequences on ``delta``, the empty one included,
+    counted move by move from the facets alone: a position extends by a
+    vertex whenever the larger set lies in some facet, and the count of
+    sequences from a position is memoised by its set.  It reads neither
+    ``face_masks`` nor ``faces``, so a wrong face list cannot pass it."""
+    memo: dict[frozenset[str], int] = {}
+
+    def sequences(position: frozenset[str]) -> int:
+        if position not in memo:
+            memo[position] = 1 + sum(
+                sequences(position | {v})
+                for v in delta.vertices
+                if v not in position and any(position | {v} <= f for f in delta.facets)
+            )
+        return memo[position]
+
+    return sequences(frozenset())
+
+
 def connected_boards(n: int):
     """All labeled connected graphs on vertex set 0..n-1, as boards."""
     vs = list(range(n))

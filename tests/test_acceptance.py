@@ -6,7 +6,6 @@ wall-clock limits the checks are required to meet.
 """
 from __future__ import annotations
 
-import math
 import random
 import time
 from itertools import combinations
@@ -30,11 +29,9 @@ from spg.engine import (
     analyze,
     check_invariance,
     illegal_complex,
-    illegal_ideal,
     legal_complex,
-    legal_ideal,
 )
-from spg.gametree import build_tree, canonical_value, legal_iso_iff_tree_iso, trees_isomorphic
+from spg.gametree import canonical_value, legal_iso_iff_tree_iso, trees_isomorphic
 from spg.rulesets import col, domineering, nogo, snort
 
 from conftest import (
@@ -42,6 +39,7 @@ from conftest import (
     antichains,
     connected_boards,
     degree_one_game,
+    node_count_oracle,
     random_complex,
 )
 
@@ -53,8 +51,8 @@ def fs(*names: str) -> frozenset[str]:
 @pytest.mark.acceptance(criterion=1, title="domineering ideals on the L-shaped board")
 def test_criterion_1_domineering_ideals(lshape_board):
     t0 = time.perf_counter()
-    legal = legal_ideal(domineering(), lshape_board)
-    illegal = illegal_ideal(domineering(), lshape_board)
+    a = analyze(domineering(), lshape_board)
+    legal, illegal = a.legal_ideal(), a.illegal_ideal()
     assert legal.generators == {fs("x1", "y3"), fs("x2")}
     assert illegal.generators == {
         fs("x1", "x2"),
@@ -110,7 +108,7 @@ def test_criterion_3_legal_sides_differ():
     assert d2 == empty_face_complex()
     assert d3 == from_facets([["x2"], ["y2"]], {"x2": "L", "y2": "R"})
     assert are_isomorphic(d2, d3) is None
-    assert not trees_isomorphic(build_tree(d2), build_tree(d3))
+    assert not trees_isomorphic(d2, d3)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -166,15 +164,9 @@ def test_criterion_7_invariant_rerealization(lshape_board):
     rep = to_invariant(domineering(), lshape_board)
     assert rep.game.claims_invariant
     recovered = legal_complex(rep.game, rep.board)
-    assert trees_isomorphic(build_tree(original), build_tree(recovered))
+    assert trees_isomorphic(original, recovered)
     assert canonical_value(original) is canonical_value(recovered)
     assert time.perf_counter() - t0 < 600.0
-
-
-def node_count_oracle(delta) -> int:
-    # one tree node per ordering of each face; the root (empty position) is
-    # always present, even when nothing at all is a face
-    return max(1, sum(math.factorial(len(f)) for f in faces(delta)))
 
 
 @pytest.mark.acceptance(criterion=8, title="tree isomorphism tracks complex isomorphism")
@@ -185,9 +177,9 @@ def test_criterion_8_iso_agreement():
     # always reachable) coincides with the tree of the empty-face complex
     # while the complexes themselves share no facet bijection
     corpus = [c for c in all_labeled_complexes(("a", "b", "c")) if not c.is_void]
-    assert build_tree(void_complex()).node_count == 1
+    assert void_complex().node_count == 1
     for delta in corpus:
-        assert build_tree(delta).node_count == node_count_oracle(delta)
+        assert delta.node_count == node_count_oracle(delta)
     for d1, d2 in combinations(corpus, 2):
         rep = legal_iso_iff_tree_iso(d1, d2)
         assert rep.agree, (d1, d2)
@@ -196,12 +188,12 @@ def test_criterion_8_iso_agreement():
     previous = None
     for _ in range(200):
         delta = random_complex(rng, max_vertices=6)
-        assert build_tree(delta).node_count == node_count_oracle(delta)
+        assert delta.node_count == node_count_oracle(delta)
         names = list(delta.vertices)
         shuffled = names[:]
         rng.shuffle(shuffled)
         twin = relabel(delta, dict(zip(names, shuffled)))
-        assert trees_isomorphic(build_tree(delta), build_tree(twin))
+        assert trees_isomorphic(delta, twin)
         if previous is not None:
             assert legal_iso_iff_tree_iso(previous, delta).agree
         previous = delta
@@ -246,7 +238,7 @@ def test_criterion_10_independence_suite():
         for board_ in connected_boards(n):
             for game in (snort(), col()):
                 a = analyze(game, board_)
-                parts = a.index.part_map()
+                parts = a.index.parts
                 maximal = [s for s in a.legal if not any(s < t for t in a.legal)]
                 delta = from_facets(maximal, parts)
                 gamma = from_facets(a.minimal_illegal, parts)

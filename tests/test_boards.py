@@ -14,6 +14,7 @@ from spg.boards import (
     BudgetExceeded,
     Piece,
     _SearchPlan,
+    _ringed_cycle,
     _search,
     _search_order,
     _symmetry_conditions,
@@ -39,7 +40,6 @@ from spg.boards import (
     induced_embeddings,
     piece_placements,
     placement,
-    ringed_cycle_piece,
     vertex_piece,
 )
 from spg.complexes import from_facets, has_isolated_vertex
@@ -169,6 +169,13 @@ def test_placements_add_over_disjoint_union():
 
 STAR = Piece("L", (0, 1, 2, 3), frozenset({(0, 1), (0, 2), (0, 3)}))
 PATH3 = Piece("R", (0, 1, 2), frozenset({(0, 1), (1, 2)}))
+
+
+def ringed_piece(outer_len: int, inner_len: int, count: int, player: str) -> Piece:
+    """An ``outer_len``-cycle with an inner ``inner_len``-cycle joined to
+    each of its first ``count`` vertices."""
+    n, edges = _ringed_cycle(outer_len, inner_len, range(count))
+    return Piece(player, tuple(range(n)), frozenset(edges))
 
 
 def random_board(rng: random.Random, n: int, p: float = 0.5):
@@ -460,7 +467,7 @@ def random_sparse_board(rng, n):
 SEARCH_PATTERNS = [
     STAR, PATH3, cycle_piece(3, "L"), cycle_piece(4, "R"), cycle_piece(5, "L"), domino_piece("R"),
     Piece("L", tuple(range(5)), frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})),
-    ringed_cycle_piece(4, 3, 1, "L"), ringed_cycle_piece(5, 3, 2, "R"),
+    ringed_piece(4, 3, 1, "L"), ringed_piece(5, 3, 2, "R"),
 ]
 
 
@@ -736,7 +743,7 @@ def test_gamma_piece_is_shared_and_plans_once(monkeypatch):
 
 
 def test_budget_exceeded_caches_no_conditions():
-    piece = ringed_cycle_piece(6, 3, 2, "L")
+    piece = ringed_piece(6, 3, 2, "L")
     with pytest.raises(BudgetExceeded):
         piece_placements(build_cycle(5), piece, deadline=time.monotonic() - 1)
     assert piece._plan is None

@@ -90,7 +90,17 @@ def test_game_complex_out_file_shape(run, tmp_path):
     assert code == 0
     obj = json.loads(out_path.read_text())
     assert set(obj) == {"kind", "complex", "ideal"}
-    assert set(obj["ideal"]) == {"variables", "generators"}
+    assert set(obj["ideal"]) == {"variables", "generators", "parts"}
+    # the ideal keeps its parts through a later dual
+    ideal_path, dual_path = tmp_path / "ideal.json", tmp_path / "dual.json"
+    ideal_path.write_text(json.dumps(obj["ideal"]))
+    code, _, _ = run(
+        "complex", "dual", "--ideal", str(ideal_path), "--to", "facet-complex",
+        "--out", str(dual_path),
+    )
+    assert code == 0
+    parts = {v["id"]: v["part"] for v in json.loads(dual_path.read_text())["vertices"]}
+    assert parts == {"x1": "L", "x2": "L", "y1": "R", "y2": "R"}
 
 
 def test_game_value_and_outcome(run):

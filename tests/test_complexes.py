@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import time
 from itertools import chain, combinations
@@ -13,11 +14,10 @@ from spg.complexes import (
     SquareFreeIdeal,
     are_isomorphic,
     canonical_vertex_order,
-    complex_from_json,
-    complex_to_json,
     complex_from_obj,
     complex_to_obj,
     dimension,
+    dumps,
     empty_face_complex,
     faces,
     facet_complex,
@@ -26,6 +26,8 @@ from spg.complexes import (
     from_facets,
     has_isolated_vertex,
     ideal,
+    ideal_from_obj,
+    ideal_to_obj,
     independence_complex,
     is_flag,
     is_pure,
@@ -297,7 +299,14 @@ def test_are_isomorphic_needs_no_recursion_per_vertex():
 
 def test_json_roundtrip_on_corpus():
     for delta in all_labeled_complexes("abc"):
-        assert complex_from_json(complex_to_json(delta)) == delta
+        assert complex_from_obj(json.loads(dumps(complex_to_obj(delta)))) == delta
+
+
+def test_ideal_json_roundtrip_keeps_parts():
+    rng = random.Random(11)
+    for delta in [*all_labeled_complexes("abc"), *(random_complex(rng) for _ in range(100))]:
+        for idl in (facet_ideal(delta), sr_ideal(delta)):
+            assert ideal_from_obj(json.loads(dumps(ideal_to_obj(idl)))) == idl
 
 
 def test_json_rejects_malformed():

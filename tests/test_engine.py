@@ -30,9 +30,7 @@ from spg.engine import (
     check_condition_iv,
     check_invariance,
     illegal_complex,
-    illegal_ideal,
     legal_complex,
-    legal_ideal,
 )
 from spg.rulesets import (
     Ruleset,
@@ -57,7 +55,7 @@ def test_basic_positions_canonical_index(lshape_board):
     assert [sorted(idx.by_name[n].occupied) for n in idx.names] == [
         [0, 1], [1, 2], [2, 3], [0, 1], [1, 2], [2, 3],
     ]
-    parts = idx.part_map()
+    parts = idx.parts
     assert [n for n in idx.names if parts[n] == "L"] == ["x1", "x2", "x3"]
     assert parts["y2"] == "R"
 
@@ -95,7 +93,7 @@ def test_legal_complex_is_sr_complex_of_illegal_ideal():
         (free_placement(), build_path(2)),
     ]
     for game, board in cases:
-        assert legal_complex(game, board) == sr_complex(illegal_ideal(game, board))
+        assert legal_complex(game, board) == sr_complex(analyze(game, board).illegal_ideal())
 
 
 def _maximal(family):
@@ -122,13 +120,13 @@ def test_maximal_legal_matches_pairwise_scan(lshape_board):
         legal = closure_oracle(game, board)[0]
         assert _maximal_named(a) == _maximal(legal), (game.name, board)
         assert a.legal_complex() == legal_complex(game, board)
-        assert a.legal_ideal() == legal_ideal(game, board)
         assert a.illegal_complex() == illegal_complex(game, board)
-        assert a.illegal_ideal() == illegal_ideal(game, board)
+        assert a.legal_ideal().generators == a.legal_complex().facets
+        assert a.illegal_ideal().generators == a.illegal_complex().facets
 
 
 def test_legal_ideal_generators_are_maximal_legal():
-    idl = legal_ideal(snort(), build_path(2))
+    idl = analyze(snort(), build_path(2)).legal_ideal()
     assert idl.generators == frozenset({frozenset({"x1", "x2"}), frozenset({"y1", "y2"})})
     assert set(idl.variables) == {"x1", "x2", "y1", "y2"}
     gamma = illegal_complex(snort(), build_path(2))
@@ -260,7 +258,7 @@ def _counting(game):
     return dataclasses.replace(game, legal=legal), calls
 
 
-SHORTHANDS = (legal_complex, illegal_complex, legal_ideal, illegal_ideal)
+SHORTHANDS = (legal_complex, illegal_complex)
 
 
 def test_shorthands_share_one_analysis_per_board():
@@ -294,7 +292,7 @@ def test_analysis_kept_on_the_board_holds_no_name_sets():
     # it keeps the facets, and the names are still there when asked for
     assert _maximal_named(kept) == legal.facets
     assert kept.legal_complex() == legal
-    assert from_facets(kept.minimal_illegal, kept.index.part_map()) == illegal
+    assert from_facets(kept.minimal_illegal, kept.index.parts) == illegal
 
 
 def test_shorthands_store_no_failed_analysis():

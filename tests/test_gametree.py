@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import os
 import random
 import subprocess
@@ -43,7 +42,9 @@ from spg.gametree import (
     value_str,
 )
 from spg.rulesets import col, snort
-from conftest import all_labeled_complexes, connected_boards, part_assignments, random_complex
+from conftest import (
+    all_labeled_complexes, connected_boards, node_count_oracle, part_assignments, random_complex,
+)
 
 
 LSHAPE_DELTA = from_facets(
@@ -73,31 +74,28 @@ def outcome_oracle(delta) -> str:
     return "L" if lw else "R"
 
 
-def node_count_oracle(delta) -> int:
-    return sum(math.factorial(len(f)) for f in faces(delta)) or 1
-
-
 def test_tree_nodes_count_move_sequences():
-    assert build_tree(LSHAPE_DELTA).node_count == 6
+    assert build_tree(LSHAPE_DELTA) is LSHAPE_DELTA
+    assert LSHAPE_DELTA.node_count == 6
     full = from_facets([["a", "b", "c"]], {v: "L" for v in "abc"})
-    assert build_tree(full).node_count == 1 + 3 + 6 + 6
+    assert full.node_count == 1 + 3 + 6 + 6
 
 
 def test_tree_degenerate_inputs():
-    assert build_tree(void_complex()).node_count == 1
-    assert build_tree(empty_face_complex()).node_count == 1
+    assert void_complex().node_count == 1
+    assert empty_face_complex().node_count == 1
     calls = []
-    fold(build_tree(void_complex()), lambda mask, moves: calls.append((mask, moves)))
+    fold(void_complex(), lambda mask, moves: calls.append((mask, moves)))
     assert calls == [(0, [])]
 
 
 def test_tree_counts_match_oracle_on_corpus():
     for delta in all_labeled_complexes("abc"):
-        assert build_tree(delta).node_count == node_count_oracle(delta), delta
+        assert delta.node_count == node_count_oracle(delta), delta
 
 
 def test_tree_children_are_sorted_moves():
-    root = fold(build_tree(LSHAPE_DELTA), lambda _, moves: [(p, v) for p, v, _ in moves])
+    root = fold(LSHAPE_DELTA, lambda _, moves: [(p, v) for p, v, _ in moves])
     assert root == [("L", "x1"), ("L", "x2"), ("R", "y3")]
 
 
@@ -135,7 +133,7 @@ def assert_fold_matches_nodes(delta) -> None:
             seen[node.face] = node
             stack.extend(child for _, _, child in node.children)
     assert len(seen) == max(len(delta.face_masks), 1)
-    assert build_tree(delta).node_count == root.node_count, delta
+    assert delta.node_count == root.node_count, delta
     # the fold combines every face exactly once, after every face one vertex
     # larger, with its moves in vertex order
     combined: set = set()
@@ -150,7 +148,7 @@ def assert_fold_matches_nodes(delta) -> None:
         combined.add(face)
         return face
 
-    assert fold(build_tree(delta), record) == frozenset()
+    assert fold(delta, record) == frozenset()
     assert combined == set(seen), delta
 
 
@@ -165,24 +163,24 @@ def test_tree_fold_matches_node_trees():
 def test_trees_isomorphic_under_relabel():
     mapping = {"x1": "a", "x2": "b", "y3": "c"}
     other = relabel(LSHAPE_DELTA, mapping)
-    assert trees_isomorphic(build_tree(LSHAPE_DELTA), build_tree(other))
+    assert trees_isomorphic(LSHAPE_DELTA, other)
 
 
 def test_trees_not_isomorphic_when_parts_swap():
     one = from_facets([["a"]], {"a": "L"})
     other = from_facets([["a"]], {"a": "R"})
-    assert not trees_isomorphic(build_tree(one), build_tree(other))
+    assert not trees_isomorphic(one, other)
 
 
 def test_tree_dot_output():
-    text = tree_to_dot(build_tree(LSHAPE_DELTA))
+    text = tree_to_dot(LSHAPE_DELTA)
     assert "digraph tree {" in text
     assert "color=blue" in text and "color=red" in text
 
 
 def test_tree_dot_is_the_shared_dag():
     delta = legal_complex(snort(), build_path(4))
-    lines = tree_to_dot(build_tree(delta)).splitlines()
+    lines = tree_to_dot(delta).splitlines()
     face_set = faces(delta)
     assert sum("tooltip=" in line for line in lines) == len(face_set)
     # every nonempty face F is reached by one move from each of its |F| subfaces
@@ -251,11 +249,11 @@ def test_value_str_sorts_options_by_printed_form():
 _SNORT_PATH10 = """
 from spg.boards import build_path
 from spg.engine import legal_complex
-from spg.gametree import _value_of, build_tree, canonical_value, fold, value_str
+from spg.gametree import _value_of, canonical_value, fold, value_str
 from spg.rulesets import snort
 delta = legal_complex(snort(), build_path(10))
 if {fold_first}:
-    fold(build_tree(delta), _value_of)
+    fold(delta, _value_of)
 print(value_str(canonical_value(delta)))
 """
 
@@ -363,7 +361,7 @@ def graph_complexes(vertices, edges):
 def assert_factor_path_matches(delta) -> None:
     assert flag_conflicts(delta) is not None, delta
     got = canonical_value(delta)
-    assert got is fold(build_tree(delta), _value_of), delta
+    assert got is fold(delta, _value_of), delta
     assert got is reference_value(delta), delta
 
 
@@ -397,7 +395,7 @@ def test_non_flag_complex_takes_the_fold():
     hollow = from_facets([["a", "b"], ["b", "c"], ["a", "c"]], {"a": "L", "b": "R", "c": "L"})
     assert flag_conflicts(hollow) is None
     got = canonical_value(hollow)
-    assert got is fold(build_tree(hollow), _value_of)
+    assert got is fold(hollow, _value_of)
     assert got is reference_value(hollow)
     # seeded random complexes on up to 6 vertices, kept when not flag
     rng = random.Random(17)

@@ -16,7 +16,6 @@ from spg.boards import (
 )
 from spg.complexes import empty_face_complex, from_facets, void_complex
 from spg.rulesets import (
-    IdSet,
     _covered_names,
     col,
     cycle_placement_game,
@@ -216,15 +215,13 @@ def test_cycle_placement_game_is_unrestricted(table_board):
 
 def test_id_sets_default_labeling():
     ids = id_sets(P3_GAMMA)
-    assert [(sorted(i.facet), sorted(i.distances)) for i in ids] == [
+    assert [(sorted(facet), sorted(distances)) for facet, distances in ids] == [
         (["a", "b"], [2]),
         (["b", "c"], [3]),
     ]
 
 
 def test_id_set_size_validation():
-    with pytest.raises(ValueError):
-        IdSet(frozenset("ab"), frozenset({1, 2}))
     with pytest.raises(ValueError):
         id_sets(from_facets([["a"]], {"a": "L"}))
 
