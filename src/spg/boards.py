@@ -4,21 +4,22 @@ Boards carry integer vertex ids and optional grid coordinates.  ``Board``
 is the one graph type: its constructor is the one place an adjacency is
 built and a graph validated, and pieces and induced patterns are built as
 boards too.  Each board also keeps the memos computed from it (its runs of
-degree-2 vertices, and the last game analysis made by the ``engine``
-shorthands), so they are freed with the board.  Pieces are connected
-graphs owned by one player; a placement is the vertex image of an
+degree-2 vertices, and the last game analysis and basic-position index the
+``engine`` made on it), so they are freed with the board.  Pieces are
+connected graphs owned by one player; a placement is the vertex image of an
 embedding of a piece into a board.
 
-Embeddings are not-necessarily-induced (or, on request, induced) subgraph
-embeddings found by one iterative backtracking search, which serves piece
-placements, piece automorphisms and the induced, possibly disconnected,
-patterns of :func:`induced_embeddings` alike: an explicit stack of candidate
-lists drawn from the board's sorted neighbour tuples, and no recursion, so
-pattern size is not bounded by Python's recursion limit.  What the search
-needs to know about its pattern is a ``_SearchPlan``, made once per pattern
-and memoised on the piece.  Its look-ahead rule (the run rule), its forced
-moves and its walks a run slice at a time are stated once, in the
-docstrings of ``_SearchPlan`` and ``_search``.
+Embeddings are not-necessarily-induced subgraph embeddings found by one
+iterative backtracking search, which serves piece placements, piece
+automorphisms and the induced, possibly disconnected, patterns of
+:func:`induced_embeddings` (the embeddings whose images span no extra
+edge) alike: an explicit stack of candidate lists drawn from the board's
+sorted neighbour tuples, and no recursion, so pattern size is not bounded
+by Python's recursion limit.  What the search needs to know about its
+pattern is a ``_SearchPlan``, made once per pattern and memoised on the
+piece.  Its look-ahead rule (the run rule), its forced moves and its walks
+a run slice at a time are stated once, in the docstrings of ``_SearchPlan``
+and ``_search``.
 
 For placements the search is symmetry-broken: the piece's automorphisms
 (found by embedding the piece into itself) give Grochow-Kellis conditions
@@ -41,7 +42,7 @@ from itertools import combinations, filterfalse, islice, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .complexes import LabeledComplex, has_isolated_vertex
+from .complexes import LabeledComplex
 
 
 class BudgetExceeded(RuntimeError):
@@ -74,7 +75,7 @@ class Board:
     _nbrs: dict = field(init=False, repr=False)
     # engine-owned memos, one entry each: the last analysis made on this
     # board (game, cap, analysis), and its last basic-position index (the
-    # pieces per player, index), shared by every ruleset with those pieces
+    # two pieces, index), shared by every ruleset with those pieces
     _analysis: Optional[tuple] = field(init=False, repr=False)
     _positions: Optional[tuple] = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
@@ -372,7 +373,7 @@ class _SearchPlan:
       exceed the image at ``i`` (the symmetry conditions);
     * ``chain[i]``: whether ``i`` is a chain position, one whose only
       earlier neighbour is position ``i - 1`` and which has no symmetry
-      condition, so that a non-induced search may take a forced move there;
+      condition, so that the search may take a forced move there;
     * ``land[i]``: the landing of a run entered at ``i``, or ``None``.  It is
       set when ``i`` has one earlier neighbour and degree need 2, positions
       ``i + 1 .. q - 1`` are chain positions of need 2, and ``q - 1`` is an
@@ -439,22 +440,18 @@ class _SearchPlan:
 def _search(
     plan: _SearchPlan,
     target: Board,
-    induced: bool = False,
     deadline: float | None = None,
 ) -> Iterator[dict[int, int]]:
     """Yield every embedding of the plan's pattern into the target board.
 
-    Pattern edges must map to target edges; with ``induced`` pattern non-edges
-    must map to target non-edges as well.  Each ``(a, b)`` among the plan's
+    Pattern edges must map to target edges.  Each ``(a, b)`` among the plan's
     conditions keeps only the embeddings with ``image[a] < image[b]``; it is
     checked when the later of ``a`` and ``b`` in the search order is mapped.
     Embeddings come in lexicographic order of their images along the search
     order.
 
     Disconnected patterns need no special case: a position with no earlier
-    neighbour draws from every board vertex, and the ``induced`` filter
-    rejects a candidate adjacent to the image of any earlier non-neighbour,
-    in whichever component.
+    neighbour draws from every board vertex.
 
     One look-ahead rule, the run rule, drops candidates that cannot
     complete, in the spirit of VF2's look-ahead (Cordella et al., 2004), so
@@ -479,10 +476,10 @@ def _search(
     condition only filters, whichever position checks it.
 
     Forced moves: at a chain position (its only earlier neighbour is the
-    position before it, and it has no symmetry condition) a non-induced
-    search reads the unused neighbours of the previous image without
-    building a candidate list.  With none the branch is dead; with exactly
-    one it takes it in place when it passes the degree filter, and the run
+    position before it, and it has no symmetry condition) the search reads
+    the unused neighbours of the previous image without building a
+    candidate list.  With none the branch is dead; with exactly one it
+    takes it in place when it passes the degree filter, and the run
     rule when it leaves a branch vertex for a run (a step inside a run was
     checked when the run was entered), and pushes a spent iterator for the
     position, so backtracking runs as for any other; with more it lists the
@@ -563,18 +560,12 @@ def _search(
         if below[i]:
             hi = min(image[j] for j in below[i])
             out = [w for w in out if w < hi]
-        if induced:
-            # the images of earlier neighbours are neighbours of every
-            # candidate, so any further used neighbour is the image of an
-            # earlier non-neighbour
-            out = [w for w in out if sum(1 for x in t_adj[w] if x in used) == len(prior)]
         spec = land[i]
         if spec is not None and out:
             out = landing(spec, out, image[prior[0]])
         return out
 
-    chain = [False] * k if induced else plan.chain
-    stretch = plan.stretch
+    chain, stretch = plan.chain, plan.stretch
     # stack[i] iterates the candidates for position i (after a forced move,
     # the shared spent iterator); ``used`` holds the images of the positions
     # below the top of the stack; ``slices`` holds the (first, last)
@@ -696,9 +687,19 @@ def induced_embeddings(
     """Embeddings of an induced pattern (vertices plus exact edge set) into the
     board, non-edges required to stay non-edges, in the order of
     :func:`_search`; at most ``limit`` of them.  The pattern may be
-    disconnected."""
-    plan = _SearchPlan(sub_vertices, Board(tuple(sub_vertices), frozenset(sub_edges))._adj)
-    return list(islice(_search(plan, target, induced=True), limit))
+    disconnected.
+
+    They are the embeddings of :func:`_search` in which each image has as
+    many neighbours among the images as its vertex has in the pattern: the
+    pattern's edges are among the images' edges, so there is no other."""
+    p_adj = Board(tuple(sub_vertices), frozenset(sub_edges))._adj
+    t_nbrs = target._nbrs
+
+    def induced(emb: dict[int, int]) -> bool:
+        images = set(emb.values())
+        return all(len(t_nbrs[w] & images) == len(p_adj[v]) for v, w in emb.items())
+
+    return list(islice(filter(induced, _search(_SearchPlan(sub_vertices, p_adj), target)), limit))
 
 
 def components(b: Board) -> list[frozenset[int]]:
@@ -752,47 +753,36 @@ def distance(b: Board, s1: Iterable[int], s2: Iterable[int]) -> int | float:
 OUTER_EXTRA = {"L": 4, "R": 5}
 
 
-def default_edge_labeling(gamma: LabeledComplex) -> dict[frozenset[str], int]:
-    """Edges of the 1-skeleton labelled 1..k in canonical lexicographic order."""
-    index = {v: i for i, v in enumerate(gamma.vertices)}
-    ordered = sorted(_one_faces(gamma), key=lambda e: tuple(sorted(index[v] for v in e)))
-    return {e: i + 1 for i, e in enumerate(ordered)}
-
-
-def _one_faces(gamma: LabeledComplex) -> set[frozenset[str]]:
-    return {frozenset(e) for f in gamma.facets for e in combinations(f, 2)}
-
-
-def check_edge_labeling(gamma: LabeledComplex, labeling: Mapping[frozenset[str], int]) -> dict[frozenset[str], int]:
-    edges = _one_faces(gamma)
-    lab = {frozenset(e): v for e, v in labeling.items()}
-    if set(lab) != edges:
-        raise ValueError("labeling domain does not match the 1-dimensional faces")
-    if sorted(lab.values()) != list(range(1, len(edges) + 1)):
-        raise ValueError("labels must be a bijection onto 1..k")
-    return lab
-
-
 def distance_labeling(
     gamma: LabeledComplex,
     edge_labeling: Mapping[frozenset[str], int] | None = None,
 ) -> dict[frozenset[str], int]:
-    """The edge labelling of the distance game for ``gamma``: the default
-    one, or ``edge_labeling`` checked.
+    """The edge labelling of the distance game for ``gamma``: by default the
+    edges of its 1-skeleton labelled 1..k in canonical lexicographic order,
+    else ``edge_labeling``, checked to be a bijection from those edges onto
+    1..k.
 
     Complexes with an isolated vertex are rejected: a lone always-forbidden
     move cannot arise from piece patterns alone.
     """
-    if has_isolated_vertex(gamma):
-        bad = sorted(min(f) for f in gamma.facets if len(f) == 1)
+    bad = sorted(min(f) for f in gamma.facets if len(f) == 1)
+    if bad:
         raise ValueError(
             f"complex has singleton facet(s) {bad}: a lone always-forbidden move "
             "cannot arise from piece patterns alone, so no placement-invariant "
             "ruleset realises it"
         )
+    edges = {frozenset(e) for f in gamma.facets for e in combinations(f, 2)}
     if edge_labeling is None:
-        return default_edge_labeling(gamma)
-    return check_edge_labeling(gamma, edge_labeling)
+        index = {v: i for i, v in enumerate(gamma.vertices)}
+        ordered = sorted(edges, key=lambda e: tuple(sorted(index[v] for v in e)))
+        return {e: i for i, e in enumerate(ordered, start=1)}
+    lab = {frozenset(e): v for e, v in edge_labeling.items()}
+    if set(lab) != edges:
+        raise ValueError("labeling domain does not match the 1-dimensional faces")
+    if sorted(lab.values()) != list(range(1, len(edges) + 1)):
+        raise ValueError("labels must be a bijection onto 1..k")
+    return lab
 
 
 def _assembly(n: int, part: str) -> tuple[int, list[Edge], list[int]]:

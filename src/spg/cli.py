@@ -73,16 +73,10 @@ def _load_json(path: str):
         raise CliError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
 
 
-def load_complex(path: str) -> LabeledComplex:
+def _load(path: str, from_obj: Callable):
+    """``from_obj`` of the JSON file at ``path``, whose complaint names the file."""
     try:
-        return complex_from_obj(_load_json(path))
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def load_ideal(path: str) -> SquareFreeIdeal:
-    try:
-        return ideal_from_obj(_load_json(path))
+        return from_obj(_load_json(path))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -136,7 +130,7 @@ def _gamma_spec(rest: str) -> tuple[LabeledComplex, Optional[Labeling]]:
     """The complex and the optional edge labeling of a ``complex.json[:labeling.json]``
     spec, shared by the ``gamma:`` board and ruleset forms."""
     path, _, labeling_path = rest.partition(":")
-    return load_complex(path), (load_labeling(labeling_path) if labeling_path else None)
+    return _load(path, complex_from_obj), (load_labeling(labeling_path) if labeling_path else None)
 
 
 _BOARD_FORMS = (
@@ -171,10 +165,7 @@ def parse_board_spec(spec: str) -> Board:
             inner = _split_top_level(rest[1:-1])
             return disjoint_union(*(parse_board_spec(p) for p in inner))
         if head == "file":
-            try:
-                return board_from_obj(_load_json(rest))
-            except ValueError as exc:
-                raise CliError(f"{rest}: {exc}") from exc
+            return _load(rest, board_from_obj)
         if head == "gamma":
             return gamma_board(*_gamma_spec(rest))
     except (ValueError, TypeError, SyntaxError) as exc:
@@ -203,9 +194,9 @@ def parse_ruleset_spec(spec: str) -> Ruleset:
     head, sep, rest = spec.partition(":")
     if sep and rest:
         if head == "table-legal":
-            return table_game_legal(load_complex(rest))
+            return table_game_legal(_load(rest, complex_from_obj))
         if head == "table-illegal":
-            return table_game_illegal(load_complex(rest))
+            return table_game_illegal(_load(rest, complex_from_obj))
         if head == "gamma":
             try:
                 return gamma_game(*_gamma_spec(rest))
@@ -222,7 +213,7 @@ Args = argparse.Namespace
 
 
 def _complex_input(args: Args) -> LabeledComplex:
-    return load_complex(args.complex)
+    return _load(args.complex, complex_from_obj)
 
 
 def _game_input(args: Args) -> tuple[Ruleset, Board]:
@@ -237,24 +228,24 @@ def _complex_or_game_input(args: Args) -> LabeledComplex | tuple[Ruleset, Board]
         return _game_input(args)
     if args.ruleset is not None or args.board is not None:
         raise CliError("give either --complex or --ruleset/--board, not both")
-    return load_complex(args.complex)
+    return _complex_input(args)
 
 
-# --to target: (flag naming the source, its loader, the correspondence)
+# --to target: (flag naming the source, its reader, the correspondence)
 _DUALS = {
-    "facet-ideal": ("complex", load_complex, facet_ideal),
-    "sr-ideal": ("complex", load_complex, sr_ideal),
-    "facet-complex": ("ideal", load_ideal, facet_complex),
-    "sr-complex": ("ideal", load_ideal, sr_complex),
+    "facet-ideal": ("complex", complex_from_obj, facet_ideal),
+    "sr-ideal": ("complex", complex_from_obj, sr_ideal),
+    "facet-complex": ("ideal", ideal_from_obj, facet_complex),
+    "sr-complex": ("ideal", ideal_from_obj, sr_complex),
 }
 
 
 def _dual_input(args: Args) -> LabeledComplex | SquareFreeIdeal:
-    flag, load, _ = _DUALS[args.to]
+    flag, from_obj, _ = _DUALS[args.to]
     path = getattr(args, flag)
     if not path:
         raise CliError(f"--to {args.to} needs --{flag}")
-    return load(path)
+    return _load(path, from_obj)
 
 
 def _labeling_input(args: Args) -> Optional[Labeling]:

@@ -93,13 +93,10 @@ def _maximal(sets: set[frozenset[str]]) -> frozenset[frozenset[str]]:
 
 
 def _minimal(sets: set[frozenset[str]]) -> frozenset[frozenset[str]]:
-    """Smallest first, so each set is compared only with the minimal sets
-    kept so far, not with the whole family."""
-    kept: list[frozenset[str]] = []
-    for s in sorted(sets, key=len):
-        if not any(t <= s for t in kept):
-            kept.append(s)
-    return frozenset(kept)
+    """The minimal sets: complements within the union reverse inclusion, so
+    they are the complements of the maximal complements."""
+    union = frozenset().union(*sets)
+    return frozenset(union - s for s in _maximal({union - s for s in sets}))
 
 
 def canonical_vertex_order(names: Iterable[str], part: Mapping[str, str]) -> tuple[str, ...]:
@@ -386,10 +383,6 @@ def is_simplex(delta: LabeledComplex) -> bool:
     return not delta.is_void and delta.facets == frozenset({frozenset(delta.vertices)})
 
 
-def has_isolated_vertex(delta: LabeledComplex) -> bool:
-    return any(len(f) == 1 for f in delta.facets)
-
-
 def independence_complex(
     vertices: Iterable[str],
     edges: Iterable[Iterable[str]],
@@ -430,15 +423,12 @@ def are_isomorphic(a: LabeledComplex, b: LabeledComplex) -> Optional[dict[str, s
     """A part-preserving vertex bijection carrying facets onto facets, or None.
 
     Deterministic: candidates are tried in canonical vertex order, so equal
-    inputs always produce the same witness bijection.
+    inputs always produce the same witness bijection.  The multisets of
+    vertex signatures (part, sizes of the facets holding the vertex) must
+    agree first; that fixes the vertex count per part and, since a facet of
+    size k is counted k times, the facet count per size.
     """
     if a.is_void != b.is_void:
-        return None
-    if len(a.vertices) != len(b.vertices) or len(a.facets) != len(b.facets):
-        return None
-    if len(a.left) != len(b.left) or len(a.right) != len(b.right):
-        return None
-    if sorted(len(f) for f in a.facets) != sorted(len(f) for f in b.facets):
         return None
     sig_a = {v: _vertex_signature(a, v) for v in a.vertices}
     sig_b = {v: _vertex_signature(b, v) for v in b.vertices}
@@ -507,9 +497,11 @@ def complex_from_obj(obj: Mapping) -> LabeledComplex:
     try:
         entries = [(entry["id"], entry["part"]) for entry in obj["vertices"]]
         facets = obj["facets"]
-        void = bool(obj.get("void", False))
+        void = obj.get("void", False)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed complex object: {exc}") from exc
+    if not isinstance(void, bool):
+        raise ValueError(f"malformed complex object: 'void' must be true or false, got {void!r}")
     if not (_is_name_list([vid for vid, _ in entries]) and isinstance(facets, list)
             and all(_is_name_list(f) for f in facets)):
         raise ValueError("malformed complex object: vertex ids and facet entries must be names")
@@ -549,7 +541,7 @@ def ideal_to_obj(ideal_: SquareFreeIdeal) -> dict:
 
 def ideal_from_obj(obj: Mapping) -> SquareFreeIdeal:
     """The ideal of an ideal object; a variable with no entry in ``parts``
-    gets part L."""
+    gets part L, and ``parts`` may name variables only."""
     try:
         variables, generators = obj["variables"], obj["generators"]
     except (KeyError, TypeError) as exc:
@@ -560,4 +552,7 @@ def ideal_from_obj(obj: Mapping) -> SquareFreeIdeal:
     parts = obj.get("parts", {})
     if not isinstance(parts, dict):
         raise ValueError("'parts' must map variable names to L or R")
+    unknown = sorted(set(parts) - set(variables))
+    if unknown:
+        raise ValueError(f"'parts' names {unknown}, which are not variables")
     return ideal(variables, {v: parts.get(v, "L") for v in variables}, generators)

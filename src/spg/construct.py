@@ -144,7 +144,7 @@ def realize_legal(delta: LabeledComplex) -> Realization:
     """
     if is_simplex(delta):
         table, regions = _cycle_table_board(delta)
-        out = Realization(cycle_placement_game(delta), table, "cycle-placement", regions=regions)
+        out = Realization(cycle_placement_game(), table, "cycle-placement", regions=regions)
     else:
         out = realize_illegal(facet_complex(sr_ideal(delta)))
         always = [v for v in delta.vertices if v not in out.regions]

@@ -105,27 +105,20 @@ class BasicPositionIndex:
 def basic_positions(game: Ruleset, board: Board, deadline: float | None = None) -> BasicPositionIndex:
     """Enumerate single-placement positions via the embedding search.
 
-    The index depends on the board and the game's pieces alone, so the board
-    keeps the last one it made: a ruleset with the same piece objects per
-    player gets that very index, with its overlaps, whatever the deadline,
-    since no search runs.  Other pieces replace it, and a call that raises
-    stores nothing.
+    The index depends on the board and the game's two pieces alone, so the
+    board keeps the last one it made: a ruleset with the same piece objects
+    gets that very index, with its overlaps, whatever the deadline, since no
+    search runs.  Other pieces replace it, and a call that raises stores
+    nothing.
     """
-    key = tuple(tuple(game.pieces.get(p, ())) for p in ("L", "R"))
+    key = (game.pieces["L"], game.pieces["R"])
     last = board._positions
     if last is not None and last[0] == key:
         return last[1]
     entries: list[tuple[str, Placement]] = []
-    for pieces, prefix in zip(key, "xy"):
-        seen: set[frozenset[int]] = set()
-        ordered: list[Placement] = []
-        for piece in pieces:
-            for pl in piece_placements(board, piece, deadline=deadline):
-                if pl.occupied not in seen:
-                    seen.add(pl.occupied)
-                    ordered.append(pl)
-        ordered.sort()
-        entries.extend((f"{prefix}{i}", pl) for i, pl in enumerate(ordered, start=1))
+    for piece, prefix in zip(key, "xy"):
+        placements = piece_placements(board, piece, deadline=deadline)
+        entries.extend((f"{prefix}{i}", pl) for i, pl in enumerate(placements, start=1))
     index = BasicPositionIndex(tuple(entries))
     object.__setattr__(board, "_positions", (key, index))
     return index
@@ -142,7 +135,7 @@ class GameAnalysis:
     ``legal`` and ``minimal_illegal`` name them when read, ``legal`` by
     expanding the facets.  The complex and ideal methods name the sets they
     need without caching the names, so an analysis kept on a board holds
-    masks only.
+    masks until ``legal`` or ``minimal_illegal`` is read.
     """
 
     index: BasicPositionIndex
@@ -196,11 +189,20 @@ def analyze(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> GameAnalysis
     :class:`DownwardClosureError` when a position satisfies the predicate
     while one of its one-smaller subpositions is illegal.  A ``pairwise``
     ruleset is taken at its word and never raises the latter.
+
+    The board keeps its last analysis: a call for the same ruleset object
+    and cap returns that very analysis.  A different game object or cap
+    replaces it, and a call that raises stores nothing.
     """
+    last = board._analysis
+    if last is not None and last[0] is game and last[1] == cap:
+        return last[2]
     index, predicate = _compiled(game, board, cap)
     closure = _pairwise_closure if game.pairwise else _closure
     maximal, minimal = closure(index, predicate)
-    return GameAnalysis(index, frozenset(maximal), frozenset(minimal))
+    result = GameAnalysis(index, frozenset(maximal), frozenset(minimal))
+    object.__setattr__(board, "_analysis", (game, cap, result))
+    return result
 
 
 def _closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[list[int], list[int]]:
@@ -297,31 +299,14 @@ def _conflicting_pairs(conflict: Sequence[int], singles: int) -> list[int]:
     ]
 
 
-def _board_analysis(game: Ruleset, board: Board, cap: int) -> GameAnalysis:
-    """``analyze(game, board, cap=cap)``, reused when the board's last
-    analysis was made for this very ruleset object and cap.
-
-    The board keeps one analysis at a time: a different game object or cap
-    replaces it, and a call that raises stores nothing.
-    """
-    last = board._analysis
-    if last is not None and last[0] is game and last[1] == cap:
-        return last[2]
-    result = analyze(game, board, cap=cap)
-    object.__setattr__(board, "_analysis", (game, cap, result))
-    return result
-
-
 def legal_complex(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> LabeledComplex:
-    """Shorthand for ``analyze(game, board, cap=cap).legal_complex()``; the
-    two shorthands share one analysis per board, game object and cap."""
-    return _board_analysis(game, board, cap).legal_complex()
+    """Shorthand for ``analyze(game, board, cap=cap).legal_complex()``."""
+    return analyze(game, board, cap=cap).legal_complex()
 
 
 def illegal_complex(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> LabeledComplex:
-    """Shorthand for ``analyze(game, board, cap=cap).illegal_complex()``; the
-    two shorthands share one analysis per board, game object and cap."""
-    return _board_analysis(game, board, cap).illegal_complex()
+    """Shorthand for ``analyze(game, board, cap=cap).illegal_complex()``."""
+    return analyze(game, board, cap=cap).illegal_complex()
 
 
 # ---------------------------------------------------------------------------

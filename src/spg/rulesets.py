@@ -1,4 +1,4 @@
-"""Rulesets: piece shapes per player plus a legality predicate.
+"""Rulesets: one piece shape per player plus a legality predicate.
 
 A position is a set of basic positions, held as an int mask.  A ruleset's
 ``legal`` compiles a predicate once per analysis: ``legal(board, placements)``
@@ -23,7 +23,8 @@ Predicate = Callable[[int], bool]
 
 @dataclass(frozen=True)
 class Ruleset:
-    """Named piece shapes for both players and a legality predicate.
+    """One piece per player (``pieces["L"]``, ``pieces["R"]``) and a legality
+    predicate.
 
     ``legal(board, placements)`` compiles the predicate for one analysis (see
     the module docstring).  ``pairwise`` declares that a position is legal
@@ -33,7 +34,7 @@ class Ruleset:
     """
 
     name: str
-    pieces: Mapping[str, tuple[Piece, ...]]
+    pieces: Mapping[str, Piece]
     legal: Callable[[Board, Sequence[Placement]], Predicate]
     claims_invariant: bool = False
     pairwise: bool = False
@@ -44,9 +45,9 @@ class Ruleset:
 
 # The built-in rulesets share one piece per shape and player: pieces are
 # immutable, and each finds its automorphisms on its first placement search.
-_VERTEX_PIECES = {"L": (boards.vertex_piece("L"),), "R": (boards.vertex_piece("R"),)}
-_DOMINO_PIECES = {"L": (boards.domino_piece("L"),), "R": (boards.domino_piece("R"),)}
-_TABLE_PIECES = {"L": (boards.cycle_piece(3, "L"),), "R": (boards.cycle_piece(4, "R"),)}
+_VERTEX_PIECES = {"L": boards.vertex_piece("L"), "R": boards.vertex_piece("R")}
+_DOMINO_PIECES = {"L": boards.domino_piece("L"), "R": boards.domino_piece("R")}
+_TABLE_PIECES = {"L": boards.cycle_piece(3, "L"), "R": boards.cycle_piece(4, "R")}
 
 
 def _anything(b: Board, placements: Sequence[Placement]) -> Predicate:
@@ -196,7 +197,7 @@ def table_game_illegal(delta: LabeledComplex) -> Ruleset:
     )
 
 
-def cycle_placement_game(delta: LabeledComplex) -> Ruleset:
+def cycle_placement_game() -> Ruleset:
     """Left plays 3-cycles, Right plays 4-cycles, with no further restrictions.
 
     Realises a simplex as a legal complex on the matching board of small
@@ -245,7 +246,7 @@ def gamma_game(
     for facet, distances in id_sets(gamma, edge_labeling):
         by_size.setdefault(len(facet), set()).add(distances)
     n = len(gamma.vertices)
-    pieces = {"L": (boards.gamma_piece(n, "L"),), "R": (boards.gamma_piece(n, "R"),)}
+    pieces = {"L": boards.gamma_piece(n, "L"), "R": boards.gamma_piece(n, "R")}
 
     def legal(b: Board, placements: Sequence[Placement]) -> Predicate:
         memo: dict[tuple[int, int], int | float] = {}
@@ -271,18 +272,13 @@ def gamma_game(
 
 
 def ruleset_descriptor(rs: Ruleset) -> dict:
-    """A JSON-friendly summary of a ruleset's shape."""
+    """A JSON-friendly summary of a ruleset's shape; each player's piece is
+    written as a one-element list."""
     return {
         "name": rs.name,
         "claims_invariant": rs.claims_invariant,
         "pieces": {
-            player: [
-                {
-                    "vertices": list(p.vertices),
-                    "edges": [list(e) for e in sorted(p.edges)],
-                }
-                for p in rs.pieces[player]
-            ]
-            for player in sorted(rs.pieces)
+            player: [{"vertices": list(p.vertices), "edges": [list(e) for e in sorted(p.edges)]}]
+            for player, p in sorted(rs.pieces.items())
         },
     }

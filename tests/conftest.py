@@ -136,7 +136,7 @@ def on_placement_sets(rule):
 def degree_one_game() -> Ruleset:
     """Single-vertex pieces; occupying any vertex of board degree 1 is
     forbidden, everything else is allowed."""
-    pieces = {"L": (vertex_piece("L"),), "R": (vertex_piece("R"),)}
+    pieces = {"L": vertex_piece("L"), "R": vertex_piece("R")}
 
     def legal(b: Board, pos) -> bool:
         return all(b.degree(v) != 1 for pl in pos for v in pl.occupied)

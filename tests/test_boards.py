@@ -26,12 +26,11 @@ from spg.boards import (
     build_cycle,
     build_grid,
     build_path,
-    check_edge_labeling,
     components,
     cycle_piece,
-    default_edge_labeling,
     disjoint_union,
     distance,
+    distance_labeling,
     domino_piece,
     empty_board,
     gamma_board,
@@ -42,7 +41,7 @@ from spg.boards import (
     placement,
     vertex_piece,
 )
-from spg.complexes import from_facets, has_isolated_vertex
+from spg.complexes import from_facets
 from conftest import all_labeled_complexes, antichains
 
 
@@ -206,7 +205,7 @@ def test_search_matches_brute_force_on_random_boards(piece):
                 for a, c in combinations(piece.vertices, 2)
             )
         ]
-        got_induced = [tuple(sorted(m.items())) for m in _search(plan, b, induced=True)]
+        got_induced = [tuple(sorted(m.items())) for m in induced_embeddings(b, piece.vertices, piece.edges)]
         assert sorted(got_induced) == sorted(tuple(sorted(m.items())) for m in induced)
 
 
@@ -447,13 +446,14 @@ def plain_search_order(vertices, adj):
 
 def assert_same_search(piece, b, conditions, *more):
     """Identical yield sequences, map by map and in order, with and without
-    the symmetry conditions (and any ``more`` condition sets) and for
-    induced and non-induced search."""
-    for induced in (False, True):
-        for conds in ((), conditions, *more):
-            want = list(reference_embeddings(piece.vertices, piece._adj, b, induced, conds))
-            got = list(_search(_SearchPlan(piece.vertices, piece._adj, conds), b, induced))
-            assert got == want, (piece, b.edges, induced, conds)
+    the symmetry conditions (and any ``more`` condition sets), and for
+    induced embeddings."""
+    for conds in ((), conditions, *more):
+        want = list(reference_embeddings(piece.vertices, piece._adj, b, conditions=conds))
+        got = list(_search(_SearchPlan(piece.vertices, piece._adj, conds), b))
+        assert got == want, (piece, b.edges, conds)
+    want = list(reference_embeddings(piece.vertices, piece._adj, b, induced=True))
+    assert induced_embeddings(b, piece.vertices, piece.edges) == want, (piece, b.edges)
 
 
 def random_sparse_board(rng, n):
@@ -689,10 +689,9 @@ def test_search_yields_as_the_reference_on_disconnected_patterns(pattern):
     for _ in range(25):
         dense = random_board(rng, rng.randint(3, 8), rng.choice((0.3, 0.5)))
         for b in (dense, random_sparse_board(rng, rng.randint(4, 14))):
-            for induced in (False, True):
-                want = list(reference_embeddings(p_vertices, p_adj, b, induced))
-                assert list(_search(plan, b, induced)) == want, (pattern, b.edges, induced)
-            assert induced_embeddings(b, p_vertices, p_edges) == want
+            assert list(_search(plan, b)) == list(reference_embeddings(p_vertices, p_adj, b)), (pattern, b.edges)
+            want = list(reference_embeddings(p_vertices, p_adj, b, induced=True))
+            assert induced_embeddings(b, p_vertices, p_edges) == want, (pattern, b.edges)
 
 
 def test_induced_embeddings_of_a_large_edgeless_pattern():
@@ -780,21 +779,21 @@ def test_distance_bfs():
 
 
 def test_default_edge_labeling_canonical():
-    lab = default_edge_labeling(P3_GAMMA)
+    lab = distance_labeling(P3_GAMMA)
     # canonical order puts L-vertices a, c first; edges sort as (a,b) < (b,c)
     assert lab == {frozenset("ab"): 1, frozenset("bc"): 2}
     tri = from_facets([["a", "b", "c"]], {v: "L" for v in "abc"})
-    assert sorted(default_edge_labeling(tri).values()) == [1, 2, 3]
+    assert sorted(distance_labeling(tri).values()) == [1, 2, 3]
 
 
 def test_check_edge_labeling_errors():
     with pytest.raises(ValueError):
-        check_edge_labeling(P3_GAMMA, {frozenset("ab"): 1})
+        distance_labeling(P3_GAMMA, {frozenset("ab"): 1})
     with pytest.raises(ValueError):
-        check_edge_labeling(P3_GAMMA, {frozenset("ab"): 1, frozenset("bc"): 3})
+        distance_labeling(P3_GAMMA, {frozenset("ab"): 1, frozenset("bc"): 3})
     with pytest.raises(ValueError):
-        check_edge_labeling(P3_GAMMA, {frozenset("ab"): 1, frozenset("ac"): 2})
-    ok = check_edge_labeling(P3_GAMMA, {frozenset("ab"): 2, frozenset("bc"): 1})
+        distance_labeling(P3_GAMMA, {frozenset("ab"): 1, frozenset("ac"): 2})
+    ok = distance_labeling(P3_GAMMA, {frozenset("ab"): 2, frozenset("bc"): 1})
     assert ok[frozenset("bc")] == 1
 
 
@@ -838,7 +837,7 @@ def test_gamma_board_sizes_match_formula_on_small_corpus():
     for gamma in all_labeled_complexes("abc", include_degenerate=False):
         if any(len(f) == 1 for f in gamma.facets):
             continue
-        lab = default_edge_labeling(gamma)
+        lab = distance_labeling(gamma)
         b = gamma_board(gamma)
         assert len(b.vertices) == expected_gamma_size(gamma, lab), gamma
 
@@ -875,7 +874,7 @@ def assert_unjoined_assemblies_far_apart(gammas) -> int:
     boards were checked."""
     seen = set()
     for gamma in gammas:
-        lab = default_edge_labeling(gamma)
+        lab = distance_labeling(gamma)
         index = {v: i for i, v in enumerate(gamma.vertices)}
         key = (
             tuple(gamma.part[v] for v in gamma.vertices),
@@ -900,7 +899,7 @@ def test_unjoined_assemblies_are_farther_apart_than_any_id_set_entry():
         gamma
         for pool in ("abc", "abcd")
         for gamma in all_labeled_complexes(pool, include_degenerate=False)
-        if len(gamma.vertices) == len(pool) and not has_isolated_vertex(gamma)
+        if len(gamma.vertices) == len(pool) and all(len(f) > 1 for f in gamma.facets)
     ]
     assert assert_unjoined_assemblies_far_apart(gammas) == 221
 

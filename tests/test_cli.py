@@ -10,8 +10,9 @@ import pytest
 
 from spg.boards import board_to_obj, build_path
 from spg.cli import COMMANDS, main, parse_board_spec
-from spg.complexes import complex_to_obj, faces, from_facets
+from spg.complexes import complex_to_obj, faces, facet_ideal, from_facets, sr_complex
 from spg.engine import legal_complex
+from spg.gametree import canonical_value, value_str
 from spg.rulesets import col, domineering, snort
 
 from conftest import run_spg_capped
@@ -111,13 +112,38 @@ def test_game_value_and_outcome(run):
     assert "outcome: L (Left wins regardless of who starts)" in out
 
 
-def test_game_tree_formats(run):
+def test_game_tree_formats(run, tmp_path):
     code, out, _ = run("game", "tree", "--ruleset", "snort", "--board", "path:2")
     assert code == 0 and "L -> " in out
     code, out, _ = run(
         "game", "tree", "--ruleset", "snort", "--board", "path:2", "--format", "dot"
     )
     assert code == 0 and out.startswith("digraph")
+    dot = tmp_path / "tree.dot"
+    code, written, _ = run(
+        "game", "tree", "--ruleset", "snort", "--board", "path:2", "--format", "dot", "--out", str(dot)
+    )
+    assert code == 0 and written == f"wrote {dot}\n" and dot.read_text() == out
+
+
+def test_complex_flag(run, tmp_path):
+    hollow = from_facets([["a", "b"], ["b", "c"], ["a", "c"]], dict.fromkeys("abc", "L"))
+    for delta, answer in ((AB_BC, "true"), (hollow, "false")):
+        code, out, _ = run("complex", "flag", "--complex", write_complex(tmp_path / "c.json", delta))
+        assert code == 0 and out == f"flag: {answer}\n"
+
+
+def test_table_ruleset_specs_and_the_empty_board(run, tmp_path):
+    """On its board of small cycles, the table-legal game of a complex has
+    the complex's value, and the table-illegal game the value of the complex
+    whose minimal nonfaces are its facets."""
+    p3 = write_complex(tmp_path / "p3.json", P3)
+    table = "union:(cycle:3,cycle:3,cycle:4)"
+    for spec, delta in (("table-legal", P3), ("table-illegal", sr_complex(facet_ideal(P3)))):
+        code, out, _ = run("game", "value", "--ruleset", f"{spec}:{p3}", "--board", table)
+        assert code == 0 and out == f"value: {value_str(canonical_value(delta))}\n", spec
+    code, out, _ = run("game", "value", "--ruleset", "snort", "--board", "empty")
+    assert code == 0 and out == "value: 0\n"
 
 
 def printed_tree(delta) -> list[str]:
@@ -196,8 +222,9 @@ def test_verify_illegal_on_five_vertices(run, tmp_path):
     [
         {"variables": ["a", "b"], "generators": [["a", "b"]], "parts": ["L", "R"]},
         {"variables": "ab", "generators": [["a", "b"]]},
+        {"variables": ["a", "b"], "generators": [["a", "b"]], "parts": {"A": "R", "b": "R"}},
     ],
-    ids=["parts-list", "variables-string"],
+    ids=["parts-list", "variables-string", "parts-key-not-a-variable"],
 )
 def test_complex_dual_rejects_malformed_ideal(run, tmp_path, ideal_obj):
     p = tmp_path / "ideal.json"
@@ -270,6 +297,29 @@ def test_labeling_labels_must_be_json_integers(run, tmp_path, label):
         assert code == 2, argv
         assert "labelings are lists of" in err and out == "", argv
     assert not out_dir.exists()
+
+
+def test_construct_illegal_with_a_labeling_file(run, tmp_path):
+    p3 = write_complex(tmp_path / "p3.json", P3)
+    lab = tmp_path / "lab.json"
+    lab.write_text('[{"edge": ["a", "b"], "label": 2}, {"edge": ["b", "c"], "label": 1}]')
+    out_dir = tmp_path / "artifacts"
+    code, out, _ = run("construct", "illegal", "--complex", p3, "--labeling", str(lab), "--out-dir", str(out_dir))
+    assert code == 0 and out.endswith("PASS: recovered complex matches; board has 415 vertices\n")
+    assert json.loads((out_dir / "labeling.json").read_text()) == [
+        {"edge": ["b", "c"], "label": 1}, {"edge": ["a", "b"], "label": 2},
+    ]
+
+
+def test_skip_verify_writes_a_skipped_report(run, tmp_path):
+    out_dir = tmp_path / "artifacts"
+    p = write_complex(tmp_path / "c.json", AB_BC)
+    code, out, _ = run("construct", "legal", "--complex", p, "--out-dir", str(out_dir), "--skip-verify")
+    assert code == 0 and out.endswith("verification skipped\n")
+    assert json.loads((out_dir / "report.json").read_text()) == {
+        "status": "SKIPPED", "kind": "legal", "detail": "verification skipped by request",
+    }
+    assert (out_dir / "board.json").exists()
 
 
 def test_dry_run_skips_work(run, tmp_path):
@@ -365,6 +415,9 @@ MALFORMED_COMPLEXES = {
     "id-int": {"vertices": [_vertex(1), _vertex(2, "R")], "facets": [[1, 2]]},
     "facet-entry-list": {"vertices": [_vertex("a")], "facets": [[["a"]]]},
     "facets-string": {"vertices": [_vertex("a")], "facets": "a"},
+    # "void" is a JSON boolean: a string is neither read as true nor as false
+    "void-string-false": {"vertices": [_vertex("a")], "facets": [["a"]], "void": "false"},
+    "void-string-no": {"vertices": [], "facets": [], "void": "no"},
 }
 
 

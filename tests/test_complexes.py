@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,6 @@ from spg.complexes import (
     facet_ideal,
     flag_conflicts,
     from_facets,
-    has_isolated_vertex,
     ideal,
     ideal_from_obj,
     ideal_to_obj,
@@ -212,8 +211,6 @@ def test_flag_and_simplex_predicates():
     assert is_simplex(empty_face_complex())
     assert is_simplex(from_facets([["a", "b", "c"]], {"a": "L", "b": "L", "c": "R"}))
     assert not is_simplex(AB_BC)
-    assert has_isolated_vertex(from_facets([["a"], ["b", "c"]], {"a": "L", "b": "L", "c": "L"}))
-    assert not has_isolated_vertex(AB_BC)
 
 
 def test_flag_test_matches_minimal_nonfaces():
@@ -284,8 +281,49 @@ def test_are_isomorphic_negative_cases():
     path = AB_BC
     disjoint = from_facets([["a", "b"], ["c", "d"]], {"a": "L", "b": "L", "c": "R", "d": "R"})
     assert are_isomorphic(path, disjoint) is None
+    # every vertex of a hexagon and of two triangles lies in two edges, so
+    # the vertex signatures agree and only the search can tell them apart
+    hexagon = from_facets([[f"h{i}", f"h{(i + 1) % 6}"] for i in range(6)], {f"h{i}": "L" for i in range(6)})
+    triangles = from_facets(["ab", "bc", "ac", "de", "ef", "df"], dict.fromkeys("abcdef", "L"))
+    assert are_isomorphic(hexagon, triangles) is None
     assert are_isomorphic(void_complex(), empty_face_complex()) is None
     assert are_isomorphic(void_complex(), void_complex()) == {}
+
+
+def isomorphisms_oracle(a: LabeledComplex, b: LabeledComplex) -> list[dict[str, str]]:
+    """Brute force: every part-preserving vertex bijection carrying the
+    facets of ``a`` onto those of ``b``."""
+    if len(a.vertices) != len(b.vertices):
+        return []
+    maps = (dict(zip(a.vertices, image)) for image in permutations(b.vertices))
+    return [
+        m for m in maps
+        if all(a.part[v] == b.part[w] for v, w in m.items())
+        and {frozenset(m[v] for v in f) for f in a.facets} == b.facets
+    ]
+
+
+def test_are_isomorphic_on_five_vertex_relabellings():
+    """Seeded relabellings of 5-vertex complexes, and random pairs: a witness
+    is one of the oracle's isomorphisms, and None means there is none.  On
+    relabellings of complexes such as <abd,ace,bcde> the search completes an
+    assignment that keeps every pair's sharing of a facet but does not carry
+    the facets over, and must reject it and go on."""
+    rng = random.Random(5)
+    deltas = [from_facets(["abd", "ace", "bcde"], dict.fromkeys("abcde", "L"))]
+    while len(deltas) < 60:
+        fams = [rng.sample("abcde", rng.randint(2, 4)) for _ in range(rng.randint(2, 5))]
+        delta = from_facets(fams, {v: rng.choice("LR") for v in "abcde"})
+        if len(delta.vertices) == 5:
+            deltas.append(delta)
+    for delta in deltas:
+        image = list("vwxyz")
+        rng.shuffle(image)
+        other = relabel(delta, dict(zip(delta.vertices, image)))
+        for a, b in ((delta, other), (delta, rng.choice(deltas))):
+            iso = are_isomorphic(a, b)
+            oracle = isomorphisms_oracle(a, b)
+            assert iso in oracle if iso is not None else not oracle, (a, b)
 
 
 def test_are_isomorphic_needs_no_recursion_per_vertex():

@@ -221,6 +221,38 @@ def test_verify_degenerates_compare_by_emptiness():
     assert illegal_complex(illegal.game, illegal.board) == void_complex()
 
 
+def test_recovery_fails_on_wrong_regions():
+    """Each way a placement can miss its intended region, and a recovered
+    complex whose facets differ, are reported with what went wrong."""
+    three = from_facets([["a", "b"], ["c"]], dict.fromkeys("abc", "L"))
+    table, _ = realize_both(three)
+
+    def recovered(realization, regions):
+        realization.regions = regions
+        return construct._recovered_complex(realization, "legal", cap=24, deadline=None)
+
+    right = dict(table.regions)
+    a, b, c = right["a"], right["b"], right["c"]
+    assert recovered(table, {"a": a, "b": b}) == (
+        None, "placement x3 covers 3 vertices outside any intended region",
+    )
+    assert recovered(table, {**right, "d": frozenset({99})}) == (
+        None, "no placement covers region(s) d",
+    )
+    got, detail = recovered(table, {"a": c, "b": b, "c": a})
+    assert detail == "" and construct._mismatch(three, got) == "facet mismatch on a, ab, bc, c"
+    mixed = from_facets([["a", "b"]], {"a": "L", "b": "R"})
+    legal, _ = realize_both(mixed)
+    assert recovered(legal, {"a": legal.regions["b"], "b": legal.regions["a"]}) == (
+        None, "region b was covered by a L piece",
+    )
+    # one vertex holds a Left and a Right placement, both in the one region
+    stones = construct.Realization(free_placement(), build_path(1), "stones", regions={"a": frozenset({0})})
+    assert construct._recovered_complex(stones, "legal", cap=24, deadline=None) == (
+        None, "placements x1 and y1 both cover region a",
+    )
+
+
 def test_to_invariant_rejects_order_dependent_rules():
     from spg.boards import vertex_piece
     from spg.rulesets import Ruleset
@@ -228,7 +260,7 @@ def test_to_invariant_rejects_order_dependent_rules():
     def pairs_only(board, pos):
         return len(pos) != 1
 
-    pieces = {"L": (vertex_piece("L"),), "R": (vertex_piece("R"),)}
+    pieces = {"L": vertex_piece("L"), "R": vertex_piece("R")}
     game = Ruleset("pairs-only", pieces, on_placement_sets(pairs_only))
     with pytest.raises(ValueError, match="not downward closed"):
         to_invariant(game, build_path(2))

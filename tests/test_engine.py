@@ -19,6 +19,7 @@ from spg.boards import (
     domino_piece,
     empty_board,
     induced_embeddings,
+    placement,
     vertex_piece,
 )
 from spg.complexes import from_facets, sr_complex
@@ -45,7 +46,7 @@ from conftest import connected_boards, degree_one_game, judge, on_placement_sets
 
 
 def _single_vertex_rules(name, predicate, invariant=False) -> Ruleset:
-    pieces = {"L": (vertex_piece("L"),), "R": (vertex_piece("R"),)}
+    pieces = {"L": vertex_piece("L"), "R": vertex_piece("R")}
     return Ruleset(name, pieces, on_placement_sets(predicate), claims_invariant=invariant)
 
 
@@ -210,6 +211,27 @@ def test_invariance_fails_for_nogo_with_isolated_vertex():
 def test_invariance_inconclusive_without_placements():
     rep = check_invariance(free_placement(), empty_board())
     assert rep.status == "INCONCLUSIVE"
+
+
+def test_invariance_fails_for_nogo_on_a_transported_position():
+    # Left at 1 and Right at 2 both breathe on the 4-path; moved one step
+    # along it, Left at 0 has no empty neighbour
+    brd = build_path(4)
+    rep = check_invariance(nogo(), brd, samples=200)
+    assert rep.status == "FAIL"
+    assert rep.detail == "position {x2,y3} is legal but its transported image is not"
+    assert rep.witness == (("x2", "y3"), ((1, 0), (2, 1)))
+    assert rep.samples_run == 49
+    by_name = basic_positions(nogo(), brd).by_name
+    assert judge(nogo(), brd, by_name["x2"], by_name["y3"])
+    assert not judge(nogo(), brd, placement("L", [0]), placement("R", [1]))
+
+
+def test_invariance_inconclusive_when_no_pattern_moves():
+    # one vertex: each sampled pattern embeds onto itself alone
+    rep = check_invariance(snort(), build_path(1))
+    assert (rep.status, rep.samples_run) == ("INCONCLUSIVE", 0)
+    assert rep.detail == "no sampled pattern admitted an alternative embedding"
 
 
 def test_invariance_is_deterministic():
@@ -410,9 +432,9 @@ def closure_oracle(game, board_):
 
 
 _PIECES = {
-    "vertex": {"L": (vertex_piece("L"),), "R": (vertex_piece("R"),)},
-    "domino": {"L": (domino_piece("L"),), "R": (domino_piece("R"),)},
-    "mixed": {"L": (vertex_piece("L"),), "R": (domino_piece("R"),)},
+    "vertex": {"L": vertex_piece("L"), "R": vertex_piece("R")},
+    "domino": {"L": domino_piece("L"), "R": domino_piece("R")},
+    "mixed": {"L": vertex_piece("L"), "R": domino_piece("R")},
 }
 
 
@@ -489,7 +511,7 @@ def test_pairwise_declarations_hold():
         for game in (free_placement(), snort(), col(), nogo())
     ]
     cases += [(domineering(), build_grid(r, c)) for r in range(1, 4) for c in range(1, 4)]
-    cases += [(cycle_placement_game(from_facets([])), board_) for board_ in _table_boards()]
+    cases += [(cycle_placement_game(), board_) for board_ in _table_boards()]
     cases = [(game, board_) for game, board_ in cases if game.pairwise]
     assert {game.name for game, _ in cases} == {
         "free", "snort", "col", "domineering", "cycle-placement"

@@ -208,7 +208,7 @@ def test_table_game_illegal_avoids_facets(table_board):
 
 
 def test_cycle_placement_game_is_unrestricted(table_board):
-    game = cycle_placement_game(AB_BC)
+    game = cycle_placement_game()
     assert game.claims_invariant
     assert judge(game, table_board, L(0, 1, 2), R(6, 7, 8, 9))
 
@@ -248,8 +248,7 @@ def test_gamma_game_degenerate_inputs():
 
 def test_gamma_game_piece_sizes():
     game = gamma_game(P3_GAMMA)
-    (lp,) = game.pieces["L"]
-    (rp,) = game.pieces["R"]
+    lp, rp = game.pieces["L"], game.pieces["R"]
     assert len(lp.vertices) == 3**4 + 4 + 2 * (3**3 - 1)
     assert len(rp.vertices) == 3**4 + 5 + 2 * (3**3 - 1)
 
