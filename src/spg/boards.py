@@ -757,10 +757,8 @@ def distance_labeling(
     gamma: LabeledComplex,
     edge_labeling: Mapping[frozenset[str], int] | None = None,
 ) -> dict[frozenset[str], int]:
-    """The edge labelling of the distance game for ``gamma``: by default the
-    edges of its 1-skeleton labelled 1..k in canonical lexicographic order,
-    else ``edge_labeling``, checked to be a bijection from those edges onto
-    1..k.
+    """The edge labelling of the distance game for ``gamma``: its
+    :func:`skeleton_labeling`.
 
     Complexes with an isolated vertex are rejected: a lone always-forbidden
     move cannot arise from piece patterns alone.
@@ -772,6 +770,16 @@ def distance_labeling(
             "cannot arise from piece patterns alone, so no placement-invariant "
             "ruleset realises it"
         )
+    return skeleton_labeling(gamma, edge_labeling)
+
+
+def skeleton_labeling(
+    gamma: LabeledComplex,
+    edge_labeling: Mapping[frozenset[str], int] | None = None,
+) -> dict[frozenset[str], int]:
+    """By default the edges of the 1-skeleton of ``gamma`` labelled 1..k in
+    canonical lexicographic order, else ``edge_labeling``, checked to be a
+    bijection from those edges onto 1..k."""
     edges = {frozenset(e) for f in gamma.facets for e in combinations(f, 2)}
     if edge_labeling is None:
         index = {v: i for i, v in enumerate(gamma.vertices)}

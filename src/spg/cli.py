@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .boards import (
     Board, BudgetExceeded, board_from_obj, board_to_dot, board_to_obj, build_cycle, build_grid,
-    build_path, disjoint_union, empty_board, gamma_board, grid_from_cells,
+    build_path, disjoint_union, empty_board, gamma_board, grid_from_cells, skeleton_labeling,
 )
 from .complexes import (
     LabeledComplex, SquareFreeIdeal, complex_from_obj, complex_to_obj, dimension, dumps,
@@ -249,11 +249,18 @@ def _dual_input(args: Args) -> LabeledComplex | SquareFreeIdeal:
 
 
 def _labeling_input(args: Args) -> Optional[Labeling]:
+    """The ``--labeling`` file, checked against the edges of the ``--complex``
+    file, so a labeling of other edges is bad input like any other; a
+    complex that no distance game realises is left to the action."""
     if not args.labeling:
         return None
     labeling = load_labeling(args.labeling)
     if args.kind != "illegal":
         raise CliError("--labeling only applies to the illegal round trip")
+    try:
+        skeleton_labeling(_complex_input(args), labeling)
+    except ValueError as exc:
+        raise CliError(f"{args.labeling}: {exc}") from exc
     return labeling
 
 
@@ -311,7 +318,7 @@ def _complex_info(args: Args, delta: LabeledComplex) -> int:
     if delta.is_empty:
         lines.append("dimension: -1 (only the empty face)")
     else:
-        lines += [f"dimension: {dimension(delta)}", f"faces: {len(delta.face_masks)}"]
+        lines += [f"dimension: {dimension(delta)}", f"faces: {sum(delta.f_vector)}"]
         for name, test in (("pure", is_pure), ("flag", is_flag), ("simplex", is_simplex)):
             lines.append(f"{name}: {'yes' if test(delta) else 'no'}")
     print("\n".join(lines))

@@ -19,10 +19,11 @@ conversions above are exact mutual inverses, including the degenerate cases.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 PARTS = ("L", "R")
 
@@ -69,6 +70,68 @@ def maximal_independent_sets(conflict: Sequence[int], allowed: int) -> Iterator[
             stack.append((r | 1 << v, p & fits[v], x & fits[v]))
             p ^= 1 << v
             x |= 1 << v
+
+
+def mask_components(conflict: Sequence[int], s: int) -> list[int]:
+    """The connected components of ``s`` in the graph whose edges join each
+    bit to the bits of its ``conflict`` mask, as masks."""
+    out = []
+    while s:
+        comp = frontier = s & -s
+        while frontier:
+            reach = 0
+            for i in bits(frontier):
+                reach |= conflict[i]
+            frontier = reach & s & ~comp
+            comp |= frontier
+        out.append(comp)
+        s ^= comp
+    return out
+
+
+def factor_walk(conflict: Sequence[int], full: int,
+                step: Callable[[int], list[int]]) -> list[tuple[int, list[int]]]:
+    """Every set reached from ``full``, with its connected components in the
+    conflict graph, smallest mask first.  A set of several components
+    reaches each of them, and a connected set ``s`` reaches ``step(s)``, its
+    proper subsets; so each set comes after every set it reaches."""
+    split: dict[int, list[int]] = {}
+    todo = [full]
+    while todo:
+        s = todo.pop()
+        if s not in split:
+            parts = split[s] = mask_components(conflict, s)
+            todo += step(s) if len(parts) == 1 else parts
+    return sorted(split.items())
+
+
+def _independence_counts(conflict: Sequence[int], full: int) -> list[int]:
+    """Entry k counts the sets of k bits of ``full`` holding no bit of
+    another's ``conflict`` mask (each mask holds its own bit): the
+    coefficients of the graph's independence polynomial.  A connected S has
+    I(S) = I(S - v) + x·I(S - N[v]) for its lowest v, and a disconnected S
+    the product over its components."""
+    def step(s: int) -> list[int]:
+        low = s & -s
+        return [s ^ low, s & ~conflict[low.bit_length() - 1]]
+
+    poly: dict[int, list[int]] = {}
+    for s, parts in factor_walk(conflict, full, step):
+        if len(parts) == 1:
+            without, taken = step(s)
+            out = poly[without] + [0] * (len(poly[taken]) + 1 - len(poly[without]))
+            for k, c in enumerate(poly[taken]):
+                out[k + 1] += c
+        else:
+            out = [1]
+            for part in parts:
+                prod = [0] * (len(out) + len(poly[part]) - 1)
+                for i, a in enumerate(out):
+                    for j, b in enumerate(poly[part]):
+                        prod[i + j] += a * b
+                out = prod
+        poly[s] = out
+    return poly[full]
 
 
 def _norm_faces(faces: Iterable[Iterable[str]]) -> set[frozenset[str]]:
@@ -136,11 +199,43 @@ class LabeledComplex:
         return frozenset(out)
 
     @cached_property
+    def flag_conflicts(self) -> Optional[tuple[int, ...]]:
+        """The conflict mask of each vertex when the complex is flag, or None
+        when it is not.
+
+        Vertex i's mask holds i and every vertex that shares no facet with
+        it.  The complex is flag (every minimal nonface has two vertices)
+        exactly when its faces are the independent sets of that conflict
+        graph, that is when every maximal independent set is a facet.  The
+        void complex is not flag; the complex whose only face is the empty
+        set is.
+        """
+        full = (1 << len(self.vertices)) - 1
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        together = _cofacets(self, bit)
+        conflict = tuple(full & ~together[v] | bit[v] for v in self.vertices)
+        facets = {sum(bit[v] for v in f) for f in self.facets}
+        if all(m in facets for m in maximal_independent_sets(conflict, full)):
+            return conflict
+        return None
+
+    @cached_property
+    def f_vector(self) -> tuple[int, ...]:
+        """Entry k counts the faces of k vertices, from the empty face up to
+        the largest; empty for the void complex.  A flag complex's faces are
+        the independent sets of its conflict graph, so it counts them
+        without listing them; any other complex counts ``face_masks``."""
+        if self.flag_conflicts is not None:
+            return tuple(_independence_counts(self.flag_conflicts, (1 << len(self.vertices)) - 1))
+        sizes = Counter(map(int.bit_count, self.face_masks))
+        return tuple(sizes[k] for k in range(len(sizes)))
+
+    @cached_property
     def node_count(self) -> int:
         """Number of nodes of the unfolded game tree: one per play sequence,
         that is one per ordering of each face, or a lone root for the void
         complex."""
-        return sum(factorial(f.bit_count()) for f in self.face_masks) or 1
+        return sum(factorial(k) * f for k, f in enumerate(self.f_vector)) or 1
 
     def face_names(self, mask: int) -> frozenset[str]:
         """The vertices of ``mask``, by name."""
@@ -353,29 +448,9 @@ def _cofacets(delta: LabeledComplex, bit: Mapping[str, int]) -> dict[str, int]:
     return together
 
 
-def flag_conflicts(delta: LabeledComplex) -> Optional[list[int]]:
-    """The conflict mask of each vertex of a flag complex, or None when the
-    complex is not flag.
-
-    Vertex i's mask holds i and every vertex that shares no facet with it.
-    The complex is flag (every minimal nonface has two vertices) exactly when
-    its faces are the independent sets of that conflict graph, that is when
-    every maximal independent set is a facet.  The void complex is not flag;
-    the complex whose only face is the empty set is.
-    """
-    full = (1 << len(delta.vertices)) - 1
-    bit = {v: 1 << i for i, v in enumerate(delta.vertices)}
-    together = _cofacets(delta, bit)
-    conflict = [full & ~together[v] | bit[v] for v in delta.vertices]
-    facets = {sum(bit[v] for v in f) for f in delta.facets}
-    if all(m in facets for m in maximal_independent_sets(conflict, full)):
-        return conflict
-    return None
-
-
 def is_flag(delta: LabeledComplex) -> bool:
     """True when every minimal nonface has exactly two vertices."""
-    return flag_conflicts(delta) is not None
+    return delta.flag_conflicts is not None
 
 
 def is_simplex(delta: LabeledComplex) -> bool:

@@ -6,13 +6,16 @@ in which a node is a face and its children are the faces one vertex larger,
 in vertex order.  Equal faces are one node, so the structure is a DAG; its
 unfolding is the move-sequence tree, in which every ordering of a face is a
 play sequence, so the unfolded tree has sum-over-faces-of-|F|! nodes
-(:attr:`~spg.complexes.LabeledComplex.node_count`).
+(:attr:`~spg.complexes.LabeledComplex.node_count`, read off the f-vector, so
+a flag complex's count lists no face).
 
 :func:`fold` is the one walk of the tree.  The value of a complex that is not
 flag, tree isomorphism, the DOT export and the CLI's printed tree are folds:
 :func:`fold` combines the faces once each, largest first, so children come
-before parents and the cost is polynomial in the number of faces; a move
-whose vertex is in the face already is skipped before its child is looked up.
+before parents and the cost is polynomial in the number of faces.  A face
+finds its moves without scanning the vertices: each combined face pushes
+its result to the faces one vertex smaller, so a face's moves are waiting
+for it when its turn comes.
 
 The canonical value needs no face lattice when the complex is flag (the legal
 complex of every pairwise ruleset): a position is then the set of vertices
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Iterable, Optional, TypeVar
 
-from .complexes import LabeledComplex, are_isomorphic, bits, flag_conflicts
+from .complexes import LabeledComplex, are_isomorphic, bits, factor_walk
 
 T = TypeVar("T")
 
@@ -60,15 +63,24 @@ def fold(delta: LabeledComplex, combine: Callable[[int, list[Move]], T]) -> T:
 
     The faces are combined in descending mask order, largest first: every
     face one vertex larger is a larger mask, so each face is combined once,
-    after its children, and reads its moves, in vertex order, from faces
-    already combined.  The void complex combines the empty root alone.
+    after its children.  A combined face pushes its move onto the list of
+    each face one vertex smaller; those pushes come in descending vertex
+    order, so a face reverses its list to read its moves in vertex order.
+    The void complex combines the empty root alone.
     """
-    moves = [(1 << i, delta.part[v], v) for i, v in enumerate(delta.vertices)]
-    done: dict[int, T] = {}
+    move = {1 << i: (delta.part[v], v) for i, v in enumerate(delta.vertices)}
+    pending: dict[int, list[Move]] = {}
     for face in sorted(delta.face_masks or [0], reverse=True):
-        kids = [(label, v, done[face | b]) for b, label, v in moves if not face & b and face | b in done]
-        done[face] = combine(face, kids)
-    return done[0]
+        kids = pending.pop(face, [])
+        kids.reverse()
+        result = combine(face, kids)
+        rest = face
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            label, v = move[low]
+            pending.setdefault(face ^ low, []).append((label, v, result))
+    return result
 
 
 def trees_isomorphic(d1: LabeledComplex, d2: LabeledComplex) -> bool:
@@ -249,35 +261,26 @@ def game_add(g: CanonicalValue, h: CanonicalValue) -> CanonicalValue:
 def canonical_value(delta: LabeledComplex) -> CanonicalValue:
     """Canonical value of the placement game on a legal complex.
 
-    A flag complex (:func:`~spg.complexes.flag_conflicts`) is valued one
-    connected factor at a time: the position with playable vertex set ``S``
-    is the disjunctive sum of the positions on the connected components of
-    ``S`` in the conflict graph, and a move at v on a connected ``S`` leaves
-    ``S`` minus v's conflicts.  The walk first collects every reachable
-    playable set with its components, then values them smallest first, each
-    from values already computed; values are kept by vertex mask and sums by
+    A flag complex (:attr:`~spg.complexes.LabeledComplex.flag_conflicts`) is
+    valued one connected factor at a time: the position with playable vertex
+    set ``S`` is the disjunctive sum of the positions on the connected
+    components of ``S`` in the conflict graph, and a move at v on a
+    connected ``S`` leaves ``S`` minus v's conflicts.  The
+    :func:`~spg.complexes.factor_walk` collects every reachable playable set
+    with its components, and they are valued smallest first, each from
+    values already computed; values are kept by vertex mask and sums by
     pair of values, both for this call only.  Any other complex is a
     :func:`fold` of its tree: one :func:`make_value` per face, from the
     values of the faces one move further.
     """
-    conflict = flag_conflicts(delta)
+    conflict = delta.flag_conflicts
     if conflict is None:
         return fold(delta, _value_of)
     left = sum(1 << i for i, v in enumerate(delta.vertices) if delta.part[v] == "L")
     full = (1 << len(conflict)) - 1
-    # every reachable playable set, with its connected components
-    split: dict[int, list[int]] = {}
-    todo = [full]
-    while todo:
-        s = todo.pop()
-        if s not in split:
-            parts = split[s] = _components(conflict, s)
-            todo.extend(parts if len(parts) > 1 else [s & ~conflict[i] for i in bits(s)])
     sums: dict[tuple[int, int], CanonicalValue] = {}
     value: dict[int, CanonicalValue] = {}
-    # a component or a move leaves a proper subset, which is a smaller mask
-    for s in sorted(split):
-        parts = split[s]
+    for s, parts in factor_walk(conflict, full, lambda s: [s & ~conflict[i] for i in bits(s)]):
         if len(parts) > 1:
             total = ZERO
             for part in parts:
@@ -289,22 +292,6 @@ def canonical_value(delta: LabeledComplex) -> CanonicalValue:
                 [value[s & ~conflict[i]] for i in bits(s & ~left)],
             )
     return value[full]
-
-
-def _components(conflict: list[int], s: int) -> list[int]:
-    """The connected components of ``s`` in the conflict graph, as masks."""
-    out = []
-    while s:
-        comp = frontier = s & -s
-        while frontier:
-            reach = 0
-            for i in bits(frontier):
-                reach |= conflict[i]
-            frontier = reach & s & ~comp
-            comp |= frontier
-        out.append(comp)
-        s ^= comp
-    return out
 
 
 def _value_of(_: int, moves: list[Move]) -> CanonicalValue:

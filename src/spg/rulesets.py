@@ -99,36 +99,52 @@ def col() -> Ruleset:
     )
 
 
+def _byte_tables(values: Sequence[int]) -> list[list[int]]:
+    """Per byte of a mask over ``values`` (bit i stands for ``values[i]``),
+    a table giving the OR of the values of each byte's set bits."""
+    tables = []
+    for k in range(0, len(values), 8):
+        table = [0]
+        for v in values[k:k + 8]:
+            table += [t | v for t in table]
+        tables.append(table)
+    return tables
+
+
 def nogo() -> Ruleset:
     """Every maximal same-player connected group needs an adjacent empty vertex."""
 
     def legal(b: Board, placements: Sequence[Placement]) -> Predicate:
         n = len(b.vertices)
         dense = {v: 1 << i for i, v in enumerate(b.vertices)}
-        # keyed by a single bit; Right's stones are shifted past the board's n bits
-        near = {dense[v]: sum(dense[w] for w in b.neighbors(v)) for v in b.vertices}
-        occ = {1 << i: sum(dense[v] for v in p.occupied) << n * (p.player == "R") for i, p in enumerate(placements)}
+        # two lanes of n bits: Left's stones, then Right's shifted past them
+        stones_of = _byte_tables([
+            sum(dense[v] for v in p.occupied) << n * (p.player == "R") for p in placements
+        ])
+        nbrs = [sum(dense[w] for w in b.neighbors(v)) for v in b.vertices]
+        near = _byte_tables(nbrs + [m << n for m in nbrs])
         everything = (1 << n) - 1
+
+        def around(lanes: int) -> int:
+            out = 0
+            for table in near:
+                out |= table[lanes & 255]
+                lanes >>= 8
+            return out
 
         def predicate(mask: int) -> bool:
             stones = 0
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                stones |= occ[low]
+            for table in stones_of:
+                stones |= table[mask & 255]
+                mask >>= 8
             empty = everything & ~(stones | stones >> n)
-            for own in (stones & everything, stones >> n):
-                # a stone breathes when a neighbour is empty or a breathing own stone
-                air, rest, grew = empty, own, True
-                while rest and grew:
-                    grew, todo = False, rest
-                    while todo:
-                        low = todo & -todo
-                        todo ^= low
-                        if near[low] & air:
-                            air, rest, grew = air | low, rest ^ low, True
-                if rest:
+            # a stone breathes when a neighbour is empty or a breathing own stone
+            air = stones & around(empty | empty << n)
+            while air != stones:
+                more = air | stones & around(air)
+                if more == air:
                     return False
+                air = more
             return True
 
         return predicate

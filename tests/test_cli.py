@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -311,6 +312,32 @@ def test_construct_illegal_with_a_labeling_file(run, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "illegal", "--out-dir", "artifacts"),
+    ("verify", "illegal"),
+    ("verify", "roundtrip", "--kind", "illegal"),
+], ids=["construct-illegal", "verify-illegal", "verify-roundtrip"])
+def test_labeling_of_other_edges_is_bad_input(run, tmp_path, monkeypatch, argv):
+    """A labeling whose edges are not the complex's is bad input (exit 2),
+    as it is inside a ``gamma:complex.json:labeling.json`` spec, and nothing
+    is built or written."""
+    monkeypatch.chdir(tmp_path)
+    ab_bc = write_complex(tmp_path / "c.json", AB_BC)
+    lab = tmp_path / "lab.json"
+    lab.write_text('[{"edge": ["a", "c"], "label": 1}, {"edge": ["a", "b"], "label": 2}]')
+    code, out, err = run(*argv, "--complex", ab_bc, "--labeling", str(lab))
+    assert (code, out) == (2, "")
+    assert err == f"error: {lab}: labeling domain does not match the 1-dimensional faces\n"
+    code, _, err = run("game", "value", "--ruleset", f"gamma:{ab_bc}:{lab}", "--board", "path:2")
+    assert code == 2 and "labeling domain does not match" in err
+    # a complex that no distance game realises stays a domain error (exit 1)
+    single = write_complex(tmp_path / "s.json", from_facets([["a"], ["b", "c"]], dict.fromkeys("abc", "L")))
+    lab.write_text('[{"edge": ["b", "c"], "label": 1}]')
+    code, out, err = run(*argv, "--complex", single, "--labeling", str(lab))
+    assert (code, out) == (1, "") and err.startswith("error: complex has singleton facet(s) ['a']")
+    assert not (tmp_path / "artifacts").exists()
+
+
 def test_skip_verify_writes_a_skipped_report(run, tmp_path):
     out_dir = tmp_path / "artifacts"
     p = write_complex(tmp_path / "c.json", AB_BC)
@@ -580,9 +607,12 @@ def test_too_deep_game_is_inconclusive(run, tmp_path):
 
 
 def test_out_of_memory_is_inconclusive(tmp_path):
-    # every face of a 30-vertex simplex does not fit in 400 MB of address space
+    # the boundary of a 30-vertex simplex is not flag, so its faces are
+    # listed to be counted, and they do not fit in 400 MB of address space
+    names = [f"v{i}" for i in range(30)]
+    boundary = from_facets([[v for v in names if v != w] for w in names], dict.fromkeys(names, "L"))
     proc = run_spg_capped("complex", "info", "--complex",
-                          _simplex_file(tmp_path / "s.json", "L" * 30), cwd=tmp_path)
+                          write_complex(tmp_path / "b.json", boundary), cwd=tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("INCONCLUSIVE: ") and len(proc.stderr.splitlines()) == 1
@@ -605,6 +635,22 @@ def test_nonfaces_skip_the_vertices_in_every_facet(tmp_path):
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, nonfaces + "\n", "")
         proc = run_spg_capped("complex", "dual", "--to", "sr-ideal", "--complex", path, cwd=tmp_path)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"sr-ideal: {ideal}\n", "")
+
+
+def test_forty_vertex_simplex_is_counted_without_its_faces(tmp_path):
+    # a flag complex's faces are counted from its conflict graph, so the
+    # 2^40 faces are never listed
+    simplex, _ = _forty_vertex_files(tmp_path)
+    proc = run_spg_capped("complex", "info", "--complex", simplex, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout.splitlines()[2:] == [
+        "dimension: 39", f"faces: {2 ** 40}", "pure: yes", "flag: yes", "simplex: yes",
+    ]
+    proc = run_spg_capped("game", "tree", "--complex", simplex, cwd=tmp_path)
+    nodes = sum(factorial(40) // factorial(40 - k) for k in range(41))
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout == (f"game tree: {nodes} nodes, depth 40\n"
+                           "tree too large to print; use --format dot with --out\n")
 
 
 def test_round_trips_of_forty_vertices_stop_at_the_cap(tmp_path):

@@ -22,7 +22,6 @@ from spg.complexes import (
     faces,
     facet_complex,
     facet_ideal,
-    flag_conflicts,
     from_facets,
     ideal,
     ideal_from_obj,
@@ -219,7 +218,7 @@ def test_flag_test_matches_minimal_nonfaces():
     for delta in all_labeled_complexes("abcd"):
         want = all(len(n) == 2 for n in minimal_nonfaces(delta))
         assert is_flag(delta) == want, delta
-        conflict = flag_conflicts(delta)
+        conflict = delta.flag_conflicts
         assert (conflict is not None) == want, delta
         if want:
             # the faces are the independent sets of the conflict graph

@@ -11,13 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from spg.boards import build_path, disjoint_union
+from spg.boards import build_cycle, build_grid, build_path, disjoint_union
 from spg.complexes import (
     empty_face_complex,
     faces,
-    flag_conflicts,
     from_facets,
     independence_complex,
+    mask_components,
     relabel,
     void_complex,
 )
@@ -25,7 +25,6 @@ from spg.engine import legal_complex
 from spg.gametree import (
     ZERO,
     _as_int,
-    _components,
     _mk,
     _value_of,
     build_tree,
@@ -41,7 +40,7 @@ from spg.gametree import (
     trees_isomorphic,
     value_str,
 )
-from spg.rulesets import col, snort
+from spg.rulesets import col, domineering, nogo, snort
 from conftest import (
     all_labeled_complexes, connected_boards, node_count_oracle, part_assignments, random_complex,
 )
@@ -158,6 +157,54 @@ def test_tree_fold_matches_node_trees():
     rng = random.Random(2024)
     for _ in range(100):
         assert_fold_matches_nodes(random_complex(rng, 6))
+
+
+def differential_complexes():
+    """Every labeled complex on at most four vertices, 200 seeded random
+    complexes on at most seven, and the legal complexes of snort on path:10,
+    col on cycle:10, nogo on grid:3x3 and domineering on grid:3x4."""
+    yield from all_labeled_complexes("abcd")
+    rng = random.Random(31)
+    for _ in range(200):
+        yield random_complex(rng, 7)
+    for game, b, cap in ((snort(), build_path(10), 24), (col(), build_cycle(10), 24),
+                         (nogo(), build_grid(3, 3), 24), (domineering(), build_grid(3, 4), 40)):
+        yield legal_complex(game, b, cap=cap)
+
+
+def test_f_vector_counts_the_listed_faces():
+    for delta in differential_complexes():
+        sizes = [0] * (len(delta.vertices) + 1)
+        for face in delta.face_masks:
+            sizes[bin(face).count("1")] += 1
+        while sizes and not sizes[-1]:
+            sizes.pop()
+        assert delta.f_vector == tuple(sizes), delta
+
+
+def pull_fold(delta, combine):
+    """The fold as each face pulling its children's results: every vertex is
+    tried as a move from every face, and a move lands when the face one
+    vertex larger has a result."""
+    moves = [(1 << i, delta.part[v], v) for i, v in enumerate(delta.vertices)]
+    done: dict = {}
+    for face in sorted(delta.face_masks or [0], reverse=True):
+        done[face] = combine(face, [(label, v, done[face | b]) for b, label, v in moves
+                                    if not face & b and face | b in done])
+    return done[0]
+
+
+def combine_calls(walk, delta) -> list:
+    """The ``(mask, moves)`` of every combine call of ``walk``, in order,
+    each face's result being its mask."""
+    calls: list = []
+    assert walk(delta, lambda mask, moves: calls.append((mask, moves)) or mask) == 0
+    return calls
+
+
+def test_fold_calls_match_a_pull_style_fold():
+    for delta in differential_complexes():
+        assert combine_calls(fold, delta) == combine_calls(pull_fold, delta), delta
 
 
 def test_trees_isomorphic_under_relabel():
@@ -359,7 +406,7 @@ def graph_complexes(vertices, edges):
 
 
 def assert_factor_path_matches(delta) -> None:
-    assert flag_conflicts(delta) is not None, delta
+    assert delta.flag_conflicts is not None, delta
     got = canonical_value(delta)
     assert got is fold(delta, _value_of), delta
     assert got is reference_value(delta), delta
@@ -385,15 +432,15 @@ def test_factor_path_matches_fold_on_random_graphs():
         edges = [e for e in combinations(verts, 2) if rng.random() < p]
         part = {v: rng.choice("LR") for v in verts}
         delta = independence_complex(verts, edges, part)
-        conflict = flag_conflicts(delta)
-        disconnected += len(_components(conflict, (1 << n) - 1)) > 1
+        conflict = delta.flag_conflicts
+        disconnected += len(mask_components(conflict, (1 << n) - 1)) > 1
         assert_factor_path_matches(delta)
     assert disconnected >= 10
 
 
 def test_non_flag_complex_takes_the_fold():
     hollow = from_facets([["a", "b"], ["b", "c"], ["a", "c"]], {"a": "L", "b": "R", "c": "L"})
-    assert flag_conflicts(hollow) is None
+    assert hollow.flag_conflicts is None
     got = canonical_value(hollow)
     assert got is fold(hollow, _value_of)
     assert got is reference_value(hollow)
@@ -404,7 +451,7 @@ def test_non_flag_complex_takes_the_fold():
         vs = [f"v{i}" for i in range(rng.randint(3, 6))]
         family = [rng.sample(vs, rng.randint(2, len(vs) - 1)) for _ in range(rng.randint(2, 2 * len(vs)))]
         delta = from_facets(family, {v: rng.choice("LR") for v in vs})
-        if flag_conflicts(delta) is None:
+        if delta.flag_conflicts is None:
             assert canonical_value(delta) is reference_value(delta), delta
             checked += 1
 

@@ -10,11 +10,11 @@ from spg.boards import (
     build_cycle,
     build_grid,
     build_path,
-    components,
     disjoint_union,
     placement,
 )
 from spg.complexes import empty_face_complex, from_facets, void_complex
+from spg.engine import analyze
 from spg.rulesets import (
     _covered_names,
     col,
@@ -96,23 +96,35 @@ def nogo_rule(b, stones) -> bool:
     needs an empty neighbour."""
     occupied = stones["L"] | stones["R"]
     for own in stones.values():
-        for group in components(board(own, [e for e in b.edges if set(e) <= own])):
-            if not any(w not in occupied for v in group for w in b.neighbors(v)):
+        seen: set = set()
+        for v in own:
+            if v in seen:
+                continue
+            group, todo = {v}, [v]
+            while todo:
+                for w in b.neighbors(todo.pop()):
+                    if w in own and w not in group:
+                        group.add(w)
+                        todo.append(w)
+            seen |= group
+            if not any(w not in occupied for u in group for w in b.neighbors(u)):
                 return False
     return True
 
 
 def _colourings():
     """Every L/R/empty colouring of every connected board on 1-4 vertices,
-    then 200 seeded colourings of the 3x3 grid."""
+    then 200 seeded colourings of each larger board: the 3x3 grid, the 3x4
+    grid (24 placements, so a predicate's masks span three bytes) and the
+    17-vertex path (34 placements, and three bytes of vertices)."""
     for n in range(1, 5):
         for b in connected_boards(n):
             for colours in product("LR.", repeat=n):
                 yield b, colours
-    grid = build_grid(3, 3)
     rng = random.Random(5)
-    for _ in range(200):
-        yield grid, [rng.choice("LR.") for _ in grid.vertices]
+    for b in (build_grid(3, 3), build_grid(3, 4), build_path(17)):
+        for _ in range(200):
+            yield b, [rng.choice("LR.") for _ in b.vertices]
 
 
 @pytest.mark.parametrize(
@@ -135,6 +147,55 @@ def test_matches_reference_rule(game, rule):
         for order, predicate in compiled[b]:
             mask = sum(1 << i for i, p in enumerate(order) if all(at[v] == p.player for v in p.occupied))
             assert predicate(mask) == rule(b, stones), (b.edges, colours, order)
+
+
+def _random_connected_board(rng: random.Random, n: int):
+    """A random spanning tree on 0..n-1 (n >= 2) plus up to n/2 random edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, n // 2)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return board(range(n), sorted(edges))
+
+
+def reference_closure(b, placements) -> tuple[set[int], set[int]]:
+    """The maximal legal and minimal illegal sets of NoGo over
+    ``placements``, one size at a time from the empty set.  A set is legal
+    when its placements are disjoint, ``nogo_rule`` accepts them and every
+    one-smaller subset is legal, and minimal illegal when it is not legal
+    but every one-smaller subset is.  Either kind stays a legal set when its
+    last placement is dropped, so each is reached once, from that set."""
+    m = len(placements)
+    legal = {0: (frozenset(), frozenset())}  # legal set -> Left's and Right's stones
+    minimal, level = set(), [0]
+    while level:
+        nxt = []
+        for s in level:
+            left, right = legal[s]
+            members = [j for j in range(m) if s >> j & 1]
+            for i in range(s.bit_length(), m):
+                t, p = s | 1 << i, placements[i]
+                if any(t ^ 1 << j not in legal for j in members):
+                    continue
+                stones = {"L": left, "R": right}
+                stones[p.player] = stones[p.player] | p.occupied
+                if not p.occupied & (left | right) and nogo_rule(b, stones):
+                    legal[t] = stones["L"], stones["R"]
+                    nxt.append(t)
+                else:
+                    minimal.add(t)
+        level = nxt
+    maximal = {s for s in legal if not any(s | 1 << i in legal for i in range(m) if not s >> i & 1)}
+    return maximal, minimal
+
+
+def test_nogo_analysis_matches_reference_closure():
+    rng = random.Random(23)
+    for n in range(2, 13):
+        b = _random_connected_board(rng, n)
+        a = analyze(nogo(), b)
+        want_max, want_min = reference_closure(b, a.index.placements)
+        assert a.maximal_masks == want_max, b.edges
+        assert a.minimal_masks == want_min, b.edges
 
 
 def test_domineering_orientations():
