@@ -60,38 +60,39 @@ def _norm_edge(a: int, b: int) -> Edge:
 @dataclass(frozen=True, eq=False)
 class Board:
     """A finite simple graph.  The constructor validates it (distinct vertex
-    ids, no loop, known endpoints, coordinates one grid step apart along
-    every edge) and builds its adjacency once: ``_adj``, each vertex's
-    neighbours as a sorted tuple, whose order fixes the order of the
-    embedding search's yields, and ``_nbrs``, the same as sets for
-    membership tests.  A vertex's degree is the length of its tuple.  The
-    one graph memo is ``_runs``, the run table the embedding search reads,
-    built when a search first needs it."""
+    ids, no loop, known endpoints, no edge given in both orientations,
+    coordinates one grid step apart along every edge) and builds its one
+    adjacency: ``_adj``, each vertex's neighbours as a sorted tuple, whose
+    order fixes the order of the embedding search's yields.  A vertex's
+    degree is the length of its tuple.  The one graph memo is ``_runs``, the
+    run table the embedding search reads, built when a search first needs
+    it."""
 
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
     coords: Optional[Mapping[int, tuple[int, int]]] = None
     _adj: dict = field(init=False, repr=False)
-    _nbrs: dict = field(init=False, repr=False)
     # engine-owned memos, one entry each: the last analysis made on this
     # board (game, cap, analysis), and its last basic-position index (the
     # two pieces, index), shared by every ruleset with those pieces
     _analysis: Optional[tuple] = field(init=False, repr=False)
     _positions: Optional[tuple] = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
+        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
         for a, b in self.edges:
             if a not in vset or b not in vset:
                 raise ValueError(f"edge ({a},{b}) uses unknown vertices")
-            if a == b:
-                raise ValueError(f"loop edge at vertex {a}")
-            adj[a].add(b)
-            adj[b].add(a)
+            if a >= b:
+                if a == b:
+                    raise ValueError(f"loop edge at vertex {a}")
+                if (b, a) in self.edges:
+                    raise ValueError(f"edge ({a},{b}) is given in both orientations")
+            adj[a].append(b)
+            adj[b].append(a)
         if self.coords is not None:
             vals = list(self.coords.values())
             if len(set(vals)) != len(vals):
@@ -103,10 +104,8 @@ class Board:
                 if abs(ra - rb) + abs(ca - cb) != 1:
                     raise ValueError(f"edge ({a},{b}) is not orthogonally adjacent in coords")
         object.__setattr__(self, "_adj", {v: tuple(sorted(n)) for v, n in adj.items()})
-        object.__setattr__(self, "_nbrs", adj)
         object.__setattr__(self, "_analysis", None)
         object.__setattr__(self, "_positions", None)
-        object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
 
     @cached_property
     def _runs(self) -> dict[int, tuple[tuple[int, ...], int]]:
@@ -158,7 +157,7 @@ class Board:
         return self.vertices == other.vertices and self.edges == other.edges and mine == theirs
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.vertices, self.edges))
 
     def __repr__(self) -> str:
         return f"Board(n={len(self.vertices)}, m={len(self.edges)})"
@@ -507,7 +506,7 @@ def _search(
         return
     earlier, need, above, below = plan.earlier, plan.need, plan.above, plan.below
     land = plan.land
-    t_adj, t_nbrs = target._adj, target._nbrs
+    t_adj = target._adj
     image: list[int] = [0] * k
     used: set[int] = set()
 
@@ -516,7 +515,7 @@ def _search(
         run rule keeps at a position with landing ``spec``."""
         runs = target._runs
         steps, d, adjacent, lower, upper = spec
-        near = [t_nbrs[image[a]] for a in adjacent] if adjacent else ()
+        near = [t_adj[image[a]] for a in adjacent] if adjacent else ()
         lo = max(image[a] for a in lower) if lower else None
         hi = min(image[a] for a in upper) if upper else None
         out = []
@@ -549,7 +548,7 @@ def _search(
             anchors = sorted((image[j] for j in prior), key=lambda v: len(t_adj[v]))
             base = t_adj[anchors[0]]
             for x in anchors[1:]:
-                base = [w for w in base if w in t_nbrs[x]]
+                base = [w for w in base if w in t_adj[x]]
         else:
             base = target.vertices
         d = need[i]
@@ -693,11 +692,11 @@ def induced_embeddings(
     many neighbours among the images as its vertex has in the pattern: the
     pattern's edges are among the images' edges, so there is no other."""
     p_adj = Board(tuple(sub_vertices), frozenset(sub_edges))._adj
-    t_nbrs = target._nbrs
+    t_adj = target._adj
 
     def induced(emb: dict[int, int]) -> bool:
         images = set(emb.values())
-        return all(len(t_nbrs[w] & images) == len(p_adj[v]) for v, w in emb.items())
+        return all(sum(u in images for u in t_adj[w]) == len(p_adj[v]) for v, w in emb.items())
 
     return list(islice(filter(induced, _search(_SearchPlan(sub_vertices, p_adj), target)), limit))
 
@@ -791,6 +790,27 @@ def skeleton_labeling(
     if sorted(lab.values()) != list(range(1, len(edges) + 1)):
         raise ValueError("labels must be a bijection onto 1..k")
     return lab
+
+
+def labeling_from_obj(obj) -> dict[frozenset[str], int]:
+    """The edge labeling of a labeling object, a list of
+    ``{"edge": [u, v], "label": n}``; the inverse of :func:`labeling_to_obj`."""
+    out: dict[frozenset[str], int] = {}
+    try:
+        for entry in obj:
+            u, v = entry["edge"]
+            out[frozenset((u, v))] = _integer(entry["label"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError("labelings are lists of {'edge': [u, v], 'label': n} with integer n") from exc
+    return out
+
+
+def labeling_to_obj(labeling: Mapping[frozenset[str], int]) -> list[dict]:
+    """The labeling object of an edge labeling, in label order."""
+    return [
+        {"edge": sorted(e), "label": lab}
+        for e, lab in sorted(labeling.items(), key=lambda kv: kv[1])
+    ]
 
 
 def _assembly(n: int, part: str) -> tuple[int, list[Edge], list[int]]:

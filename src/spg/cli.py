@@ -32,7 +32,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .boards import (
     Board, BudgetExceeded, board_from_obj, board_to_dot, board_to_obj, build_cycle, build_grid,
-    build_path, disjoint_union, empty_board, gamma_board, grid_from_cells, skeleton_labeling,
+    build_path, disjoint_union, empty_board, gamma_board, grid_from_cells, labeling_from_obj,
+    labeling_to_obj, skeleton_labeling,
 )
 from .complexes import (
     LabeledComplex, SquareFreeIdeal, complex_from_obj, complex_to_obj, dimension, dumps,
@@ -63,45 +64,18 @@ class CliError(Exception):
 # Input parsing
 
 
-def _load_json(path: str):
+def _load(path: str, from_obj: Callable):
+    """``from_obj`` of the JSON file at ``path``: the one reader of input
+    files, whose every complaint names the file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return from_obj(json.load(fh))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
-
-
-def _load(path: str, from_obj: Callable):
-    """``from_obj`` of the JSON file at ``path``, whose complaint names the file."""
-    try:
-        return from_obj(_load_json(path))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
-
-
-def load_labeling(path: str) -> Labeling:
-    obj = _load_json(path)
-    out: Labeling = {}
-    usage = f"{path}: labelings are lists of {{'edge': [u, v], 'label': n}} with integer n"
-    try:
-        for entry in obj:
-            u, v = entry["edge"]
-            label = entry["label"]
-            if not isinstance(label, int) or isinstance(label, bool):
-                raise CliError(usage)
-            out[frozenset((u, v))] = label
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(usage) from exc
-    return out
-
-
-def labeling_to_obj(labeling: Labeling) -> list[dict]:
-    return [
-        {"edge": sorted(e), "label": lab}
-        for e, lab in sorted(labeling.items(), key=lambda kv: kv[1])
-    ]
 
 
 _MAX_NESTING = 100
@@ -130,7 +104,8 @@ def _gamma_spec(rest: str) -> tuple[LabeledComplex, Optional[Labeling]]:
     """The complex and the optional edge labeling of a ``complex.json[:labeling.json]``
     spec, shared by the ``gamma:`` board and ruleset forms."""
     path, _, labeling_path = rest.partition(":")
-    return _load(path, complex_from_obj), (load_labeling(labeling_path) if labeling_path else None)
+    delta = _load(path, complex_from_obj)
+    return delta, (_load(labeling_path, labeling_from_obj) if labeling_path else None)
 
 
 _BOARD_FORMS = (
@@ -254,7 +229,7 @@ def _labeling_input(args: Args) -> Optional[Labeling]:
     complex that no distance game realises is left to the action."""
     if not args.labeling:
         return None
-    labeling = load_labeling(args.labeling)
+    labeling = _load(args.labeling, labeling_from_obj)
     if args.kind != "illegal":
         raise CliError("--labeling only applies to the illegal round trip")
     try:

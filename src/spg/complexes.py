@@ -134,6 +134,19 @@ def _independence_counts(conflict: Sequence[int], full: int) -> list[int]:
     return poly[full]
 
 
+def submasks(family: Iterable[int]) -> frozenset[int]:
+    """Every subset of a mask of ``family``, by submask enumeration."""
+    out: set[int] = set()
+    for full in family:
+        sub = full
+        while True:
+            out.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & full
+    return frozenset(out)
+
+
 def _norm_faces(faces: Iterable[Iterable[str]]) -> set[frozenset[str]]:
     return {frozenset(f) for f in faces}
 
@@ -175,7 +188,9 @@ class LabeledComplex:
 
     Instances are built through :func:`from_facets`, which normalises the facet
     family to an inclusion-maximal antichain and derives the canonical vertex
-    order.  Every vertex appears in at least one facet.
+    order.  Every vertex appears in at least one facet.  ``facet_masks`` is
+    the one place vertex names become bits (bit i is ``vertices[i]``); the
+    faces, the flag test, the nonfaces and the isomorphism search read masks.
     """
 
     vertices: tuple[str, ...]
@@ -183,20 +198,26 @@ class LabeledComplex:
     facets: frozenset[frozenset[str]]
 
     @cached_property
-    def face_masks(self) -> frozenset[int]:
-        """Every face as an int mask over ``vertices`` (bit i is vertex i),
-        enumerated once from the facets.  Empty for the void complex."""
+    def facet_masks(self) -> frozenset[int]:
+        """Every facet as an int mask over ``vertices`` (bit i is vertex i)."""
         bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        out: set[int] = set()
-        for f in self.facets:
-            full = sum(bit[v] for v in f)
-            sub = full
-            while True:
-                out.add(sub)
-                if not sub:
-                    break
-                sub = (sub - 1) & full
-        return frozenset(out)
+        return frozenset(sum(bit[v] for v in f) for f in self.facets)
+
+    @cached_property
+    def cofacets(self) -> tuple[int, ...]:
+        """Per vertex index, the mask of the vertices sharing a facet with
+        it, itself included."""
+        out = [0] * len(self.vertices)
+        for m in self.facet_masks:
+            for i in bits(m):
+                out[i] |= m
+        return tuple(out)
+
+    @cached_property
+    def face_masks(self) -> frozenset[int]:
+        """Every face as an int mask over ``vertices``, enumerated once from
+        the facets.  Empty for the void complex."""
+        return submasks(self.facet_masks)
 
     @cached_property
     def flag_conflicts(self) -> Optional[tuple[int, ...]]:
@@ -211,11 +232,8 @@ class LabeledComplex:
         set is.
         """
         full = (1 << len(self.vertices)) - 1
-        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        together = _cofacets(self, bit)
-        conflict = tuple(full & ~together[v] | bit[v] for v in self.vertices)
-        facets = {sum(bit[v] for v in f) for f in self.facets}
-        if all(m in facets for m in maximal_independent_sets(conflict, full)):
+        conflict = tuple(full & ~c | 1 << i for i, c in enumerate(self.cofacets))
+        if all(m in self.facet_masks for m in maximal_independent_sets(conflict, full)):
             return conflict
         return None
 
@@ -324,19 +342,20 @@ def minimal_nonfaces(delta: LabeledComplex) -> frozenset[frozenset[str]]:
 
     The void complex has exactly the empty set: nothing at all is a face of
     it.  A vertex in every facet is in no minimal nonface, so those are
-    dropped first and a simplex has none.  Any other minimal nonface is a face
+    masked out first and a simplex has none.  Any other minimal nonface is a face
     plus a vertex above all of that face's vertices (drop its last vertex in
     ``vertices`` order), so only those extensions are tried, each once.
     """
     if delta.is_void:
         return frozenset({frozenset()})
-    common = frozenset.intersection(*delta.facets)
-    if common:
-        delta = from_facets([f - common for f in delta.facets], delta.part)
-    masks = delta.face_masks
+    common = -1
+    for m in delta.facet_masks:
+        common &= m
+    free = (1 << len(delta.vertices)) - 1 & ~common
+    masks = submasks(m & free for m in delta.facet_masks) if common else delta.face_masks
     out: set[int] = set()
     for f in masks:
-        for i in range(f.bit_length(), len(delta.vertices)):
+        for i in bits(free & -1 << f.bit_length()):
             cand = f | 1 << i
             if cand not in masks and all(cand ^ 1 << j in masks for j in bits(f)):
                 out.add(cand)
@@ -438,16 +457,6 @@ def sr_complex(ideal_: SquareFreeIdeal) -> LabeledComplex:
     return from_facets(candidates, ideal_.part)
 
 
-def _cofacets(delta: LabeledComplex, bit: Mapping[str, int]) -> dict[str, int]:
-    """Per vertex, the mask (over ``bit``) of the vertices sharing a facet with it."""
-    together = dict.fromkeys(delta.vertices, 0)
-    for f in delta.facets:
-        mask = sum(bit[v] for v in f)
-        for v in f:
-            together[v] |= mask
-    return together
-
-
 def is_flag(delta: LabeledComplex) -> bool:
     """True when every minimal nonface has exactly two vertices."""
     return delta.flag_conflicts is not None
@@ -489,9 +498,9 @@ def relabel(delta: LabeledComplex, mapping: Mapping[str, str]) -> LabeledComplex
     return from_facets([{mapping[v] for v in f} for f in delta.facets], part)
 
 
-def _vertex_signature(delta: LabeledComplex, v: str) -> tuple:
-    sizes = sorted(len(f) for f in delta.facets if v in f)
-    return (delta.part[v], tuple(sizes))
+def _vertex_signature(delta: LabeledComplex, i: int) -> tuple:
+    sizes = sorted(m.bit_count() for m in delta.facet_masks if m >> i & 1)
+    return (delta.part[delta.vertices[i]], tuple(sizes))
 
 
 def are_isomorphic(a: LabeledComplex, b: LabeledComplex) -> Optional[dict[str, str]]:
@@ -501,47 +510,44 @@ def are_isomorphic(a: LabeledComplex, b: LabeledComplex) -> Optional[dict[str, s
     inputs always produce the same witness bijection.  The multisets of
     vertex signatures (part, sizes of the facets holding the vertex) must
     agree first; that fixes the vertex count per part and, since a facet of
-    size k is counted k times, the facet count per size.
+    size k is counted k times, the facet count per size.  The search maps
+    vertex indices and names the witness at the end.
     """
     if a.is_void != b.is_void:
         return None
-    sig_a = {v: _vertex_signature(a, v) for v in a.vertices}
-    sig_b = {v: _vertex_signature(b, v) for v in b.vertices}
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
+    n = len(a.vertices)
+    sig_a = [_vertex_signature(a, i) for i in range(n)]
+    sig_b = [_vertex_signature(b, k) for k in range(len(b.vertices))]
+    if sorted(sig_a) != sorted(sig_b):
         return None
 
-    bit_a = {v: 1 << i for i, v in enumerate(a.vertices)}
-    bit_b = {w: 1 << i for i, w in enumerate(b.vertices)}
-    co_a, co_b = _cofacets(a, bit_a), _cofacets(b, bit_b)
-    order, targets = a.vertices, b.vertices
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
+    co_a, co_b = a.cofacets, b.cofacets
+    assignment: list[int] = []  # assignment[i]: the index in b of a's vertex i
+    used = 0
 
-    def consistent(v: str, w: str) -> bool:
-        """Whether ``v -> w`` keeps every assigned pair's sharing of a facet."""
-        if sig_a[v] != sig_b[w]:
+    def consistent(i: int, k: int) -> bool:
+        """Whether ``i -> k`` keeps every assigned pair's sharing of a facet."""
+        if sig_a[i] != sig_b[k]:
             return False
-        cv, cw = co_a[v], co_b[w]
-        return all(bool(cv & bit_a[u]) == bool(cw & bit_b[x]) for u, x in assignment.items())
+        ci, ck = co_a[i], co_b[k]
+        return all(ci >> u & 1 == ck >> x & 1 for u, x in enumerate(assignment))
 
-    # Depth-first over an explicit stack: tried[i] counts the candidates in
-    # ``targets`` already tried for order[i], so backtracking resumes there.
+    # Depth-first over an explicit stack: tried[i] counts the candidates
+    # already tried for vertex i, so backtracking resumes there.
     tried = [0]
     while tried:
         i = len(tried) - 1
-        if i == len(order):
-            if frozenset(frozenset(assignment[v] for v in f) for f in a.facets) == b.facets:
-                return dict(assignment)
+        if i == n:
+            if {sum(1 << assignment[u] for u in bits(m)) for m in a.facet_masks} == b.facet_masks:
+                return {a.vertices[u]: b.vertices[x] for u, x in enumerate(assignment)}
             tried.pop()
             continue
-        v = order[i]
-        if v in assignment:  # back from a failed extension: undo it
-            used.remove(assignment.pop(v))
-        for k in range(tried[i], len(targets)):
-            w = targets[k]
-            if w not in used and consistent(v, w):
-                assignment[v] = w
-                used.add(w)
+        if len(assignment) > i:  # back from a failed extension: undo it
+            used ^= 1 << assignment.pop()
+        for k in range(tried[i], n):
+            if not used >> k & 1 and consistent(i, k):
+                assignment.append(k)
+                used |= 1 << k
                 tried[i] = k + 1
                 tried.append(0)
                 break
@@ -555,11 +561,10 @@ def are_isomorphic(a: LabeledComplex, b: LabeledComplex) -> Optional[dict[str, s
 
 
 def complex_to_obj(delta: LabeledComplex) -> dict:
-    index = {v: i for i, v in enumerate(delta.vertices)}
-    facets = [sorted(f, key=index.__getitem__) for f in delta.facets if f]
+    facets = sorted(list(bits(m)) for m in delta.facet_masks if m)
     return {
         "vertices": [{"id": v, "part": delta.part[v]} for v in delta.vertices],
-        "facets": sorted(facets, key=lambda f: [index[v] for v in f]),
+        "facets": [[delta.vertices[i] for i in f] for f in facets],
         "void": delta.is_void,
     }
 

@@ -101,6 +101,11 @@ def test_board_validation():
         Board((0,), frozenset({(0, 0)}))
     with pytest.raises(ValueError, match="loop edge at vertex 1"):
         board([0, 1], [(0, 1), (1, 1)])
+    # an edge is one pair of neighbours, whichever way round it is written
+    assert Board((0, 1), frozenset({(1, 0)})).neighbors(0) == (1,)
+    with pytest.raises(ValueError, match=r"edge \(1,0\) is given in both orientations"):
+        Board((0, 1), frozenset({(0, 1), (1, 0)}))
+    assert board([0, 1], [(0, 1), (1, 0)]).neighbors(1) == (0,)
 
 
 def test_disjoint_union_offsets_and_components():
@@ -400,7 +405,7 @@ def reference_embeddings(p_vertices, p_adj, target, induced=False, conditions=()
     def candidates(i):
         prior = earlier[i]
         base = target.neighbors(image[prior[0]]) if prior else target.vertices
-        base = [w for w in base if all(w in target._nbrs[image[j]] for j in prior)]
+        base = [w for w in base if all(w in target.neighbors(image[j]) for j in prior)]
         out = [w for w in base if w not in used and target.degree(w) >= len(p_adj[order[i]])]
         out = [w for w in out if all(w > image[j] for j in above[i]) and all(w < image[j] for j in below[i])]
         if induced:

@@ -11,7 +11,9 @@ import pytest
 
 from spg.boards import board_to_obj, build_path
 from spg.cli import COMMANDS, main, parse_board_spec
-from spg.complexes import complex_to_obj, faces, facet_ideal, from_facets, sr_complex
+from spg.complexes import (
+    complex_to_obj, empty_face_complex, faces, facet_ideal, from_facets, sr_complex, void_complex,
+)
 from spg.engine import legal_complex
 from spg.gametree import canonical_value, value_str
 from spg.rulesets import col, domineering, snort
@@ -336,6 +338,71 @@ def test_labeling_of_other_edges_is_bad_input(run, tmp_path, monkeypatch, argv):
     code, out, err = run(*argv, "--complex", single, "--labeling", str(lab))
     assert (code, out) == (1, "") and err.startswith("error: complex has singleton facet(s) ['a']")
     assert not (tmp_path / "artifacts").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "illegal", "--complex", "{c}", "--labeling", "{lab}", "--out-dir", "artifacts"),
+    ("verify", "illegal", "--complex", "{c}", "--labeling", "{lab}"),
+    ("verify", "roundtrip", "--kind", "illegal", "--complex", "{c}", "--labeling", "{lab}"),
+    ("game", "value", "--ruleset", "snort", "--board", "gamma:{c}:{lab}"),
+    ("game", "value", "--ruleset", "gamma:{c}:{lab}", "--board", "path:2"),
+], ids=["construct-illegal", "verify-illegal", "verify-roundtrip", "gamma-board", "gamma-ruleset"])
+def test_undecodable_labeling_file_is_bad_input(run, tmp_path, monkeypatch, argv):
+    """A labeling file that is not text is bad input (exit 2) whose message
+    names the file, read by the one reader of input files."""
+    monkeypatch.chdir(tmp_path)
+    lab = tmp_path / "lab.json"
+    lab.write_bytes(b"\xff\xfe[]")
+    paths = {"c": write_complex(tmp_path / "c.json", AB_BC), "lab": str(lab)}
+    code, out, err = run(*(a.format(**paths) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {lab}")
+    assert not (tmp_path / "artifacts").exists()
+
+
+@pytest.mark.parametrize("argv, code, fragment", [
+    (("game", "value", "--ruleset", "snort", "--board", "grid:3"), 2, "grid spec needs RxC"),
+    (("game", "value", "--ruleset", "snort", "--board", "union:path:3"), 2,
+     "union spec needs parentheses"),
+    (("game", "value", "--ruleset", "snort", "--board", "star:5"), 2, "unknown board spec 'star:5'"),
+    (("game", "value", "--ruleset", "snort", "--board", "path"), 2, "unknown board spec 'path'"),
+    (("game", "value", "--ruleset", "snort"), 2, "need --complex, or both --ruleset and --board"),
+    (("game", "value", "--complex", "{ab_bc}", "--ruleset", "snort"), 2,
+     "give either --complex or --ruleset/--board, not both"),
+    (("complex", "dual", "--to", "sr-complex"), 2, "--to sr-complex needs --ideal"),
+    (("verify", "roundtrip", "--kind", "legal", "--complex", "{ab_bc}", "--labeling", "{lab}"), 2,
+     "--labeling only applies to the illegal round trip"),
+    (("verify", "illegal", "--complex", "{ab_bc}", "--labeling", "{no_edge}"), 2,
+     "labelings are lists of {'edge': [u, v], 'label': n} with integer n"),
+    (("complex", "info", "--complex", "{void}"), 0, "void complex: no faces at all"),
+    (("complex", "info", "--complex", "{empty}"), 0,
+     "facets: (empty face only)\ndimension: -1 (only the empty face)"),
+    (("complex", "nonfaces", "--complex", "{simplex}"), 0,
+     "no minimal nonfaces: the complex is a simplex"),
+    (("complex", "dual", "--to", "sr-ideal", "--complex", "{simplex}"), 0, "sr-ideal: <0>"),
+    (("complex", "dual", "--to", "sr-ideal", "--complex", "{void}"), 0, "sr-ideal: <1>"),
+    (("game", "complex", "--ruleset", "free", "--board", "empty", "--illegal"), 0,
+     "illegal complex: facets (void)"),
+    (("game", "tree", "--ruleset", "snort", "--board", "path:2", "--out", "tree.json"), 0,
+     "wrote tree.json"),
+    (("verify", "legal", "--complex", "{ab_bc}", "--time-cap", "5"), 0, "PASS"),
+])
+def test_error_and_degenerate_paths(run, tmp_path, monkeypatch, argv, code, fragment):
+    """Bad specs and argument combinations exit 2 with their reason, and the
+    degenerate complexes and results print their own lines."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lab.json").write_text('[{"edge": ["a", "b"], "label": 1}, {"edge": ["b", "c"], "label": 2}]')
+    (tmp_path / "no_edge.json").write_text('[{"label": 1}]')
+    paths = {
+        "ab_bc": write_complex(tmp_path / "ab_bc.json", AB_BC),
+        "void": write_complex(tmp_path / "void.json", void_complex()),
+        "empty": write_complex(tmp_path / "empty.json", empty_face_complex()),
+        "simplex": _simplex_file(tmp_path / "simplex.json", "LR"),
+        "lab": "lab.json",
+        "no_edge": "no_edge.json",
+    }
+    got, out, err = run(*(a.format(**paths) for a in argv))
+    assert got == code and fragment in out + err, (got, out, err)
 
 
 def test_skip_verify_writes_a_skipped_report(run, tmp_path):
