@@ -794,14 +794,21 @@ def skeleton_labeling(
 
 def labeling_from_obj(obj) -> dict[frozenset[str], int]:
     """The edge labeling of a labeling object, a list of
-    ``{"edge": [u, v], "label": n}``; the inverse of :func:`labeling_to_obj`."""
+    ``{"edge": [u, v], "label": n}``; the inverse of :func:`labeling_to_obj`.
+    An edge listed twice, in either orientation, is an error."""
     out: dict[frozenset[str], int] = {}
+    repeated = []
     try:
         for entry in obj:
             u, v = entry["edge"]
-            out[frozenset((u, v))] = _integer(entry["label"])
+            edge = frozenset((u, v))
+            if edge in out:
+                repeated.append([u, v])
+            out[edge] = _integer(entry["label"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("labelings are lists of {'edge': [u, v], 'label': n} with integer n") from exc
+    if repeated:
+        raise ValueError(f"edge {repeated[0]} is listed more than once")
     return out
 
 

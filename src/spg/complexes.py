@@ -134,6 +134,28 @@ def _independence_counts(conflict: Sequence[int], full: int) -> list[int]:
     return poly[full]
 
 
+def _byte_tables(values: Sequence[int]) -> list[list[int]]:
+    """Per byte of a mask over ``values`` (bit i stands for ``values[i]``),
+    a table giving the OR of the values of each byte's set bits."""
+    tables = []
+    for k in range(0, len(values), 8):
+        table = [0]
+        for v in values[k:k + 8]:
+            table += [t | v for t in table]
+        tables.append(table)
+    return tables
+
+
+def _by_bytes(tables: Sequence[Sequence[int]], mask: int) -> int:
+    """The OR of the values of ``mask``'s set bits, read through the
+    :func:`_byte_tables` one byte at a time."""
+    out = 0
+    for table in tables:
+        out |= table[mask & 255]
+        mask >>= 8
+    return out
+
+
 def submasks(family: Iterable[int]) -> frozenset[int]:
     """Every subset of a mask of ``family``, by submask enumeration."""
     out: set[int] = set()
@@ -498,54 +520,89 @@ def relabel(delta: LabeledComplex, mapping: Mapping[str, str]) -> LabeledComplex
     return from_facets([{mapping[v] for v in f} for f in delta.facets], part)
 
 
-def _vertex_signature(delta: LabeledComplex, i: int) -> tuple:
-    sizes = sorted(m.bit_count() for m in delta.facet_masks if m >> i & 1)
-    return (delta.part[delta.vertices[i]], tuple(sizes))
+def _vertex_profile(delta: LabeledComplex) -> tuple[list[tuple], list[int], list[list[list[int]]]]:
+    """Per vertex index i: its signature (part, sizes of the facets holding
+    it), its incidence mask over the facets (bit j: the j-th facet of
+    ``facet_masks`` holds it), and the other vertices of each facet whose
+    last vertex is i."""
+    inc = [0] * len(delta.vertices)
+    sizes: list[list[int]] = [[] for _ in delta.vertices]
+    closing: list[list[list[int]]] = [[] for _ in delta.vertices]
+    for j, m in enumerate(delta.facet_masks):
+        members = list(bits(m))
+        for i in members:
+            inc[i] |= 1 << j
+            sizes[i].append(len(members))
+        if members:
+            closing[members.pop()].append(members)
+    sig = [(delta.part[v], tuple(sorted(s))) for v, s in zip(delta.vertices, sizes)]
+    return sig, inc, closing
 
 
-def are_isomorphic(a: LabeledComplex, b: LabeledComplex) -> Optional[dict[str, str]]:
-    """A part-preserving vertex bijection carrying facets onto facets, or None.
+def _isomorphisms(a: LabeledComplex, b: LabeledComplex,
+                  budget: float = float("inf")) -> Iterator[tuple[int, ...]]:
+    """Every part-preserving vertex bijection carrying the facets of ``a``
+    onto those of ``b``, as the tuple whose entry i is the index in ``b`` of
+    ``a``'s vertex i, in lexicographic order.
 
-    Deterministic: candidates are tried in canonical vertex order, so equal
-    inputs always produce the same witness bijection.  The multisets of
-    vertex signatures (part, sizes of the facets holding the vertex) must
-    agree first; that fixes the vertex count per part and, since a facet of
-    size k is counted k times, the facet count per size.  The search maps
-    vertex indices and names the witness at the end.
+    The multisets of vertex signatures (part, sizes of the facets holding the
+    vertex) must agree first; that fixes the vertex count per part and, since
+    a facet of size k is counted k times, the facet count per size.  Then a
+    depth-first search maps ``a``'s vertices in order, trying ``b``'s in
+    order.  Mapping i to k must keep the signature and, for each assigned
+    u -> x, the number of facets holding both i and u (read off each
+    vertex's incidence mask over the facets), and must carry each facet
+    whose last vertex is i onto a facet of ``b``.  Every isomorphism keeps
+    all three, so the pruning cuts only branches that hold none.  The search
+    stops early after ``budget`` candidate tests.
     """
     if a.is_void != b.is_void:
-        return None
+        return
     n = len(a.vertices)
-    sig_a = [_vertex_signature(a, i) for i in range(n)]
-    sig_b = [_vertex_signature(b, k) for k in range(len(b.vertices))]
+    sig_a, inc_a, closing = _vertex_profile(a)
+    sig_b, inc_b, _ = _vertex_profile(b) if b is not a else (sig_a, inc_a, closing)
     if sorted(sig_a) != sorted(sig_b):
-        return None
-
-    co_a, co_b = a.cofacets, b.cofacets
+        return
     assignment: list[int] = []  # assignment[i]: the index in b of a's vertex i
     used = 0
 
     def consistent(i: int, k: int) -> bool:
-        """Whether ``i -> k`` keeps every assigned pair's sharing of a facet."""
+        """Whether ``i -> k`` keeps the signature, every assigned pair's
+        count of shared facets, and every facet whose last vertex is i."""
         if sig_a[i] != sig_b[k]:
             return False
-        ci, ck = co_a[i], co_b[k]
-        return all(ci >> u & 1 == ck >> x & 1 for u, x in enumerate(assignment))
+        ii, ik = inc_a[i], inc_b[k]
+        for u, x in enumerate(assignment):
+            if (ii & inc_a[u]).bit_count() != (ik & inc_b[x]).bit_count():
+                return False
+        for rest in closing[i]:
+            image = 1 << k
+            for u in rest:
+                image |= 1 << assignment[u]
+            if image not in b.facet_masks:
+                return False
+        return True
 
     # Depth-first over an explicit stack: tried[i] counts the candidates
-    # already tried for vertex i, so backtracking resumes there.
+    # already tried for vertex i, so backtracking resumes there.  Every facet
+    # has a last vertex, so a full assignment carries the facets into b's,
+    # and the signatures fix the facet count, so onto them.
     tried = [0]
     while tried:
         i = len(tried) - 1
         if i == n:
-            if {sum(1 << assignment[u] for u in bits(m)) for m in a.facet_masks} == b.facet_masks:
-                return {a.vertices[u]: b.vertices[x] for u, x in enumerate(assignment)}
+            yield tuple(assignment)
             tried.pop()
             continue
         if len(assignment) > i:  # back from a failed extension: undo it
             used ^= 1 << assignment.pop()
         for k in range(tried[i], n):
-            if not used >> k & 1 and consistent(i, k):
+            if used >> k & 1:
+                continue
+            budget -= 1
+            if budget < 0:
+                return
+            if consistent(i, k):
                 assignment.append(k)
                 used |= 1 << k
                 tried[i] = k + 1
@@ -553,6 +610,17 @@ def are_isomorphic(a: LabeledComplex, b: LabeledComplex) -> Optional[dict[str, s
                 break
         else:
             tried.pop()
+
+
+def are_isomorphic(a: LabeledComplex, b: LabeledComplex) -> Optional[dict[str, str]]:
+    """A part-preserving vertex bijection carrying facets onto facets, or None.
+
+    Deterministic: the witness is the first of :func:`_isomorphisms`, which
+    tries candidates in canonical vertex order, so equal inputs always
+    produce the same witness bijection.
+    """
+    for image in _isomorphisms(a, b):
+        return {a.vertices[u]: b.vertices[x] for u, x in enumerate(image)}
     return None
 
 

@@ -9,20 +9,22 @@ play sequence, so the unfolded tree has sum-over-faces-of-|F|! nodes
 (:attr:`~spg.complexes.LabeledComplex.node_count`, read off the f-vector, so
 a flag complex's count lists no face).
 
-:func:`fold` is the one walk of the tree.  The value of a complex that is not
-flag, tree isomorphism, the DOT export and the CLI's printed tree are folds:
-:func:`fold` combines the faces once each, largest first, so children come
-before parents and the cost is polynomial in the number of faces.  A face
-finds its moves without scanning the vertices: each combined face pushes
-its result to the faces one vertex smaller, so a face's moves are waiting
-for it when its turn comes.
+:func:`fold` is the one walk of the tree.  Tree isomorphism, the DOT export
+and the CLI's printed tree are folds: :func:`fold` combines the faces once
+each, largest first, so children come before parents and the cost is
+polynomial in the number of faces.  A face finds its moves without scanning
+the vertices: each combined face pushes its result to the faces one vertex
+smaller, so a face's moves are waiting for it when its turn comes.
 
 The canonical value needs no face lattice when the complex is flag (the legal
 complex of every pairwise ruleset): a position is then the set of vertices
 still playable, a move at v removes v's conflicts, and a position whose
 conflict graph is disconnected is the disjunctive sum of its connected
 factors, so values are computed per factor, smallest playable set first.
-Any other complex folds the tree.
+Any other complex is valued by its own walk over the faces, largest first,
+which values one face per orbit of some of the complex's automorphisms and
+gives that value to the face's images, since isomorphic positions have one
+value.
 
 Values use the standard normal-play canonical form: options are simplified by
 removing dominated options and bypassing reversible ones until a fixpoint,
@@ -37,10 +39,12 @@ form, so a printed value does not depend on the order values were interned in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Iterable, Optional, TypeVar
 
-from .complexes import LabeledComplex, are_isomorphic, bits, factor_walk
+from .complexes import (
+    LabeledComplex, _by_bytes, _byte_tables, _isomorphisms, are_isomorphic, bits, factor_walk,
+)
 
 T = TypeVar("T")
 
@@ -269,13 +273,12 @@ def canonical_value(delta: LabeledComplex) -> CanonicalValue:
     :func:`~spg.complexes.factor_walk` collects every reachable playable set
     with its components, and they are valued smallest first, each from
     values already computed; values are kept by vertex mask and sums by
-    pair of values, both for this call only.  Any other complex is a
-    :func:`fold` of its tree: one :func:`make_value` per face, from the
-    values of the faces one move further.
+    pair of values, both for this call only.  Any other complex is valued
+    one face per symmetry orbit (:func:`_orbit_value`).
     """
     conflict = delta.flag_conflicts
     if conflict is None:
-        return fold(delta, _value_of)
+        return _orbit_value(delta)
     left = sum(1 << i for i, v in enumerate(delta.vertices) if delta.part[v] == "L")
     full = (1 << len(conflict)) - 1
     sums: dict[tuple[int, int], CanonicalValue] = {}
@@ -294,10 +297,45 @@ def canonical_value(delta: LabeledComplex) -> CanonicalValue:
     return value[full]
 
 
-def _value_of(_: int, moves: list[Move]) -> CanonicalValue:
-    left = [g for label, _, g in moves if label == "L"]
-    right = [g for label, _, g in moves if label == "R"]
-    return make_value(left, right)
+def _orbit_value(delta: LabeledComplex) -> CanonicalValue:
+    """Canonical value of a complex read from its faces, largest first, one
+    :func:`make_value` per orbit of faces under some of its automorphisms.
+
+    A part-preserving automorphism maps the game left after a face onto the
+    game left after the face's image, so a face's value is its image's too.
+    The automorphisms are the first |V| that
+    :func:`~spg.complexes._isomorphisms` of the complex onto itself yields
+    within as many candidate tests as the complex has faces (any set of them
+    is sound; the bounds keep complexes with a huge group, or with one the
+    search finds slowly, cheap), each applied to masks through per-byte
+    tables.  A face not yet valued reads its moves, in vertex order, from
+    the faces one vertex larger, which every larger mask has already valued,
+    and gives its value to each of its images.
+    """
+    n = len(delta.vertices)
+    full = (1 << n) - 1
+    left = sum(1 << i for i, v in enumerate(delta.vertices) if delta.part[v] == "L")
+    # a face plus v is a face only if v shares a facet with each of its vertices
+    blocked = _byte_tables([full & ~c | 1 << i for i, c in enumerate(delta.cofacets)])
+    # the identity comes first (within n tests, and every vertex is a face)
+    found = _isomorphisms(delta, delta, budget=len(delta.face_masks))
+    maps = [_byte_tables([1 << k for k in image]) for image in islice(found, 1, n)]
+    value: dict[int, CanonicalValue] = {}
+    for face in sorted(delta.face_masks or [0], reverse=True):
+        if face in value:
+            continue
+        lefts, rights = [], []
+        rest = full & ~_by_bytes(blocked, face)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            kid = value.get(face | low)
+            if kid is not None:
+                (lefts if low & left else rights).append(kid)
+        value[face] = g = make_value(lefts, rights)
+        for tables in maps:
+            value[_by_bytes(tables, face)] = g
+    return value[0]
 
 
 def outcome(delta: LabeledComplex) -> str:

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from . import boards
-from .complexes import LabeledComplex, bits
+from .complexes import LabeledComplex, _by_bytes, _byte_tables, bits
 from .boards import Board, Piece, Placement, components, distance
 
 Predicate = Callable[[int], bool]
@@ -99,18 +99,6 @@ def col() -> Ruleset:
     )
 
 
-def _byte_tables(values: Sequence[int]) -> list[list[int]]:
-    """Per byte of a mask over ``values`` (bit i stands for ``values[i]``),
-    a table giving the OR of the values of each byte's set bits."""
-    tables = []
-    for k in range(0, len(values), 8):
-        table = [0]
-        for v in values[k:k + 8]:
-            table += [t | v for t in table]
-        tables.append(table)
-    return tables
-
-
 def nogo() -> Ruleset:
     """Every maximal same-player connected group needs an adjacent empty vertex."""
 
@@ -125,23 +113,13 @@ def nogo() -> Ruleset:
         near = _byte_tables(nbrs + [m << n for m in nbrs])
         everything = (1 << n) - 1
 
-        def around(lanes: int) -> int:
-            out = 0
-            for table in near:
-                out |= table[lanes & 255]
-                lanes >>= 8
-            return out
-
         def predicate(mask: int) -> bool:
-            stones = 0
-            for table in stones_of:
-                stones |= table[mask & 255]
-                mask >>= 8
+            stones = _by_bytes(stones_of, mask)
             empty = everything & ~(stones | stones >> n)
             # a stone breathes when a neighbour is empty or a breathing own stone
-            air = stones & around(empty | empty << n)
+            air = stones & _by_bytes(near, empty | empty << n)
             while air != stones:
-                more = air | stones & around(air)
+                more = air | stones & _by_bytes(near, air)
                 if more == air:
                     return False
                 air = more

@@ -302,6 +302,22 @@ def test_labeling_labels_must_be_json_integers(run, tmp_path, label):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("again", [["a", "b"], ["b", "a"]], ids=["same-order", "reversed"])
+def test_labeling_with_a_repeated_edge_is_bad_input(run, tmp_path, again):
+    """An edge listed twice, in either orientation, is bad input (exit 2):
+    the last label used to win, so a contradictory file passed."""
+    ab_bc = write_complex(tmp_path / "c.json", AB_BC)
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps([
+        {"edge": ["a", "b"], "label": 2}, {"edge": ["b", "c"], "label": 1}, {"edge": again, "label": 1},
+    ]))
+    code, out, err = run("verify", "illegal", "--complex", ab_bc, "--labeling", str(lab))
+    assert (code, out) == (2, "")
+    assert err == f"error: {lab}: edge {again} is listed more than once\n"
+    code, _, err = run("game", "value", "--ruleset", f"gamma:{ab_bc}:{lab}", "--board", "path:2")
+    assert code == 2 and "is listed more than once" in err
+
+
 def test_construct_illegal_with_a_labeling_file(run, tmp_path):
     p3 = write_complex(tmp_path / "p3.json", P3)
     lab = tmp_path / "lab.json"

@@ -35,10 +35,14 @@ from spg.complexes import (
     sr_complex,
     sr_ideal,
     void_complex,
+    _isomorphisms,
     _maximal,
     _minimal,
 )
 from conftest import all_labeled_complexes, random_complex
+from spg.boards import build_grid
+from spg.engine import legal_complex
+from spg.rulesets import nogo
 
 
 AB_BC = from_facets([["a", "b"], ["b", "c"]], {"a": "L", "b": "L", "c": "R"})
@@ -323,6 +327,66 @@ def test_are_isomorphic_on_five_vertex_relabellings():
             iso = are_isomorphic(a, b)
             oracle = isomorphisms_oracle(a, b)
             assert iso in oracle if iso is not None else not oracle, (a, b)
+
+
+def named(a: LabeledComplex, b: LabeledComplex, image: tuple[int, ...]) -> dict[str, str]:
+    return {a.vertices[u]: b.vertices[x] for u, x in enumerate(image)}
+
+
+def test_automorphisms_carry_the_facets_onto_themselves():
+    """Every map the search yields from a complex onto itself is a
+    part-preserving bijection of its vertex indices that carries
+    ``facet_masks`` onto itself, each map once."""
+    rng = random.Random(30)
+    corpus = all_labeled_complexes("abcd") + [random_complex(rng, 7) for _ in range(100)]
+    grid = legal_complex(nogo(), build_grid(3, 3))
+    for delta in corpus + [grid]:
+        n = len(delta.vertices)
+        maps = list(_isomorphisms(delta, delta))
+        assert len(set(maps)) == len(maps) and maps[0] == tuple(range(n)), delta
+        for image in maps:
+            assert sorted(image) == list(range(n)), delta
+            assert all(delta.part[delta.vertices[i]] == delta.part[delta.vertices[k]]
+                       for i, k in enumerate(image)), delta
+            moved = {sum(1 << image[i] for i in range(n) if m >> i & 1) for m in delta.facet_masks}
+            assert moved == delta.facet_masks, delta
+    # the board's 8 symmetries, since nogo respects them all
+    assert len(list(_isomorphisms(grid, grid))) == 8
+
+
+def test_isomorphisms_match_brute_force_in_order():
+    """On complexes of at most 5 vertices the search yields exactly the
+    isomorphisms a scan of every permutation finds, in the same
+    (lexicographic) order, so ``are_isomorphic``'s witness is the first of
+    them, as it was before shared-facet counts pruned the search."""
+    rng = random.Random(31)
+    pairs = [(d, d) for d in all_labeled_complexes("abcd")]
+    for _ in range(150):
+        delta = random_complex(rng, 5)
+        image = [f"w{i}" for i in range(len(delta.vertices))]
+        rng.shuffle(image)
+        pairs += [(delta, delta), (delta, relabel(delta, dict(zip(delta.vertices, image))))]
+        pairs.append((delta, random_complex(rng, 5)))
+    for a, b in pairs:
+        oracle = isomorphisms_oracle(a, b)
+        assert [named(a, b, image) for image in _isomorphisms(a, b)] == oracle, (a, b)
+        assert are_isomorphic(a, b) == (oracle[0] if oracle else None), (a, b)
+
+
+def test_are_isomorphic_on_a_steiner_triple_system():
+    """Every vertex pair of a Steiner triple system shares one facet, so the
+    shared-facet counts prune nothing; each facet is checked once its last
+    vertex is mapped, so the search finds a witness onto a seeded
+    relabelling of the cyclic system on 13 points, and the 39 automorphisms,
+    without walking the 13! bijections."""
+    blocks = {frozenset((x + s) % 13 for x in base) for base in ((0, 1, 4), (0, 2, 7)) for s in range(13)}
+    sts = from_facets([[f"p{i:02d}" for i in b] for b in blocks], {f"p{i:02d}": "L" for i in range(13)})
+    names = [f"q{i:02d}" for i in range(13)]
+    random.Random(32).shuffle(names)
+    other = relabel(sts, dict(zip(sts.vertices, names)))
+    iso = are_isomorphic(sts, other)
+    assert iso is not None and relabel(sts, iso) == other
+    assert len(list(_isomorphisms(sts, sts))) == 39
 
 
 def test_are_isomorphic_needs_no_recursion_per_vertex():

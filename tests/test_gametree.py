@@ -6,11 +6,12 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
 
+import spg.gametree
 from spg.boards import build_cycle, build_grid, build_path, disjoint_union
 from spg.complexes import (
     empty_face_complex,
@@ -24,9 +25,9 @@ from spg.complexes import (
 from spg.engine import legal_complex
 from spg.gametree import (
     ZERO,
+    CanonicalValue,
     _as_int,
     _mk,
-    _value_of,
     build_tree,
     canonical_value,
     fold,
@@ -44,6 +45,14 @@ from spg.rulesets import col, domineering, nogo, snort
 from conftest import (
     all_labeled_complexes, connected_boards, node_count_oracle, part_assignments, random_complex,
 )
+
+
+def value_of_moves(_: int, moves: list) -> CanonicalValue:
+    """The plain fold's combine: one :func:`make_value` per face, from the
+    values of the faces one move further; the reference for the value walk."""
+    left = [g for label, _, g in moves if label == "L"]
+    right = [g for label, _, g in moves if label == "R"]
+    return make_value(left, right)
 
 
 LSHAPE_DELTA = from_facets(
@@ -296,11 +305,12 @@ def test_value_str_sorts_options_by_printed_form():
 _SNORT_PATH10 = """
 from spg.boards import build_path
 from spg.engine import legal_complex
-from spg.gametree import _value_of, canonical_value, fold, value_str
+from spg.gametree import canonical_value, fold, make_value, value_str
 from spg.rulesets import snort
 delta = legal_complex(snort(), build_path(10))
 if {fold_first}:
-    fold(delta, _value_of)
+    fold(delta, lambda _, moves: make_value(
+        [g for label, _, g in moves if label == "L"], [g for label, _, g in moves if label == "R"]))
 print(value_str(canonical_value(delta)))
 """
 
@@ -408,7 +418,7 @@ def graph_complexes(vertices, edges):
 def assert_factor_path_matches(delta) -> None:
     assert delta.flag_conflicts is not None, delta
     got = canonical_value(delta)
-    assert got is fold(delta, _value_of), delta
+    assert got is fold(delta, value_of_moves), delta
     assert got is reference_value(delta), delta
 
 
@@ -442,7 +452,7 @@ def test_non_flag_complex_takes_the_fold():
     hollow = from_facets([["a", "b"], ["b", "c"], ["a", "c"]], {"a": "L", "b": "R", "c": "L"})
     assert hollow.flag_conflicts is None
     got = canonical_value(hollow)
-    assert got is fold(hollow, _value_of)
+    assert got is fold(hollow, value_of_moves)
     assert got is reference_value(hollow)
     # seeded random complexes on up to 6 vertices, kept when not flag
     rng = random.Random(17)
@@ -454,6 +464,52 @@ def test_non_flag_complex_takes_the_fold():
         if delta.flag_conflicts is None:
             assert canonical_value(delta) is reference_value(delta), delta
             checked += 1
+
+
+def test_orbit_walk_matches_the_plain_fold():
+    """A complex that is not flag is valued one face per orbit of its
+    automorphisms; every value is the plain fold's, by identity.  The nogo
+    boards are every connected board up to 5 vertices, every 250th one on 6
+    vertices, and two symmetric boards (8 and 20 automorphisms)."""
+    rng = random.Random(30)
+    corpus = all_labeled_complexes("abcd") + [random_complex(rng, 7) for _ in range(200)]
+    boards = [b for n in range(1, 6) for b in connected_boards(n)]
+    boards += islice(connected_boards(6), 0, None, 250)
+    boards += [build_grid(3, 3), build_cycle(10)]
+    corpus += [legal_complex(nogo(), b) for b in boards]
+    for delta in corpus:
+        assert canonical_value(delta) is fold(delta, value_of_moves), delta
+
+
+def test_orbit_walk_draws_at_most_one_map_per_vertex(monkeypatch):
+    """All 3-subsets of 6 L and 6 R vertices have 6!·6! = 518,400
+    automorphisms; the walk draws at most |V| = 12 of them."""
+    drawn = []
+
+    def counted(a, b, **kwargs):
+        for image in spg.complexes._isomorphisms(a, b, **kwargs):
+            drawn.append(image)
+            yield image
+
+    monkeypatch.setattr(spg.gametree, "_isomorphisms", counted)
+    names = [f"l{i}" for i in range(6)] + [f"r{i}" for i in range(6)]
+    delta = from_facets(combinations(names, 3), {v: v[0].upper() for v in names})
+    assert canonical_value(delta) is fold(delta, value_of_moves)
+    assert 1 < len(drawn) <= len(delta.vertices) == 12
+
+
+def test_orbit_walk_bounds_the_automorphism_search():
+    """The complements of the blocks of the cyclic Steiner triple system on
+    13 points: every vertex pair shares as many facets, and a facet's last
+    vertex is one of the last three, so the search prunes little: unbounded,
+    it found no second automorphism in 30 s.  It stops after as many
+    candidate tests as the complex has faces, and the value is the plain
+    fold's."""
+    blocks = {frozenset((x + s) % 13 for x in base) for base in ((0, 1, 4), (0, 2, 7)) for s in range(13)}
+    names = [f"p{i:02d}" for i in range(13)]
+    delta = from_facets([[names[i] for i in range(13) if i not in b] for b in blocks], dict.fromkeys(names, "L"))
+    assert len(delta.facets) == 26
+    assert canonical_value(delta) is fold(delta, value_of_moves)
 
 
 @pytest.mark.parametrize("game", [snort(), col()], ids=lambda g: g.name)
