@@ -21,13 +21,17 @@ when each of its placements and each pair of them is legal.  Its legal
 complex is then a flag complex (the independence complex of its conflict
 graph), so :func:`analyze` consults the predicate once per basic position
 and once per disjoint pair, and lists the facets as the maximal independent
-sets of the conflict graph without consulting it again.
+sets of the conflict graph without consulting it again.  A ruleset that
+declares ``closed`` promises that its predicate is downward closed: the
+closure then makes each candidate once, from its prefix, and consults the
+predicate only on candidates whose one-smaller subsets are all legal.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -188,7 +192,7 @@ def analyze(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> GameAnalysis
     Raises :class:`BudgetExceeded` past ``cap`` basic positions, and
     :class:`DownwardClosureError` when a position satisfies the predicate
     while one of its one-smaller subpositions is illegal.  A ``pairwise``
-    ruleset is taken at its word and never raises the latter.
+    or ``closed`` ruleset is taken at its word and never raises the latter.
 
     The board keeps its last analysis: a call for the same ruleset object
     and cap returns that very analysis.  A different game object or cap
@@ -198,24 +202,32 @@ def analyze(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> GameAnalysis
     if last is not None and last[0] is game and last[1] == cap:
         return last[2]
     index, predicate = _compiled(game, board, cap)
-    closure = _pairwise_closure if game.pairwise else _closure
-    maximal, minimal = closure(index, predicate)
+    if game.pairwise:
+        maximal, minimal = _pairwise_closure(index, predicate)
+    else:
+        maximal, minimal = _closure(index, predicate, game.closed)
     result = GameAnalysis(index, frozenset(maximal), frozenset(minimal))
     object.__setattr__(board, "_analysis", (game, cap, result))
     return result
 
 
-def _closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[list[int], list[int]]:
+def _closure(index: BasicPositionIndex, predicate: Predicate, closed: bool) -> tuple[list[int], list[int]]:
     """Breadth-first closure, one level of equal-size legal sets at a time,
     returning the maximal legal sets and the minimal illegal sets.
 
-    Each disjoint one-element extension of a legal set gets one predicate
-    call, then a lookup of its other one-smaller subsets in the current
-    level.  A legal set none of whose extensions is legal is maximal, since
-    the legal sets are downward closed; an extension already tried from
-    another set is legal when the next level holds it.  A level's sets are
-    walked in the order they were found, and the extensions of a set in
-    index order.
+    A candidate is a disjoint one-element extension of a legal set.  Its
+    other one-smaller subsets are looked up in the current level, then the
+    predicate is asked about it once.  A candidate with a subset missing
+    from the level is illegal; accepted, it raises
+    :class:`DownwardClosureError`.  A ``closed`` predicate is taken at its
+    word: such a candidate is skipped without a call, and a legal set is
+    extended only by basic positions above its highest, so that each
+    candidate is made once, from its prefix (Apriori's scheme).  Otherwise
+    a legal set is extended by every free basic position and a candidate
+    already made from another set is skipped.  A level's sets are walked in
+    the order they were found, and the extensions of a set in index order.
+    A legal set is maximal when none of its extensions is in the next
+    level, since the legal sets are downward closed.
     """
     m, names, over = len(index), index.names, index.overlaps
     full = (1 << m) - 1
@@ -227,16 +239,16 @@ def _closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[list[int]
         tried: set[int] = set()
         for s, blocked in level.items():
             free = full & ~blocked
-            extended = False
+            if closed:
+                free &= -(1 << s.bit_length())
             while free:
                 low = free & -free
                 free ^= low
                 t = s | low
-                if t in tried:
-                    extended = extended or t in nxt
-                    continue
-                tried.add(t)
-                accepted = predicate(t)
+                if not closed:
+                    if t in tried:
+                        continue
+                    tried.add(t)
                 rest = s  # members whose removal from t is still to be looked up
                 while rest:
                     c = rest & -rest
@@ -244,20 +256,20 @@ def _closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[list[int]
                         break
                     rest ^= c
                 if rest:
-                    if accepted:
+                    if not closed and predicate(t):
                         raise _closure_error(t, level, names)
-                elif accepted:
+                elif predicate(t):
                     nxt[t] = blocked | over[low.bit_length() - 1]
-                    extended = True
                 else:
                     minimal.append(t)
-            if not extended:
+        for s, blocked in level.items():
+            free = full & ~blocked if nxt else 0
+            while free and s | free & -free not in nxt:
+                free &= free - 1
+            if not free:
                 maximal.append(s)
         level = nxt
-    singles = 0
-    for s in maximal:
-        singles |= s
-    return maximal, minimal + _conflicting_pairs(over, singles)
+    return maximal, minimal + _conflicting_pairs(over, reduce(or_, maximal, 0))
 
 
 def _closure_error(t: int, level: Mapping[int, int], names: tuple[str, ...]) -> DownwardClosureError:

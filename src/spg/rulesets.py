@@ -31,6 +31,10 @@ class Ruleset:
     exactly when each of its placements and each pair of them is legal on
     every board, so that the legal complex is the flag complex of its edges;
     the engine then consults the predicate on singletons and pairs only.
+    ``closed`` declares that the predicate is downward closed on every board:
+    a position it accepts has only accepted subpositions.  The engine then
+    consults it only on positions whose one-smaller subpositions are all
+    legal, and does not check the promise.
     """
 
     name: str
@@ -38,6 +42,7 @@ class Ruleset:
     legal: Callable[[Board, Sequence[Placement]], Predicate]
     claims_invariant: bool = False
     pairwise: bool = False
+    closed: bool = False
 
     def __repr__(self) -> str:
         return f"Ruleset({self.name!r})"
@@ -127,7 +132,9 @@ def nogo() -> Ruleset:
 
         return predicate
 
-    return Ruleset("nogo", dict(_VERTEX_PIECES), legal, claims_invariant=False)
+    # removing a stone never takes a liberty away: the emptied vertex is a
+    # liberty of every group it touched, so the predicate is downward closed
+    return Ruleset("nogo", dict(_VERTEX_PIECES), legal, claims_invariant=False, closed=True)
 
 
 def domineering() -> Ruleset:

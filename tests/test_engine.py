@@ -39,8 +39,11 @@ from spg.rulesets import (
     cycle_placement_game,
     domineering,
     free_placement,
+    gamma_game,
     nogo,
     snort,
+    table_game_illegal,
+    table_game_legal,
 )
 from conftest import connected_boards, degree_one_game, judge, on_placement_sets
 
@@ -476,21 +479,23 @@ def test_analyze_matches_brute_force(case):
     game, board_ = case
     legal, minimal, violated, unordered = closure_oracle(game, board_)
     assert check_condition_iv(game, board_).passed is not unordered
-    variants = [game]
+    # a closed declaration is trusted, not checked: whatever the predicate,
+    # the closure then returns the reachable legal and minimal illegal sets
+    variants = [game, dataclasses.replace(game, closed=True)]
     if game.name == "pairwise":  # the pairwise path must agree with the oracle too
         variants.append(dataclasses.replace(game, pairwise=True))
     for variant in variants:
         try:
             a = analyze(variant, board_)
         except DownwardClosureError as exc:
-            assert violated and not variant.pairwise
+            assert violated and not variant.pairwise and not variant.closed
             by_name = basic_positions(game, board_).by_name
             assert judge(game, board_, *(by_name[c] for c in exc.witness))
             assert set(exc.missing) < set(exc.witness)
             assert len(exc.missing) == len(exc.witness) - 1
             assert frozenset(exc.missing) not in legal
             continue
-        assert not violated
+        assert not violated or variant.closed
         assert _maximal_named(a) == _maximal(legal)
         assert a.legal == legal
         assert a.minimal_illegal == minimal
@@ -520,3 +525,42 @@ def test_pairwise_declarations_hold():
         general = dataclasses.replace(game, pairwise=False)
         assert analyze(game, board_) == analyze(general, board_), (game.name, board_)
         assert check_condition_iv(game, board_).passed, (game.name, board_)
+
+
+def test_closed_declarations_hold():
+    delta = from_facets([{"a", "b"}], {"a": "L", "b": "R"})
+    games = (
+        free_placement(), snort(), col(), nogo(), domineering(), cycle_placement_game(),
+        table_game_legal(delta), table_game_illegal(delta), gamma_game(delta),
+    )
+    closed = [game for game in games if game.closed]
+    assert {game.name for game in closed} == {"nogo"}
+    boards_ = [board_ for n in range(1, 6) for board_ in connected_boards(n)]
+    for game in closed:
+        general = dataclasses.replace(game, closed=False)
+        for board_ in boards_ + [build_grid(3, 3)]:
+            assert analyze(game, board_) == analyze(general, board_), (game.name, board_)
+            assert check_condition_iv(game, board_).passed, (game.name, board_)
+
+
+def test_closed_declaration_skips_sets_with_an_illegal_subset():
+    calls = []
+
+    def counted(game):
+        def legal(b, placements):
+            predicate = game.legal(b, placements)
+
+            def counting(mask):
+                calls.append(mask)
+                return predicate(mask)
+
+            return counting
+
+        return dataclasses.replace(game, legal=legal)
+
+    declared = analyze(counted(nogo()), build_grid(3, 3))
+    assert len(calls) == 12_822
+    calls.clear()
+    general = analyze(counted(dataclasses.replace(nogo(), closed=False)), build_grid(3, 3))
+    assert len(calls) == 19_112
+    assert declared == general
