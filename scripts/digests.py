@@ -4,8 +4,12 @@
 
 The complexes are every labelled complex on the vertices a-d
 (``all_labeled_complexes("abcd")`` of ``tests/conftest.py``), 200 of its
-``random_complex`` of up to 6 vertices (seed 0), and the legal complexes of
-the four ``solve`` games of ``perfbench``.  For each complex the digested
+``random_complex`` of up to 6 vertices (seed 0), and complexes built by an
+analysis: the legal and illegal complexes of the four ``solve`` games of
+``perfbench``, the legal complexes of NoGo on ``cycle:10`` (whose vertex
+order is not the basic-position order) and on ``path:1`` (whose only face
+is empty), and both complexes of both table games that ``realize_both``
+builds for 20 more ``random_complex`` inputs.  For each complex the digested
 outputs are ``value_str(canonical_value)``, ``tree_to_dot``, ``node_count``,
 ``f_vector``, ``minimal_nonfaces``, ``is_flag`` and the ``are_isomorphic``
 witness against a seeded relabelling.  Then come the maps of
@@ -31,7 +35,8 @@ from spg.boards import (
     piece_placements,
 )
 from spg.complexes import are_isomorphic, from_facets, is_flag, minimal_nonfaces, relabel
-from spg.engine import legal_complex
+from spg.construct import realize_both
+from spg.engine import analyze, legal_complex
 from spg.gametree import canonical_value, tree_to_dot, value_str
 from spg.rulesets import col, domineering, nogo, snort
 
@@ -47,7 +52,14 @@ def corpus() -> list:
     rng = random.Random(0)
     out = all_labeled_complexes("abcd")
     out += [random_complex(rng) for _ in range(200)]
-    out += [legal_complex(game(), board, cap=cap) for game, board, cap in SOLVE]
+    analyses = [analyze(game(), board, cap=cap) for game, board, cap in SOLVE]
+    analyses += [analyze(nogo(), build_cycle(10)), analyze(nogo(), build_path(1))]
+    out += [a.legal_complex() for a in analyses]
+    out += [a.illegal_complex() for a in analyses[:len(SOLVE)]]
+    for delta in [random_complex(rng) for _ in range(20)]:
+        for r in realize_both(delta):
+            a = analyze(r.game, r.board)
+            out += [a.legal_complex(), a.illegal_complex()]
     return out
 
 

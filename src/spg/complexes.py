@@ -21,8 +21,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import factorial
+from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 PARTS = ("L", "R")
@@ -79,9 +80,11 @@ def mask_components(conflict: Sequence[int], s: int) -> list[int]:
     while s:
         comp = frontier = s & -s
         while frontier:
-            reach = 0
-            for i in bits(frontier):
-                reach |= conflict[i]
+            reach, rest = 0, frontier
+            while rest:
+                low = rest & -rest
+                reach |= conflict[low.bit_length() - 1]
+                rest ^= low
             frontier = reach & s & ~comp
             comp |= frontier
         out.append(comp)
@@ -210,9 +213,11 @@ class LabeledComplex:
 
     Instances are built through :func:`from_facets`, which normalises the facet
     family to an inclusion-maximal antichain and derives the canonical vertex
-    order.  Every vertex appears in at least one facet.  ``facet_masks`` is
-    the one place vertex names become bits (bit i is ``vertices[i]``); the
-    faces, the flag test, the nonfaces and the isomorphism search read masks.
+    order, or through :func:`from_masks`, which takes an antichain of masks
+    and fills in the masks it is handed.  Every vertex appears in at least
+    one facet.  ``facet_masks`` is the one place vertex names become bits
+    (bit i is ``vertices[i]``); the faces, the flag test, the nonfaces and
+    the isomorphism search read masks.
     """
 
     vertices: tuple[str, ...]
@@ -238,7 +243,8 @@ class LabeledComplex:
     @cached_property
     def face_masks(self) -> frozenset[int]:
         """Every face as an int mask over ``vertices``, enumerated once from
-        the facets.  Empty for the void complex."""
+        the facets unless :func:`from_masks` was handed them.  Empty for the
+        void complex."""
         return submasks(self.facet_masks)
 
     @cached_property
@@ -332,6 +338,33 @@ def from_facets(facets: Iterable[Iterable[str]], part: Mapping[str, str] | None 
     kept = {v: part[v] for v in used}
     order = canonical_vertex_order(used, kept)
     return LabeledComplex(order, kept, maximal)
+
+
+def from_masks(names: Sequence[str], parts: Mapping[str, str], facet_masks: frozenset[int],
+               faces: Optional[frozenset[int]] = None, conflict: Optional[Sequence[int]] = None,
+               ) -> LabeledComplex:
+    """The complex whose facets are ``facet_masks``, an antichain of masks
+    over ``names`` (bit i is ``names[i]``), with its masks filled in.
+
+    The vertices are the names in some facet, in canonical order, and each
+    mask moves into that order through per-byte tables, which drop the
+    other names.  ``faces``, every face, fills ``face_masks``; ``conflict``,
+    a conflict mask per name whose independent sets are the faces (each
+    mask holding its own bit), fills ``flag_conflicts``.
+    """
+    at = {names[i]: i for i in bits(reduce(or_, facet_masks, 0))}
+    order = canonical_vertex_order(at, parts)
+    delta = LabeledComplex(order, {v: parts[v] for v in order},
+                           frozenset(frozenset(names[i] for i in bits(m)) for m in facet_masks))
+    tables = _byte_tables([1 << order.index(v) if v in at else 0 for v in names])
+    object.__setattr__(delta, "facet_masks", frozenset(_by_bytes(tables, m) for m in facet_masks))
+    if faces is not None:  # a vertex order that is the names' own moves no mask
+        moved = faces if order == tuple(names[:len(order)]) else (_by_bytes(tables, m) for m in faces)
+        object.__setattr__(delta, "face_masks", frozenset(moved))
+    if conflict is not None:
+        object.__setattr__(delta, "flag_conflicts",
+                           tuple(_by_bytes(tables, conflict[at[v]]) for v in order))
+    return delta
 
 
 def void_complex() -> LabeledComplex:

@@ -8,9 +8,9 @@ is the ruleset predicate plus reachability, i.e. every one-smaller subset
 must be legal as well.  The legal sets form a downward-closed family, so
 they are fixed by their maximal members, the facets of the legal complex.
 A breadth-first closure from the empty position walks the legal sets one
-level of equal-size sets at a time and keeps only the current level: it
-returns the maximal legal sets and the minimal illegal sets, found among
-one-placement extensions of legal sets.
+level of equal-size sets at a time: it returns the maximal legal sets, the
+minimal illegal sets, found among one-placement extensions of legal sets,
+and every legal set it walked, which the legal complex takes as its faces.
 
 The closure works on ints: basic position i is bit i, a set of basic
 positions is the int of its bits, and names are produced only when an
@@ -21,15 +21,16 @@ when each of its placements and each pair of them is legal.  Its legal
 complex is then a flag complex (the independence complex of its conflict
 graph), so :func:`analyze` consults the predicate once per basic position
 and once per disjoint pair, and lists the facets as the maximal independent
-sets of the conflict graph without consulting it again.  A ruleset that
-declares ``closed`` promises that its predicate is downward closed: the
-closure then makes each candidate once, from its prefix, and consults the
-predicate only on candidates whose one-smaller subsets are all legal.
+sets of the conflict graph without consulting it again; the legal complex
+takes that graph as its flag conflicts.  A ruleset that declares
+``closed`` promises that its predicate is downward closed: the closure then
+makes each candidate once, from its prefix, and consults the predicate only
+on candidates whose one-smaller subsets are all legal.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
 from types import MappingProxyType
@@ -38,7 +39,7 @@ from typing import Mapping, Optional, Sequence
 from . import boards
 from .boards import Board, BudgetExceeded, Placement, piece_placements
 from .complexes import (
-    LabeledComplex, SquareFreeIdeal, bits, faces, from_facets, ideal, independent_sets,
+    LabeledComplex, SquareFreeIdeal, bits, faces, from_masks, ideal, independent_sets,
     maximal_independent_sets,
 )
 from .rulesets import Predicate, Ruleset
@@ -134,17 +135,23 @@ class GameAnalysis:
     and the complexes and ideals they generate.
 
     The legal sets are downward closed, so the maximal ones (the facets of
-    the legal complex) fix them all; no analysis holds every legal set.
-    Sets of basic positions are kept as ints (bit i is basic position i);
-    ``legal`` and ``minimal_illegal`` name them when read, ``legal`` by
-    expanding the facets.  The complex and ideal methods name the sets they
-    need without caching the names, so an analysis kept on a board holds
-    masks until ``legal`` or ``minimal_illegal`` is read.
+    the legal complex) fix them all.  Sets of basic positions are kept as
+    ints (bit i is basic position i).  The general closure also keeps every
+    legal set it walked (``legal_masks``), and the pairwise one its conflict
+    mask per basic position (``conflict``); the legal complex is handed
+    them, so it neither expands its facets nor reruns the flag test.  Both
+    are left out of comparisons, which read the facets and minimal sets.
+    ``legal`` and ``minimal_illegal`` name the sets when read, ``legal``
+    from the legal complex's faces.  The complex and ideal methods name the
+    sets they need without caching the names, so an analysis kept on a
+    board holds masks until ``legal`` or ``minimal_illegal`` is read.
     """
 
     index: BasicPositionIndex
     maximal_masks: frozenset[int]
     minimal_masks: frozenset[int]
+    legal_masks: Optional[frozenset[int]] = field(default=None, compare=False, repr=False)
+    conflict: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     def _named(self, masks: frozenset[int]) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(self.index.names_of(s)) for s in masks)
@@ -159,7 +166,8 @@ class GameAnalysis:
 
     def legal_complex(self) -> LabeledComplex:
         """Faces are the legal positions.  Always contains the empty position."""
-        return from_facets(self._named(self.maximal_masks), self.index.parts)
+        return from_masks(self.index.names, self.index.parts, self.maximal_masks,
+                          faces=self.legal_masks, conflict=self.conflict)
 
     def legal_ideal(self) -> SquareFreeIdeal:
         """Generated by the maximal legal positions, over all basic positions."""
@@ -167,7 +175,7 @@ class GameAnalysis:
 
     def illegal_complex(self) -> LabeledComplex:
         """Facets are the minimal illegal positions; void when nothing is illegal."""
-        return from_facets(self._named(self.minimal_masks), self.index.parts)
+        return from_masks(self.index.names, self.index.parts, self.minimal_masks)
 
     def illegal_ideal(self) -> SquareFreeIdeal:
         """Generated by the minimal illegal positions, over all basic positions."""
@@ -202,18 +210,16 @@ def analyze(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> GameAnalysis
     if last is not None and last[0] is game and last[1] == cap:
         return last[2]
     index, predicate = _compiled(game, board, cap)
-    if game.pairwise:
-        maximal, minimal = _pairwise_closure(index, predicate)
-    else:
-        maximal, minimal = _closure(index, predicate, game.closed)
-    result = GameAnalysis(index, frozenset(maximal), frozenset(minimal))
+    result = (_pairwise_closure(index, predicate) if game.pairwise
+              else _closure(index, predicate, game.closed))
     object.__setattr__(board, "_analysis", (game, cap, result))
     return result
 
 
-def _closure(index: BasicPositionIndex, predicate: Predicate, closed: bool) -> tuple[list[int], list[int]]:
+def _closure(index: BasicPositionIndex, predicate: Predicate, closed: bool) -> GameAnalysis:
     """Breadth-first closure, one level of equal-size legal sets at a time,
-    returning the maximal legal sets and the minimal illegal sets.
+    returning the maximal legal sets, the minimal illegal sets and every
+    legal set it walked.
 
     A candidate is a disjoint one-element extension of a legal set.  Its
     other one-smaller subsets are looked up in the current level, then the
@@ -233,6 +239,7 @@ def _closure(index: BasicPositionIndex, predicate: Predicate, closed: bool) -> t
     full = (1 << m) - 1
     maximal: list[int] = []
     minimal: list[int] = []
+    legal = [0]
     level = {0: 0}  # legal set -> the basic positions it blocks
     while level:
         nxt: dict[int, int] = {}
@@ -268,8 +275,10 @@ def _closure(index: BasicPositionIndex, predicate: Predicate, closed: bool) -> t
                 free &= free - 1
             if not free:
                 maximal.append(s)
+        legal += nxt
         level = nxt
-    return maximal, minimal + _conflicting_pairs(over, reduce(or_, maximal, 0))
+    minimal += _conflicting_pairs(over, reduce(or_, maximal, 0))
+    return GameAnalysis(index, frozenset(maximal), frozenset(minimal), frozenset(legal))
 
 
 def _closure_error(t: int, level: Mapping[int, int], names: tuple[str, ...]) -> DownwardClosureError:
@@ -282,12 +291,13 @@ def _closure_error(t: int, level: Mapping[int, int], names: tuple[str, ...]) -> 
     )
 
 
-def _pairwise_closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[list[int], list[int]]:
+def _pairwise_closure(index: BasicPositionIndex, predicate: Predicate) -> GameAnalysis:
     """The closure of a ``pairwise`` ruleset: one predicate call per basic
     position and per disjoint pair of legal ones gives a conflict mask per
-    basic position.  The maximal legal sets are the maximal independent sets
-    of that conflict graph, listed by Bron–Kerbosch; the minimal illegal sets
-    are the illegal singles and the conflicting pairs."""
+    basic position, holding its own bit.  The maximal legal sets are the
+    maximal independent sets of that conflict graph, listed by Bron–Kerbosch;
+    the minimal illegal sets are the illegal singles and the conflicting
+    pairs.  The analysis keeps the conflict masks too."""
     m = len(index)
     singles = sum(1 << i for i in range(m) if predicate(1 << i))
     conflict = list(index.overlaps)
@@ -296,9 +306,10 @@ def _pairwise_closure(index: BasicPositionIndex, predicate: Predicate) -> tuple[
             if not predicate(1 << i | 1 << j):
                 conflict[i] |= 1 << j
                 conflict[j] |= 1 << i
-    maximal = list(maximal_independent_sets(conflict, singles))
+    maximal = frozenset(maximal_independent_sets(conflict, singles))
     minimal = [1 << i for i in range(m) if not singles >> i & 1]
-    return maximal, minimal + _conflicting_pairs(conflict, singles)
+    minimal += _conflicting_pairs(conflict, singles)
+    return GameAnalysis(index, maximal, frozenset(minimal), conflict=tuple(conflict))
 
 
 def _conflicting_pairs(conflict: Sequence[int], singles: int) -> list[int]:

@@ -188,7 +188,16 @@ def le(g: CanonicalValue, h: CanonicalValue) -> bool:
     hit = _LE_MEMO.get(key)
     if hit is not None:
         return hit
-    out = not any(le(h, gl) for gl in g.left) and not any(le(hr, g) for hr in h.right)
+    out = True
+    for gl in g.left:
+        if le(h, gl):
+            out = False
+            break
+    else:
+        for hr in h.right:
+            if le(hr, g):
+                out = False
+                break
     _LE_MEMO[key] = out
     return out
 
@@ -209,27 +218,32 @@ def make_value(
     seen = []
     while True:
         seen.append(g)
-        nl = [a for a in g.left if not any(b is not a and le(a, b) for b in g.left)]
-        nr = [a for a in g.right if not any(b is not a and le(b, a) for b in g.right)]
+        # Left's options first, then Right's; an option is dropped when
+        # another of its side is at least as good for that side
+        nl, nr = [], []
+        for options, kept, left in ((g.left, nl, True), (g.right, nr, False)):
+            for a in options:
+                for b in options:
+                    if b is not a and (le(a, b) if left else le(b, a)):
+                        break
+                else:
+                    kept.append(a)
         if len(nl) != len(g.left) or len(nr) != len(g.right):
             g = _mk(nl, nr)
             continue
+        # an option is bypassed through the first reply that is at least as
+        # good for the opponent as g
         changed = False
         lt, rt = [], []
-        for a in g.left:
-            reply = next((ar for ar in a.right if le(ar, g)), None)
-            if reply is None:
-                lt.append(a)
-            else:
-                lt.extend(reply.left)
-                changed = True
-        for a in g.right:
-            reply = next((al for al in a.left if le(g, al)), None)
-            if reply is None:
-                rt.append(a)
-            else:
-                rt.extend(reply.right)
-                changed = True
+        for options, kept, left in ((g.left, lt, True), (g.right, rt, False)):
+            for a in options:
+                for reply in a.right if left else a.left:
+                    if le(reply, g) if left else le(g, reply):
+                        kept.extend(reply.left if left else reply.right)
+                        changed = True
+                        break
+                else:
+                    kept.append(a)
         if not changed:
             break
         g = _mk(lt, rt)

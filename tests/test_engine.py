@@ -22,8 +22,9 @@ from spg.boards import (
     placement,
     vertex_piece,
 )
-from spg.complexes import from_facets, sr_complex
-from spg.construct import verify_roundtrip
+import spg.complexes
+from spg.complexes import from_facets, is_flag, sr_complex, submasks
+from spg.construct import realize_both, verify_roundtrip
 from spg.engine import (
     DownwardClosureError,
     analyze,
@@ -33,6 +34,7 @@ from spg.engine import (
     illegal_complex,
     legal_complex,
 )
+from spg.gametree import canonical_value
 from spg.rulesets import (
     Ruleset,
     col,
@@ -45,7 +47,9 @@ from spg.rulesets import (
     table_game_illegal,
     table_game_legal,
 )
-from conftest import connected_boards, degree_one_game, judge, on_placement_sets
+from conftest import (
+    all_labeled_complexes, connected_boards, degree_one_game, judge, on_placement_sets,
+)
 
 
 def _single_vertex_rules(name, predicate, invariant=False) -> Ruleset:
@@ -564,3 +568,77 @@ def test_closed_declaration_skips_sets_with_an_illegal_subset():
     general = analyze(counted(dataclasses.replace(nogo(), closed=False)), build_grid(3, 3))
     assert len(calls) == 19_112
     assert declared == general
+
+
+# ---------------------------------------------------------------------------
+# The complexes an analysis hands over
+
+
+def _handed_cases():
+    """(game, board) pairs for every built-in ruleset, both table games and
+    a pairwise game that rejects some single placements."""
+    plain = (free_placement(), snort(), col(), nogo())
+    cases = [(game, b) for n in range(1, 6) for b in connected_boards(n) for game in plain]
+    cases += [(nogo(), build_cycle(10)), (snort(), build_path(10))]
+    cases += [(domineering(), build_grid(r, c)) for r in range(1, 4) for c in range(1, 4)]
+    for delta in all_labeled_complexes("abc"):
+        cases += [(r.game, r.board) for r in realize_both(delta)]
+    snort_ = snort()
+
+    def legal(b, placements):
+        predicate = snort_.legal(b, placements)
+        return lambda mask: not mask & 0b101 and predicate(mask)
+
+    cases += [(dataclasses.replace(snort_, legal=legal), build_path(4))]
+    cases += [(cycle_placement_game(), build_cycle(3)), (free_placement(), empty_board())]
+    return cases
+
+
+def test_handed_complexes_match_the_named_facets():
+    reached = set()
+    for game, b in _handed_cases():
+        a = analyze(game, b)
+        legal, illegal = a.legal_complex(), a.illegal_complex()
+        named = [from_facets([a.index.names_of(m) for m in masks], a.index.parts)
+                 for masks in (a.maximal_masks, a.minimal_masks)]
+        for handed, want in zip((legal, illegal), named):
+            assert handed == want, (game.name, b)
+            assert handed.vertices == want.vertices
+            assert handed.facet_masks == want.facet_masks
+        # the masks handed over; a complex computes the rest from facet_masks
+        if game.pairwise:
+            assert "flag_conflicts" in vars(legal)
+            assert legal.flag_conflicts == named[0].flag_conflicts
+        else:
+            assert "face_masks" in vars(legal)
+            assert legal.face_masks == submasks(legal.facet_masks)
+        reached.update((case, game.pairwise) for case, hit in (
+            ("vertex order is not the index order", legal.vertices[:3] == ("x1", "x10", "x2")),
+            ("the only face is empty", not legal.vertices),
+            ("a basic position in no facet", len(legal.vertices) < len(a.index)),
+            ("nothing is illegal", illegal.is_void),
+        ) if hit)
+    assert len(reached) == 8, reached  # each case on both closures
+
+
+def test_handed_complexes_expand_nothing_twice(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("submasks", "maximal_independent_sets"):
+        monkeypatch.setattr(spg.complexes, name, counted(getattr(spg.complexes, name)))
+    nogo_legal = legal_complex(nogo(), build_grid(3, 3))
+    snort_legal = legal_complex(snort(), build_path(10))
+    calls.clear()
+    canonical_value(nogo_legal)
+    assert nogo_legal.node_count == 30_644_179
+    assert "submasks" not in calls
+    calls.clear()
+    assert is_flag(snort_legal)
+    assert calls == []
