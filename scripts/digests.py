@@ -11,8 +11,11 @@ order is not the basic-position order) and on ``path:1`` (whose only face
 is empty), and both complexes of both table games that ``realize_both``
 builds for 20 more ``random_complex`` inputs.  For each complex the digested
 outputs are ``value_str(canonical_value)``, ``tree_to_dot``, ``node_count``,
-``f_vector``, ``minimal_nonfaces``, ``is_flag`` and the ``are_isomorphic``
-witness against a seeded relabelling.  Then come the maps of
+``f_vector``, ``minimal_nonfaces``, ``is_flag``, the ``are_isomorphic``
+witness against a seeded relabelling, its ``repr`` and ``complex_to_obj``,
+its facet and Stanley–Reisner ideals (``repr`` and ``ideal_to_obj``), and
+``complex_to_obj`` of the Stanley–Reisner complex of the latter.  For each
+analysis above come its legal and illegal ideals.  Then come the maps of
 ``piece_placements`` for the distance-game pieces on the n=3 and n=4 boards
 of a few complexes, and of ``induced_embeddings`` on small grids, in the
 order the library returns them.
@@ -34,7 +37,10 @@ from spg.boards import (
     build_cycle, build_grid, build_path, gamma_board, gamma_piece, induced_embeddings,
     piece_placements,
 )
-from spg.complexes import are_isomorphic, from_facets, is_flag, minimal_nonfaces, relabel
+from spg.complexes import (
+    are_isomorphic, complex_to_obj, facet_ideal, from_facets, ideal_to_obj, is_flag,
+    minimal_nonfaces, relabel, sr_complex, sr_ideal,
+)
 from spg.construct import realize_both
 from spg.engine import analyze, legal_complex
 from spg.gametree import canonical_value, tree_to_dot, value_str
@@ -48,7 +54,8 @@ SOLVE = (
 )
 
 
-def corpus() -> list:
+def corpus() -> tuple[list, list]:
+    """The complexes, and the analyses some of them come from."""
     rng = random.Random(0)
     out = all_labeled_complexes("abcd")
     out += [random_complex(rng) for _ in range(200)]
@@ -59,8 +66,9 @@ def corpus() -> list:
     for delta in [random_complex(rng) for _ in range(20)]:
         for r in realize_both(delta):
             a = analyze(r.game, r.board)
+            analyses.append(a)
             out += [a.legal_complex(), a.illegal_complex()]
-    return out
+    return out, analyses
 
 
 def witness(delta, rng: random.Random) -> list | None:
@@ -80,6 +88,11 @@ COMPLEX_OUTPUTS = {
     "minimal_nonfaces": lambda d, rng: sorted(sorted(f) for f in minimal_nonfaces(d)),
     "is_flag": lambda d, rng: is_flag(d),
     "iso_witness": witness,
+    "repr": lambda d, rng: repr(d),
+    "complex_to_obj": lambda d, rng: complex_to_obj(d),
+    "facet_ideal": lambda d, rng: (repr(facet_ideal(d)), ideal_to_obj(facet_ideal(d))),
+    "sr_ideal": lambda d, rng: (repr(sr_ideal(d)), ideal_to_obj(sr_ideal(d))),
+    "sr_complex": lambda d, rng: complex_to_obj(sr_complex(sr_ideal(d))),
 }
 
 # illegal complexes whose distance boards the pieces are placed on
@@ -109,11 +122,15 @@ def digest(items) -> str:
 
 
 def main() -> None:
-    complexes = corpus()
+    complexes, analyses = corpus()
     print(f"complexes {len(complexes)}")
     for name, output in COMPLEX_OUTPUTS.items():
         rng = random.Random(1)
         print(f"{name} {digest(output(d, rng) for d in complexes)}")
+    print(f"analyses {len(analyses)}")
+    for side in ("legal_ideal", "illegal_ideal"):
+        ideals = [getattr(a, side)() for a in analyses]
+        print(f"{side} {digest((repr(i), ideal_to_obj(i)) for i in ideals)}")
     placements = []
     for gamma in PLACEMENT_COMPLEXES:
         board = gamma_board(gamma)
