@@ -375,7 +375,7 @@ def _game_tree(args: Args, source) -> int:
         else:
             print(text, end="")
         return 0
-    depth = max((len(f) for f in delta.facets), default=0)
+    depth = max(map(int.bit_count, delta.facet_masks), default=0)
     print(f"game tree: {delta.node_count} nodes, depth {depth}")
     if delta.node_count <= _TREE_PRINT_LIMIT:
         print("\n".join(["(root)", *("  " + line for line in fold(delta, _printed_subtree))]))

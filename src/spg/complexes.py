@@ -172,10 +172,6 @@ def submasks(family: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def _norm_faces(faces: Iterable[Iterable[str]]) -> set[frozenset[str]]:
-    return {frozenset(f) for f in faces}
-
-
 def _maximal(sets: set[frozenset[str]]) -> frozenset[frozenset[str]]:
     """Largest first, so a set is dropped exactly when a set kept so far
     holds it: bit k of ``within[v]`` says that the k-th kept set holds v, and
@@ -215,20 +211,19 @@ class LabeledComplex:
     family to an inclusion-maximal antichain and derives the canonical vertex
     order, or through :func:`from_masks`, which takes an antichain of masks
     and fills in the masks it is handed.  Every vertex appears in at least
-    one facet.  ``facet_masks`` is the one place vertex names become bits
+    one facet.  The complex stores its facets as int masks, ``facet_masks``
     (bit i is ``vertices[i]``); the faces, the flag test, the nonfaces and
-    the isomorphism search read masks.
+    the isomorphism search read them, and ``facets`` names them when read.
     """
 
     vertices: tuple[str, ...]
     part: Mapping[str, str]
-    facets: frozenset[frozenset[str]]
+    facet_masks: frozenset[int]
 
     @cached_property
-    def facet_masks(self) -> frozenset[int]:
-        """Every facet as an int mask over ``vertices`` (bit i is vertex i)."""
-        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        return frozenset(sum(bit[v] for v in f) for f in self.facets)
+    def facets(self) -> frozenset[frozenset[str]]:
+        """Every facet as a set of vertex names."""
+        return frozenset(map(self.face_names, self.facet_masks))
 
     @cached_property
     def cofacets(self) -> tuple[int, ...]:
@@ -289,7 +284,7 @@ class LabeledComplex:
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self.facet_masks
 
     @property
     def is_empty(self) -> bool:
@@ -307,10 +302,10 @@ class LabeledComplex:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledComplex):
             return NotImplemented
-        return self.facets == other.facets and dict(self.part) == dict(other.part)
+        return self.facet_masks == other.facet_masks and dict(self.part) == dict(other.part)
 
     def __hash__(self) -> int:
-        return hash((self.facets, frozenset(self.part.items())))
+        return hash((self.vertices, self.facet_masks))
 
     def __repr__(self) -> str:
         if self.is_void:
@@ -328,7 +323,7 @@ def from_facets(facets: Iterable[Iterable[str]], part: Mapping[str, str] | None 
     unused names are ignored.
     """
     part = dict(part or {})
-    maximal = _maximal(_norm_faces(facets))
+    maximal = _maximal({frozenset(f) for f in facets})
     used = sorted(set().union(*maximal)) if maximal else []
     for v in used:
         if v not in part:
@@ -337,14 +332,15 @@ def from_facets(facets: Iterable[Iterable[str]], part: Mapping[str, str] | None 
             raise ValueError(f"vertex {v!r} has part {part[v]!r}, expected one of {PARTS}")
     kept = {v: part[v] for v in used}
     order = canonical_vertex_order(used, kept)
-    return LabeledComplex(order, kept, maximal)
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    return LabeledComplex(order, kept, frozenset(sum(map(bit.__getitem__, f)) for f in maximal))
 
 
 def from_masks(names: Sequence[str], parts: Mapping[str, str], facet_masks: frozenset[int],
                faces: Optional[frozenset[int]] = None, conflict: Optional[Sequence[int]] = None,
                ) -> LabeledComplex:
     """The complex whose facets are ``facet_masks``, an antichain of masks
-    over ``names`` (bit i is ``names[i]``), with its masks filled in.
+    over ``names`` (bit i is ``names[i]``), with the masks it is handed.
 
     The vertices are the names in some facet, in canonical order, and each
     mask moves into that order through per-byte tables, which drop the
@@ -354,10 +350,9 @@ def from_masks(names: Sequence[str], parts: Mapping[str, str], facet_masks: froz
     """
     at = {names[i]: i for i in bits(reduce(or_, facet_masks, 0))}
     order = canonical_vertex_order(at, parts)
-    delta = LabeledComplex(order, {v: parts[v] for v in order},
-                           frozenset(frozenset(names[i] for i in bits(m)) for m in facet_masks))
     tables = _byte_tables([1 << order.index(v) if v in at else 0 for v in names])
-    object.__setattr__(delta, "facet_masks", frozenset(_by_bytes(tables, m) for m in facet_masks))
+    delta = LabeledComplex(order, {v: parts[v] for v in order},
+                           frozenset(_by_bytes(tables, m) for m in facet_masks))
     if faces is not None:  # a vertex order that is the names' own moves no mask
         moved = faces if order == tuple(names[:len(order)]) else (_by_bytes(tables, m) for m in faces)
         object.__setattr__(delta, "face_masks", frozenset(moved))
@@ -384,42 +379,25 @@ def faces(delta: LabeledComplex) -> frozenset[frozenset[str]]:
 def dimension(delta: LabeledComplex) -> int:
     if delta.is_void:
         raise ValueError("the void complex has no faces and no dimension")
-    return max(len(f) for f in delta.facets) - 1
+    return max(map(int.bit_count, delta.facet_masks)) - 1
 
 
 def is_pure(delta: LabeledComplex) -> bool:
     """True when all facets share one dimension (vacuously true for void)."""
-    return len({len(f) for f in delta.facets}) <= 1
+    return len(set(map(int.bit_count, delta.facet_masks))) <= 1
 
 
 def minimal_nonfaces(delta: LabeledComplex) -> frozenset[frozenset[str]]:
-    """Inclusion-minimal subsets of the vertex set that are not faces.
-
-    The void complex has exactly the empty set: nothing at all is a face of
-    it.  A vertex in every facet is in no minimal nonface, so those are
-    masked out first and a simplex has none.  Any other minimal nonface is a face
-    plus a vertex above all of that face's vertices (drop its last vertex in
-    ``vertices`` order), so only those extensions are tried, each once.
-    """
-    if delta.is_void:
-        return frozenset({frozenset()})
-    common = -1
-    for m in delta.facet_masks:
-        common &= m
-    free = (1 << len(delta.vertices)) - 1 & ~common
-    masks = submasks(m & free for m in delta.facet_masks) if common else delta.face_masks
-    out: set[int] = set()
-    for f in masks:
-        for i in bits(free & -1 << f.bit_length()):
-            cand = f | 1 << i
-            if cand not in masks and all(cand ^ 1 << j in masks for j in bits(f)):
-                out.add(cand)
-    return frozenset(delta.face_names(m) for m in out)
+    """Inclusion-minimal subsets of the vertex set that are not faces: the
+    generators of :func:`sr_ideal`."""
+    return sr_ideal(delta).generators
 
 
 @dataclass(frozen=True, eq=False)
 class SquareFreeIdeal:
-    """An ordered variable list plus an antichain of square-free generators.
+    """An ordered variable list plus an antichain of square-free generators,
+    stored as int masks over the variables (bit i is ``variables[i]``) and
+    named by ``generators`` when read.
 
     The zero ideal has no generators.  The unit ideal is stored as the single
     empty generator.  Variables may be absent from every generator; the list is
@@ -428,27 +406,32 @@ class SquareFreeIdeal:
 
     variables: tuple[str, ...]
     part: Mapping[str, str]
-    generators: frozenset[frozenset[str]]
+    generator_masks: frozenset[int]
+
+    @cached_property
+    def generators(self) -> frozenset[frozenset[str]]:
+        """Every generator as a set of variable names."""
+        return frozenset(frozenset(self.variables[i] for i in bits(m)) for m in self.generator_masks)
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self.generator_masks
 
     @property
     def is_unit(self) -> bool:
-        return frozenset() in self.generators
+        return 0 in self.generator_masks
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SquareFreeIdeal):
             return NotImplemented
         return (
             self.variables == other.variables
-            and self.generators == other.generators
+            and self.generator_masks == other.generator_masks
             and dict(self.part) == dict(other.part)
         )
 
     def __hash__(self) -> int:
-        return hash((self.variables, self.generators))
+        return hash((self.variables, self.generator_masks))
 
     def __repr__(self) -> str:
         gens = sorted("".join(sorted(g)) if g else "1" for g in self.generators)
@@ -460,12 +443,12 @@ def ideal(
     part: Mapping[str, str],
     generators: Iterable[Iterable[str]],
 ) -> SquareFreeIdeal:
-    """Normalise a generating family to its minimal antichain."""
+    """Normalise a generating family to its minimal antichain, as masks."""
     variables = tuple(variables)
     vset = set(variables)
     if len(vset) != len(variables):
         raise ValueError("duplicate variable names")
-    gens = _norm_faces(generators)
+    gens = {frozenset(g) for g in generators}
     for g in gens:
         extra = g - vset
         if extra:
@@ -474,22 +457,44 @@ def ideal(
     for v, p in part.items():
         if p not in PARTS:
             raise ValueError(f"variable {v!r} has part {p!r}, expected one of {PARTS}")
-    return SquareFreeIdeal(variables, part, _minimal(gens))
+    bit = {v: 1 << i for i, v in enumerate(variables)}
+    masks = (sum(map(bit.__getitem__, g)) for g in _minimal(gens))
+    return SquareFreeIdeal(variables, part, frozenset(masks))
 
 
 def facet_ideal(delta: LabeledComplex) -> SquareFreeIdeal:
     """Generators are the facets; variables are the complex's vertices."""
-    return ideal(delta.vertices, delta.part, delta.facets)
+    return SquareFreeIdeal(delta.vertices, delta.part, delta.facet_masks)
 
 
 def sr_ideal(delta: LabeledComplex) -> SquareFreeIdeal:
-    """Generators are the minimal nonfaces; variables are the complex's vertices."""
-    return ideal(delta.vertices, delta.part, minimal_nonfaces(delta))
+    """Generators are the minimal nonfaces; variables are the complex's vertices.
+
+    The void complex's only minimal nonface is the empty set: nothing at all
+    is a face of it.  A vertex in every facet is in no minimal nonface, so those are
+    masked out first and a simplex has none.  Any other minimal nonface is a face
+    plus a vertex above all of that face's vertices (drop its last vertex in
+    ``vertices`` order), so only those extensions are tried, each once.
+    """
+    if delta.is_void:
+        return SquareFreeIdeal(delta.vertices, delta.part, frozenset({0}))
+    common = -1
+    for m in delta.facet_masks:
+        common &= m
+    free = (1 << len(delta.vertices)) - 1 & ~common
+    masks = submasks(m & free for m in delta.facet_masks) if common else delta.face_masks
+    out: set[int] = set()
+    for f in masks:
+        for i in bits(free & -1 << f.bit_length()):
+            cand = f | 1 << i
+            if cand not in masks and all(cand ^ 1 << j in masks for j in bits(f)):
+                out.add(cand)
+    return SquareFreeIdeal(delta.vertices, delta.part, frozenset(out))
 
 
 def facet_complex(ideal_: SquareFreeIdeal) -> LabeledComplex:
     """The complex whose facets are the ideal's minimal generators."""
-    return from_facets(ideal_.generators, ideal_.part)
+    return from_masks(ideal_.variables, ideal_.part, ideal_.generator_masks)
 
 
 def sr_complex(ideal_: SquareFreeIdeal) -> LabeledComplex:
@@ -519,7 +524,7 @@ def is_flag(delta: LabeledComplex) -> bool:
 
 def is_simplex(delta: LabeledComplex) -> bool:
     """True when the vertex set itself is a face (a single full facet)."""
-    return not delta.is_void and delta.facets == frozenset({frozenset(delta.vertices)})
+    return delta.facet_masks == {(1 << len(delta.vertices)) - 1}
 
 
 def independence_complex(
@@ -550,18 +555,19 @@ def relabel(delta: LabeledComplex, mapping: Mapping[str, str]) -> LabeledComplex
     if len({mapping[v] for v in delta.vertices}) != len(delta.vertices):
         raise ValueError("mapping is not injective on the vertex set")
     part = {mapping[v]: delta.part[v] for v in delta.vertices}
-    return from_facets([{mapping[v] for v in f} for f in delta.facets], part)
+    return from_masks([mapping[v] for v in delta.vertices], part, delta.facet_masks)
 
 
-def _vertex_profile(delta: LabeledComplex) -> tuple[list[tuple], list[int], list[list[list[int]]]]:
-    """Per vertex index i: its signature (part, sizes of the facets holding
-    it), its incidence mask over the facets (bit j: the j-th facet of
-    ``facet_masks`` holds it), and the other vertices of each facet whose
-    last vertex is i."""
+def _vertex_profile(delta: LabeledComplex, family: frozenset[int],
+                    ) -> tuple[list[tuple], list[int], list[list[list[int]]]]:
+    """Per vertex index i: its signature (part, sizes of the sets of
+    ``family`` holding it), its incidence mask over the family (bit j: the
+    j-th set holds it), and the other vertices of each set whose last
+    vertex is i."""
     inc = [0] * len(delta.vertices)
     sizes: list[list[int]] = [[] for _ in delta.vertices]
     closing: list[list[list[int]]] = [[] for _ in delta.vertices]
-    for j, m in enumerate(delta.facet_masks):
+    for j, m in enumerate(family):
         members = list(bits(m))
         for i in members:
             inc[i] |= 1 << j
@@ -578,6 +584,12 @@ def _isomorphisms(a: LabeledComplex, b: LabeledComplex,
     onto those of ``b``, as the tuple whose entry i is the index in ``b`` of
     ``a``'s vertex i, in lexicographic order.
 
+    A bijection carries the facets onto facets exactly when it carries
+    their complements onto complements.  When the facets of ``a`` are
+    larger than their complements in total, the search runs on the
+    complements, which close earlier in vertex order and so prune sooner;
+    below, "facets" means the family searched.
+
     The multisets of vertex signatures (part, sizes of the facets holding the
     vertex) must agree first; that fixes the vertex count per part and, since
     a facet of size k is counted k times, the facet count per size.  Then a
@@ -592,8 +604,12 @@ def _isomorphisms(a: LabeledComplex, b: LabeledComplex,
     if a.is_void != b.is_void:
         return
     n = len(a.vertices)
-    sig_a, inc_a, closing = _vertex_profile(a)
-    sig_b, inc_b, _ = _vertex_profile(b) if b is not a else (sig_a, inc_a, closing)
+    fa, fb = a.facet_masks, b.facet_masks
+    if 2 * sum(map(int.bit_count, fa)) > n * len(fa):
+        fa = frozenset((1 << n) - 1 ^ m for m in fa)
+        fb = frozenset((1 << len(b.vertices)) - 1 ^ m for m in fb)
+    sig_a, inc_a, closing = _vertex_profile(a, fa)
+    sig_b, inc_b, _ = _vertex_profile(b, fb) if b is not a else (sig_a, inc_a, closing)
     if sorted(sig_a) != sorted(sig_b):
         return
     assignment: list[int] = []  # assignment[i]: the index in b of a's vertex i
@@ -612,7 +628,7 @@ def _isomorphisms(a: LabeledComplex, b: LabeledComplex,
             image = 1 << k
             for u in rest:
                 image |= 1 << assignment[u]
-            if image not in b.facet_masks:
+            if image not in fb:
                 return False
         return True
 
@@ -711,11 +727,10 @@ def dumps(obj: dict) -> str:
 
 
 def ideal_to_obj(ideal_: SquareFreeIdeal) -> dict:
-    index = {v: i for i, v in enumerate(ideal_.variables)}
-    gens = [sorted(g, key=index.__getitem__) for g in ideal_.generators]
+    gens = sorted(list(bits(m)) for m in ideal_.generator_masks)
     return {
         "variables": list(ideal_.variables),
-        "generators": sorted(gens, key=lambda g: [index[v] for v in g]),
+        "generators": [[ideal_.variables[i] for i in g] for g in gens],
         "parts": {v: ideal_.part[v] for v in ideal_.variables},
     }
 

@@ -39,7 +39,7 @@ from typing import Mapping, Optional, Sequence
 from . import boards
 from .boards import Board, BudgetExceeded, Placement, piece_placements
 from .complexes import (
-    LabeledComplex, SquareFreeIdeal, bits, faces, from_masks, ideal, independent_sets,
+    LabeledComplex, SquareFreeIdeal, bits, faces, from_masks, independent_sets,
     maximal_independent_sets,
 )
 from .rulesets import Predicate, Ruleset
@@ -141,10 +141,10 @@ class GameAnalysis:
     mask per basic position (``conflict``); the legal complex is handed
     them, so it neither expands its facets nor reruns the flag test.  Both
     are left out of comparisons, which read the facets and minimal sets.
-    ``legal`` and ``minimal_illegal`` name the sets when read, ``legal``
-    from the legal complex's faces.  The complex and ideal methods name the
-    sets they need without caching the names, so an analysis kept on a
-    board holds masks until ``legal`` or ``minimal_illegal`` is read.
+    ``legal`` and ``minimal_illegal`` name the sets when read, from the
+    legal complex's faces and the illegal complex's facets.  The complexes
+    and ideals hold the masks as they are, so an analysis kept on a board
+    holds masks until ``legal`` or ``minimal_illegal`` is read.
     """
 
     index: BasicPositionIndex
@@ -153,16 +153,13 @@ class GameAnalysis:
     legal_masks: Optional[frozenset[int]] = field(default=None, compare=False, repr=False)
     conflict: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
-    def _named(self, masks: frozenset[int]) -> frozenset[frozenset[str]]:
-        return frozenset(frozenset(self.index.names_of(s)) for s in masks)
-
     @cached_property
     def legal(self) -> frozenset[frozenset[str]]:
         return faces(self.legal_complex())
 
     @cached_property
     def minimal_illegal(self) -> frozenset[frozenset[str]]:
-        return self._named(self.minimal_masks)
+        return self.illegal_complex().facets
 
     def legal_complex(self) -> LabeledComplex:
         """Faces are the legal positions.  Always contains the empty position."""
@@ -171,7 +168,7 @@ class GameAnalysis:
 
     def legal_ideal(self) -> SquareFreeIdeal:
         """Generated by the maximal legal positions, over all basic positions."""
-        return ideal(self.index.names, self.index.parts, self._named(self.maximal_masks))
+        return SquareFreeIdeal(self.index.names, self.index.parts, self.maximal_masks)
 
     def illegal_complex(self) -> LabeledComplex:
         """Facets are the minimal illegal positions; void when nothing is illegal."""
@@ -179,7 +176,7 @@ class GameAnalysis:
 
     def illegal_ideal(self) -> SquareFreeIdeal:
         """Generated by the minimal illegal positions, over all basic positions."""
-        return ideal(self.index.names, self.index.parts, self._named(self.minimal_masks))
+        return SquareFreeIdeal(self.index.names, self.index.parts, self.minimal_masks)
 
 
 def _compiled(game: Ruleset, board: Board, cap: int) -> tuple[BasicPositionIndex, Predicate]:

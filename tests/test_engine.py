@@ -23,7 +23,10 @@ from spg.boards import (
     vertex_piece,
 )
 import spg.complexes
-from spg.complexes import from_facets, is_flag, sr_complex, submasks
+from spg.complexes import (
+    facet_complex, facet_ideal, from_facets, ideal, is_flag, minimal_nonfaces, sr_complex,
+    sr_ideal, submasks,
+)
 from spg.construct import realize_both, verify_roundtrip
 from spg.engine import (
     DownwardClosureError,
@@ -594,6 +597,17 @@ def _handed_cases():
     return cases
 
 
+def _assert_constructors_agree(delta):
+    """A complex equals, and hashes as, the one built from its named facets,
+    and its facet and Stanley–Reisner ideals equal the ones :func:`ideal`
+    filters from the named facets and minimal nonfaces."""
+    named = from_facets(delta.facets, delta.part)
+    assert named == delta and hash(named) == hash(delta), delta
+    for got, want in ((facet_ideal(delta), ideal(delta.vertices, delta.part, delta.facets)),
+                      (sr_ideal(delta), ideal(delta.vertices, delta.part, minimal_nonfaces(delta)))):
+        assert got == want and hash(got) == hash(want), delta
+
+
 def test_handed_complexes_match_the_named_facets():
     reached = set()
     for game, b in _handed_cases():
@@ -605,6 +619,7 @@ def test_handed_complexes_match_the_named_facets():
             assert handed == want, (game.name, b)
             assert handed.vertices == want.vertices
             assert handed.facet_masks == want.facet_masks
+            _assert_constructors_agree(handed)
         # the masks handed over; a complex computes the rest from facet_masks
         if game.pairwise:
             assert "flag_conflicts" in vars(legal)
@@ -631,14 +646,27 @@ def test_handed_complexes_expand_nothing_twice(monkeypatch):
 
         return wrapper
 
-    for name in ("submasks", "maximal_independent_sets"):
+    for name in ("submasks", "maximal_independent_sets", "_maximal", "_minimal"):
         monkeypatch.setattr(spg.complexes, name, counted(getattr(spg.complexes, name)))
-    nogo_legal = legal_complex(nogo(), build_grid(3, 3))
+    a = analyze(nogo(), build_grid(3, 3))
+    nogo_legal = a.legal_complex()
     snort_legal = legal_complex(snort(), build_path(10))
     calls.clear()
     canonical_value(nogo_legal)
     assert nogo_legal.node_count == 30_644_179
     assert "submasks" not in calls
+    assert "facets" not in vars(nogo_legal)  # named only when read
     calls.clear()
     assert is_flag(snort_legal)
     assert calls == []
+    # the ideals and complexes of an antichain never filter it again
+    for idl in (a.legal_ideal(), a.illegal_ideal(), facet_ideal(nogo_legal), sr_ideal(nogo_legal)):
+        facet_complex(idl)
+    assert "_maximal" not in calls and "_minimal" not in calls
+
+
+def test_constructors_agree_on_equality_and_hash():
+    """Every complex on four vertices; the handed complexes are checked
+    alike in :func:`test_handed_complexes_match_the_named_facets`."""
+    for delta in all_labeled_complexes("abcd"):
+        _assert_constructors_agree(delta)
