@@ -18,7 +18,13 @@ its facet and Stanley–Reisner ideals (``repr`` and ``ideal_to_obj``), and
 analysis above come its legal and illegal ideals.  Then come the maps of
 ``piece_placements`` for the distance-game pieces on the n=3 and n=4 boards
 of a few complexes, and of ``induced_embeddings`` on small grids, in the
-order the library returns them.
+order the library returns them.  Last come the verdicts of the three
+verifiers: ``check_condition_iv`` and ``check_invariance`` (30 samples, seeds
+0-3, at most 1-3 pieces) for snort, col, nogo, domineering and free
+placement on five small boards, and ``verify_roundtrip`` of each kind over
+every labelled complex on the vertices a-c.  The message of a
+``ValueError`` stands in for a verdict: domineering refuses boards without
+grid coordinates, and the distance game complexes with isolated vertices.
 
 Usage: python3 scripts/digests.py
 """
@@ -37,14 +43,15 @@ from spg.boards import (
     build_cycle, build_grid, build_path, gamma_board, gamma_piece, induced_embeddings,
     piece_placements,
 )
+from spg.cli import parse_board_spec
 from spg.complexes import (
     are_isomorphic, complex_to_obj, facet_ideal, from_facets, ideal_to_obj, is_flag,
     minimal_nonfaces, relabel, sr_complex, sr_ideal,
 )
-from spg.construct import realize_both
-from spg.engine import analyze, legal_complex
+from spg.construct import realize_both, verify_roundtrip
+from spg.engine import analyze, check_condition_iv, check_invariance, legal_complex
 from spg.gametree import canonical_value, tree_to_dot, value_str
-from spg.rulesets import col, domineering, nogo, snort
+from spg.rulesets import col, domineering, free_placement, nogo, snort
 
 SOLVE = (
     (snort, build_path(10), 24),
@@ -113,6 +120,52 @@ PATTERNS = (
 )
 
 
+VERIFIER_GAMES = (snort, col, nogo, domineering, free_placement)
+VERIFIER_BOARDS = ("path:5", "cycle:6", "grid:2x3", "grid:3x3", "union:(path:2,path:1)")
+
+
+def verdict(check, *args, **kwargs) -> tuple:
+    """(status, detail, witness, samples_run) of a verifier's report, or the
+    message of the ``ValueError`` it raised.  A report without a status or a
+    sample count reads as ``passed`` and 0."""
+    try:
+        rep = check(*args, **kwargs)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    status = getattr(rep, "status", None) or ("PASS" if rep.passed else "FAIL")
+    return status, rep.detail, rep.witness, getattr(rep, "samples_run", 0)
+
+
+def roundtrip(kind: str, delta) -> tuple:
+    """(status, detail, computed) of a round trip, or the message of the
+    ``ValueError`` its construction raised."""
+    try:
+        rep = verify_roundtrip(kind, delta)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    computed = complex_to_obj(rep.computed) if rep.computed is not None else None
+    return rep.status, rep.detail, computed
+
+
+def verifier_outputs() -> dict[str, list]:
+    """The verdicts of the two predicate verifiers and the round trips."""
+    condition, invariance = [], []
+    for game in VERIFIER_GAMES:
+        for spec in VERIFIER_BOARDS:
+            board = parse_board_spec(spec)
+            condition.append(verdict(check_condition_iv, game(), board))
+            invariance += [
+                verdict(check_invariance, game(), board, samples=30, seed=seed, max_pieces=k)
+                for seed in range(4)
+                for k in range(1, 4)
+            ]
+    trips = [roundtrip(kind, delta)
+             for kind in ("both", "illegal", "legal")
+             for delta in all_labeled_complexes("abc")]
+    return {"check_condition_iv": condition, "check_invariance": invariance,
+            "verify_roundtrip": trips}
+
+
 def digest(items) -> str:
     h = hashlib.sha256()
     for item in items:
@@ -144,6 +197,8 @@ def main() -> None:
         for vs, es in PATTERNS
     ]
     print(f"induced_embeddings {digest(embeddings)}")
+    for name, outputs in verifier_outputs().items():
+        print(f"{name} {len(outputs)} {digest(outputs)}")
 
 
 if __name__ == "__main__":
