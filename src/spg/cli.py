@@ -416,9 +416,8 @@ def _verified(args: Args, delta: LabeledComplex, labeling: Optional[Labeling],
     overrule it."""
     rep = verify_roundtrip(args.kind, delta, edge_labeling=labeling, cap=args.cap,
                            max_construction_vertices=args.max_n, time_cap_s=args.time_cap)
-    obj: dict = {"status": rep.status, "kind": rep.kind, "detail": rep.detail}
-    if rep.expected is not None:
-        obj["expected"] = complex_to_obj(rep.expected)
+    obj: dict = {"status": rep.status, "kind": args.kind, "detail": rep.detail,
+                 "expected": complex_to_obj(delta)}
     if rep.computed is not None:
         obj["computed"] = complex_to_obj(rep.computed)
     status, detail = rep.status, rep.detail
@@ -515,7 +514,7 @@ def _verify_roundtrip(args: Args, delta: LabeledComplex, labeling=None) -> int:
 
 def _verify_condition_iv(args: Args, source: tuple[Ruleset, Board]) -> int:
     rep = check_condition_iv(*source, cap=args.cap)
-    return _finish_status("PASS" if rep.passed else "FAIL", rep.detail)
+    return _finish_status(rep.status, rep.detail)
 
 
 def _verify_invariance(args: Args, source: tuple[Ruleset, Board]) -> int:

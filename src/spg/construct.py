@@ -207,10 +207,11 @@ def to_independence(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> Real
 
 @dataclass
 class VerifyReport:
-    status: str  # PASS, FAIL or INCONCLUSIVE
-    kind: str
+    """A round trip's verdict: PASS, FAIL or INCONCLUSIVE, why, and the
+    complex the replay recovered (None when it recovered none)."""
+
+    status: str
     detail: str
-    expected: Optional[LabeledComplex] = None
     computed: Optional[LabeledComplex] = None
 
     @property
@@ -319,9 +320,9 @@ def verify_roundtrip(
             got, err = _recovered_complex(r, side, cap, deadline)
             wrong = err or _mismatch(complex_, got)
             if wrong:
-                return VerifyReport("FAIL", kind, f"{what}: {wrong}", complex_, got)
+                return VerifyReport("FAIL", f"{what}: {wrong}", got)
             recovered.append(got)
     except BudgetExceeded as exc:
-        return VerifyReport("INCONCLUSIVE", kind, str(exc), complex_, None)
+        return VerifyReport("INCONCLUSIVE", str(exc))
     done = "; ".join(what for _, _, what in runs)
-    return VerifyReport("PASS", kind, f"recovered complex matches; {done}", complex_, recovered[0])
+    return VerifyReport("PASS", f"recovered complex matches; {done}", recovered[0])

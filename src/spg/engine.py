@@ -72,10 +72,6 @@ class BasicPositionIndex:
         return tuple(name for name, _ in self.entries)
 
     @cached_property
-    def by_name(self) -> dict[str, Placement]:
-        return dict(self.entries)
-
-    @cached_property
     def parts(self) -> Mapping[str, str]:
         """The player of each basic position, by name."""
         return MappingProxyType({name: p.player for name, p in self.entries})
@@ -334,13 +330,21 @@ def illegal_complex(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> Labe
 
 
 @dataclass(frozen=True)
-class ConditionReport:
-    passed: bool
-    witness: Optional[tuple[tuple[str, ...], tuple[str, ...]]]
+class Verdict:
+    """What a verifier found: PASS, FAIL or INCONCLUSIVE, why, the positions
+    that refute the claim on a FAIL, and how many samples it judged."""
+
+    status: str
     detail: str
+    witness: Optional[tuple] = None
+    samples_run: int = 0
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "PASS"
 
 
-def check_condition_iv(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> ConditionReport:
+def check_condition_iv(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> Verdict:
     """Check that the predicate is downward closed over every position with
     pairwise disjoint supports, one removal at a time.
 
@@ -350,7 +354,7 @@ def check_condition_iv(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> C
     """
     index, predicate = _compiled(game, board, cap)
     if not predicate(0):
-        return ConditionReport(False, ((), ()), "the empty position must be legal")
+        return Verdict("FAIL", "the empty position must be legal", ((), ()))
 
     # Every disjoint-support set in canonical order, legal or not.  The walk
     # reaches each one-smaller subset of a set before the set itself, so one
@@ -362,21 +366,13 @@ def check_condition_iv(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> C
             for i in bits(t):
                 if t ^ 1 << i not in accepted:
                     good, bad = index.names_of(t), index.names_of(t ^ 1 << i)
-                    return ConditionReport(
-                        False,
-                        (good, bad),
+                    return Verdict(
+                        "FAIL",
                         f"{{{','.join(good)}}} satisfies the predicate but "
                         f"{{{','.join(bad)}}} does not",
+                        (good, bad),
                     )
-    return ConditionReport(True, None, "predicate is downward closed on this board")
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    status: str  # PASS, FAIL or INCONCLUSIVE
-    detail: str
-    witness: Optional[tuple] = None
-    samples_run: int = 0
+    return Verdict("PASS", "predicate is downward closed on this board")
 
 
 def check_invariance(
@@ -386,7 +382,7 @@ def check_invariance(
     seed: int = 0,
     cap: int = DEFAULT_CAP,
     max_pieces: int = 3,
-) -> InvarianceReport:
+) -> Verdict:
     """Sampled necessary conditions for pattern-only legality.
 
     Part (a): every basic position must be legal (exact).  Part (b): for
@@ -396,33 +392,30 @@ def check_invariance(
     only refute.
     """
     index, predicate = _compiled(game, board, cap)
-    by_name = index.by_name
     for i, (name, pl) in enumerate(index.entries):
         if not predicate(1 << i):
-            return InvarianceReport(
-                "FAIL",
-                f"basic position {name} (vertices {sorted(pl.occupied)}) is illegal",
-                witness=(name,),
+            return Verdict(
+                "FAIL", f"basic position {name} (vertices {sorted(pl.occupied)}) is illegal", (name,)
             )
-    if not index.entries:
-        return InvarianceReport("INCONCLUSIVE", "board admits no placements at all")
+    placements = index.placements
+    if not placements:
+        return Verdict("INCONCLUSIVE", "board admits no placements at all")
 
     rng = random.Random(seed)
-    names = list(index.names)
     # a transported placement is a placement of the same piece: a basic position
-    bit = {(p.player, p.occupied): 1 << i for i, p in enumerate(index.placements)}
+    bit = {(p.player, p.occupied): 1 << i for i, p in enumerate(placements)}
     run = 0
     for _ in range(samples):
         k = rng.randint(1, max_pieces)
-        chosen: list[str] = []
+        pos = 0
         occupied: set[int] = set()
         for _attempt in range(8 * k):
-            b = rng.choice(names)
-            if b in chosen or by_name[b].occupied & occupied:
+            i = rng.randrange(len(placements))
+            if pos >> i & 1 or placements[i].occupied & occupied:
                 continue
-            chosen.append(b)
-            occupied |= by_name[b].occupied
-            if len(chosen) == k:
+            pos |= 1 << i
+            occupied |= placements[i].occupied
+            if pos.bit_count() == k:
                 break
         sub_vertices = sorted(occupied)
         sub_edges = [e for e in board.edges if set(e) <= occupied]
@@ -431,25 +424,21 @@ def check_invariance(
         if not alternatives:
             continue
         phi = alternatives[rng.randrange(len(alternatives))]
-        pos = moved = 0
-        for c in chosen:
-            pl = by_name[c]
-            pos |= bit[pl.player, pl.occupied]
+        moved = 0
+        for i in bits(pos):
+            pl = placements[i]
             moved |= bit[pl.player, frozenset(phi[v] for v in pl.occupied)]
         run += 1
         verdict, verdict_moved = predicate(pos), predicate(moved)
         if verdict != verdict_moved:
-            return InvarianceReport(
+            chosen = sorted(index.names_of(pos))
+            return Verdict(
                 "FAIL",
-                f"position {{{','.join(sorted(chosen))}}} is "
+                f"position {{{','.join(chosen)}}} is "
                 f"{'legal' if verdict else 'illegal'} but its transported image is not",
-                witness=(tuple(sorted(chosen)), tuple(sorted(phi.items()))),
-                samples_run=run,
+                (tuple(chosen), tuple(sorted(phi.items()))),
+                run,
             )
     if run == 0:
-        return InvarianceReport(
-            "INCONCLUSIVE",
-            "no sampled pattern admitted an alternative embedding",
-            samples_run=0,
-        )
-    return InvarianceReport("PASS", f"{run} transported samples agreed", samples_run=run)
+        return Verdict("INCONCLUSIVE", "no sampled pattern admitted an alternative embedding")
+    return Verdict("PASS", f"{run} transported samples agreed", samples_run=run)

@@ -63,7 +63,7 @@ def _single_vertex_rules(name, predicate, invariant=False) -> Ruleset:
 def test_basic_positions_canonical_index(lshape_board):
     idx = basic_positions(domineering(), lshape_board)
     assert idx.names == ("x1", "x2", "x3", "y1", "y2", "y3")
-    assert [sorted(idx.by_name[n].occupied) for n in idx.names] == [
+    assert [sorted(p.occupied) for p in idx.placements] == [
         [0, 1], [1, 2], [2, 3], [0, 1], [1, 2], [2, 3],
     ]
     parts = idx.parts
@@ -232,7 +232,7 @@ def test_invariance_fails_for_nogo_on_a_transported_position():
     assert rep.detail == "position {x2,y3} is legal but its transported image is not"
     assert rep.witness == (("x2", "y3"), ((1, 0), (2, 1)))
     assert rep.samples_run == 49
-    by_name = basic_positions(nogo(), brd).by_name
+    by_name = dict(basic_positions(nogo(), brd).entries)
     assert judge(nogo(), brd, by_name["x2"], by_name["y3"])
     assert not judge(nogo(), brd, placement("L", [0]), placement("R", [1]))
 
@@ -414,7 +414,7 @@ def closure_oracle(game, board_):
     accepted set has both a legal and an illegal one-smaller subset, and
     whether some accepted set has a rejected one-smaller subset."""
     index = basic_positions(game, board_)
-    names, by_name = index.names, index.by_name
+    names, by_name = index.names, dict(index.entries)
     disjoint, seen = [frozenset()], {frozenset()}
     for s in disjoint:  # grows while walked: all disjoint sets, by size
         used = {v for c in s for v in by_name[c].occupied}
@@ -496,7 +496,7 @@ def test_analyze_matches_brute_force(case):
             a = analyze(variant, board_)
         except DownwardClosureError as exc:
             assert violated and not variant.pairwise and not variant.closed
-            by_name = basic_positions(game, board_).by_name
+            by_name = dict(basic_positions(game, board_).entries)
             assert judge(game, board_, *(by_name[c] for c in exc.witness))
             assert set(exc.missing) < set(exc.witness)
             assert len(exc.missing) == len(exc.witness) - 1
