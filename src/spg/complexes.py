@@ -487,8 +487,12 @@ def sr_ideal(delta: LabeledComplex) -> SquareFreeIdeal:
     for f in masks:
         for i in bits(free & -1 << f.bit_length()):
             cand = f | 1 << i
-            if cand not in masks and all(cand ^ 1 << j in masks for j in bits(f)):
-                out.add(cand)
+            if cand not in masks:
+                rest = f  # members whose removal from cand is still to be looked up
+                while rest and cand ^ rest & -rest in masks:
+                    rest &= rest - 1
+                if not rest:
+                    out.add(cand)
     return SquareFreeIdeal(delta.vertices, delta.part, frozenset(out))
 
 
