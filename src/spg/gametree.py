@@ -167,10 +167,10 @@ def _mk(left: Iterable[CanonicalValue], right: Iterable[CanonicalValue]) -> Cano
     if hit is not None:
         return hit
     g = CanonicalValue()
-    object.__setattr__(g, "left", tuple(lseq[i] for i in key[0]))
-    object.__setattr__(g, "right", tuple(rseq[i] for i in key[1]))
-    object.__setattr__(g, "_seq", len(_INTERN))
-    object.__setattr__(g, "_canon", None)
+    g.left = tuple(lseq[i] for i in key[0])
+    g.right = tuple(rseq[i] for i in key[1])
+    g._seq = len(_INTERN)
+    g._canon = None
     _INTERN[key] = g
     return g
 
@@ -248,7 +248,7 @@ def make_value(
             break
         g = _mk(lt, rt)
     for raw in seen:
-        object.__setattr__(raw, "_canon", g)
+        raw._canon = g
     return g
 
 
