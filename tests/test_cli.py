@@ -768,3 +768,24 @@ def test_cap_overrun_in_construct_writes_the_report(run, tmp_path):
     assert code == 3 and err == "" and out.splitlines()[-1].startswith("INCONCLUSIVE: ")
     report = json.loads((out_dir / "report.json").read_text())
     assert report["status"] == "INCONCLUSIVE" and "exceed the cap of 2" in report["detail"]
+    assert set(report) == {"status", "kind", "detail", "expected"}
+    assert report["kind"] == "illegal" and report["expected"] == complex_to_obj(P3)
+
+
+def test_verify_out_writes_the_kind_and_both_complexes(run, tmp_path):
+    p3 = write_complex(tmp_path / "p3.json", P3)
+    out = tmp_path / "pass.json"
+    code, _, _ = run("verify", "both", "--complex", p3, "--out", str(out))
+    report = json.loads(out.read_text())
+    assert code == 0 and report["status"] == "PASS"
+    assert set(report) == {"status", "kind", "detail", "expected", "computed"}
+    assert report["kind"] == "both"
+    assert report["expected"] == report["computed"] == complex_to_obj(P3)
+    # a recovered complex is written only when the replay ran
+    out = tmp_path / "budget.json"
+    code, _, _ = run("verify", "roundtrip", "--kind", "legal", "--max-n", "2",
+                     "--complex", p3, "--out", str(out))
+    report = json.loads(out.read_text())
+    assert code == 3 and report["status"] == "INCONCLUSIVE"
+    assert set(report) == {"status", "kind", "detail", "expected"}
+    assert report["kind"] == "legal" and report["expected"] == complex_to_obj(P3)
