@@ -125,15 +125,13 @@ VERIFIER_BOARDS = ("path:5", "cycle:6", "grid:2x3", "grid:3x3", "union:(path:2,p
 
 
 def verdict(check, *args, **kwargs) -> tuple:
-    """(status, detail, witness, samples_run) of a verifier's report, or the
-    message of the ``ValueError`` it raised.  A report without a status or a
-    sample count reads as ``passed`` and 0."""
+    """(status, detail, witness, samples_run) of a verifier's verdict, or the
+    message of the ``ValueError`` it raised."""
     try:
         rep = check(*args, **kwargs)
     except ValueError as exc:
         return ("ValueError", str(exc))
-    status = getattr(rep, "status", None) or ("PASS" if rep.passed else "FAIL")
-    return status, rep.detail, rep.witness, getattr(rep, "samples_run", 0)
+    return rep.status, rep.detail, rep.witness, rep.samples_run
 
 
 def roundtrip(kind: str, delta) -> tuple:
