@@ -41,10 +41,10 @@ from .complexes import (
     minimal_nonfaces, sr_complex, sr_ideal,
 )
 from .construct import (
-    Realization, VerifyReport, realize_both, realize_illegal, realize_legal, to_independence,
-    to_invariant, verify_roundtrip,
+    Realization, realize_both, realize_illegal, realize_legal, to_independence, to_invariant,
+    verify_roundtrip,
 )
-from .engine import DEFAULT_CAP, analyze, check_condition_iv, check_invariance
+from .engine import DEFAULT_CAP, Verdict, analyze, check_condition_iv, check_invariance
 from .gametree import (
     Move, canonical_value, fold, outcome_of_value, tree_to_dot, trees_isomorphic, value_str,
 )
@@ -466,7 +466,7 @@ def _construct(args: Args, delta: LabeledComplex, files: Files,
     return 0
 
 
-def _same_tree_and_value(delta: LabeledComplex, rep: VerifyReport, obj: dict) -> tuple[str, str]:
+def _same_tree_and_value(delta: LabeledComplex, rep: Verdict, obj: dict) -> tuple[str, str]:
     """The rebuilt game must have the original's game tree and value."""
     obj["trees_isomorphic"] = trees_isomorphic(delta, rep.computed)
     value = canonical_value(delta)

@@ -41,6 +41,7 @@ from .complexes import (
 )
 from .engine import (
     DEFAULT_CAP,
+    Verdict,
     analyze,
     basic_positions,
     check_condition_iv,
@@ -205,20 +206,6 @@ def to_independence(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> Real
 # Round-trip verification
 
 
-@dataclass
-class VerifyReport:
-    """A round trip's verdict: PASS, FAIL or INCONCLUSIVE, why, and the
-    complex the replay recovered (None when it recovered none)."""
-
-    status: str
-    detail: str
-    computed: Optional[LabeledComplex] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "PASS"
-
-
 def _recovered_complex(
     realization: Realization,
     which: str,
@@ -277,13 +264,13 @@ def verify_roundtrip(
     max_construction_vertices: int = 3,
     time_cap_s: float = 600.0,
     cap: int = DEFAULT_CAP,
-) -> VerifyReport:
+) -> Verdict:
     """Build the ``kind`` construction for a complex and replay it through the
     engine, demanding exact recovery.
 
     kind "legal" uses the invariant legal-complex construction, "illegal" the
     distance game, and "both" the two table games.  Every budget ends in one
-    INCONCLUSIVE report that names it: a distance game beyond
+    INCONCLUSIVE verdict that names it: a distance game beyond
     ``max_construction_vertices`` assemblies (boards grow as the fourth power
     of the vertex count), a replay past ``time_cap_s`` or a board with more
     than ``cap`` basic positions.
@@ -320,9 +307,9 @@ def verify_roundtrip(
             got, err = _recovered_complex(r, side, cap, deadline)
             wrong = err or _mismatch(complex_, got)
             if wrong:
-                return VerifyReport("FAIL", f"{what}: {wrong}", got)
+                return Verdict("FAIL", f"{what}: {wrong}", computed=got)
             recovered.append(got)
     except BudgetExceeded as exc:
-        return VerifyReport("INCONCLUSIVE", str(exc))
+        return Verdict("INCONCLUSIVE", str(exc))
     done = "; ".join(what for _, _, what in runs)
-    return VerifyReport("PASS", f"recovered complex matches; {done}", recovered[0])
+    return Verdict("PASS", f"recovered complex matches; {done}", computed=recovered[0])

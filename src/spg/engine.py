@@ -332,12 +332,14 @@ def illegal_complex(game: Ruleset, board: Board, cap: int = DEFAULT_CAP) -> Labe
 @dataclass(frozen=True)
 class Verdict:
     """What a verifier found: PASS, FAIL or INCONCLUSIVE, why, the positions
-    that refute the claim on a FAIL, and how many samples it judged."""
+    that refute the claim on a FAIL, how many samples it judged, and the
+    complex a round trip recovered."""
 
     status: str
     detail: str
     witness: Optional[tuple] = None
     samples_run: int = 0
+    computed: Optional[LabeledComplex] = None
 
     @property
     def passed(self) -> bool:

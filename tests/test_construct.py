@@ -24,7 +24,7 @@ from spg.construct import (
     to_invariant,
     verify_roundtrip,
 )
-from spg.engine import illegal_complex, legal_complex
+from spg.engine import Verdict, illegal_complex, legal_complex
 from spg.rulesets import free_placement, nogo, snort
 
 from conftest import all_labeled_complexes, on_placement_sets
@@ -164,6 +164,9 @@ def test_verify_legal_path_on_five_vertices():
     rep = verify_roundtrip("legal", PATH5, max_construction_vertices=5)
     assert rep.status == "PASS", rep.detail
     assert rep.computed == PATH5
+    # a round trip answers with the predicate verifiers' Verdict
+    assert isinstance(rep, Verdict)
+    assert rep.witness is None and rep.samples_run == 0
     assert verify_roundtrip("legal", PATH5, max_construction_vertices=4).status == "INCONCLUSIVE"
 
 
@@ -188,6 +191,8 @@ def test_verify_budget_inconclusive():
     report = verify_roundtrip("illegal", K22)
     assert report.status == "INCONCLUSIVE"
     assert "needs 4 assemblies, over the budget of 3" in report.detail
+    assert isinstance(report, Verdict)
+    assert report.computed is None and report.witness is None and report.samples_run == 0
 
 
 def test_verify_legal_counts_the_free_assemblies():
