@@ -411,9 +411,10 @@ def check_invariance(
         k = rng.randint(1, max_pieces)
         pos = 0
         occupied: set[int] = set()
-        for _attempt in range(8 * k):
+        # at most len(placements) picks are distinct, so k may be out of reach
+        for _attempt in range(8 * min(k, len(placements))):
             i = rng.randrange(len(placements))
-            if pos >> i & 1 or placements[i].occupied & occupied:
+            if placements[i].occupied & occupied:
                 continue
             pos |= 1 << i
             occupied |= placements[i].occupied

@@ -243,6 +243,16 @@ def test_verify_invariance_fail_exit(run):
     assert code == 1 and out.startswith("FAIL")
 
 
+def test_verify_invariance_max_pieces_beyond_the_board_ends(tmp_path):
+    # path:3 has six basic positions, so a sample never reaches a piece count
+    # of 10^11; it stops after eight picks per basic position
+    proc = run_spg_capped("verify", "invariance", "--ruleset", "snort", "--board", "path:3",
+                          "--max-pieces", "100000000000", cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "PASS: 100 transported samples agreed\n", ""
+    )
+
+
 def test_verify_condition_iv(run):
     code, out, _ = run("verify", "condition-iv", "--ruleset", "snort", "--board", "path:3")
     assert code == 0 and out.startswith("PASS")
